@@ -48,7 +48,7 @@ def _read_payload(args) -> dict:
     if not isinstance(payload, dict):
         raise InputError("$", "top-level JSON must be an object")
     fmt = payload.get("format", jsonio.FORMAT_VERSION)
-    if fmt != jsonio.FORMAT_VERSION:
+    if not jsonio.is_int(fmt) or fmt != jsonio.FORMAT_VERSION:
         raise InputError("$.format", f"unsupported format {fmt}")
     return payload
 
@@ -194,7 +194,7 @@ def cmd_wreath(args) -> int:
     payload = _read_payload(args)
     base = jsonio.parse_group(payload.get("base"), "$.base")
     ell = payload.get("ell")
-    if not isinstance(ell, int) or ell < 1:
+    if not jsonio.is_int(ell) or ell < 1:
         raise InputError("$.ell", "expected a positive integer")
     W = wreath_cyclic(base, ell)
     G = W.group(max_order=args.max_order)
@@ -212,7 +212,7 @@ def cmd_classify(args) -> int:
         raise InputError("$.wreath", "expected an object")
     base = jsonio.parse_group(wreath_obj.get("base"), "$.wreath.base")
     ell = wreath_obj.get("ell")
-    if not isinstance(ell, int) or ell < 2:
+    if not jsonio.is_int(ell) or ell < 2:
         raise InputError("$.wreath.ell", "expected an integer >= 2")
     W = wreath_cyclic(base, ell)
     gens = payload.get("generators")
@@ -222,10 +222,10 @@ def cmd_classify(args) -> int:
     for i, g in enumerate(gens):
         path = f"$.generators[{i}]"
         if (not isinstance(g, list) or len(g) != 2
-                or not isinstance(g[0], int)
+                or not jsonio.is_int(g[0])
                 or not isinstance(g[1], list)
                 or len(g[1]) != ell
-                or not all(isinstance(x, int) and 0 <= x < base.order
+                or not all(jsonio.is_int(x) and 0 <= x < base.order
                            for x in g[1])):
             raise InputError(path, "expected [rotation, [base indices...]]")
         rot = cyclic_rotations(ell)[g[0] % ell]

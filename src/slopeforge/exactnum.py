@@ -264,13 +264,7 @@ class Cyclotomic:
             a, b, n = self._pair(other)
         except TypeError:
             return NotImplemented
-        prod = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        return Cyclotomic(n, prod)
+        return Cyclotomic(n, _poly_mul(a, b))
 
     __rmul__ = __mul__
 

@@ -2,11 +2,17 @@
 
 Groups are stored as an ordered element list (identity first) plus a
 composition rule on the raw element values; everything else (inverses,
-conjugacy classes, subgroup closures, normal subgroups) is derived and cached.
-Raw values are hashable, so closure and orbit computations are dict-driven,
+conjugacy classes, subgroup closures, normal subgroups) is derived and cached
+on the group object.  Raw values are hashable, so closures are dict-driven,
 and groups up to the configured order bound (default 10000) can be enumerated
 in full.  Wreath products compose lazily and never require enumerating the
 ambient product, only the subgroups actually built inside it.
+
+Every closure (group and subgroup generation, conjugacy classes, normal
+closures, wreath tops) goes through `orbit`; every use of left translation on
+the cosets G/H (the wreath embedding, tensor induction, induced matrices)
+goes through `CosetAction`; homomorphisms given on generators are extended by
+`extend_from_generators`.
 """
 
 from __future__ import annotations
@@ -45,6 +51,59 @@ def _perm_inverse(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def orbit(seeds, gens, act, bound=None) -> set:
+    """The smallest superset of `seeds` closed under x -> act(x, g), g in gens.
+
+    Raises GroupError as soon as the set would grow past `bound` elements.
+    """
+    frontier = list(seeds)  # in the given order, so the search is reproducible
+    members = set(frontier)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = act(x, g)
+            if y not in members:
+                if bound is not None and len(members) >= bound:
+                    raise GroupError(f"closure exceeds order bound {bound}")
+                members.add(y)
+                frontier.append(y)
+    return members
+
+
+def _greedy_generators(elements, identity, act, bound=None) -> tuple[list, set]:
+    """(gens, reached): gens are the elements, in the given order, not yet
+    generated by the ones before them, and reached is what gens generate."""
+    gens: list = []
+    reached = {identity}
+    for x in elements:
+        if x not in reached:
+            gens.append(x)
+            reached = orbit(reached, gens, act, bound)
+    return gens, reached
+
+
+def extend_from_generators(G, gens, images, mul, one) -> dict | None:
+    """The map f on the elements of G reached from the identity with f(0) = one
+    and f(x g) = mul(f(x), image of g), or None at the first element given
+    two different values (the images are then not multiplicative)."""
+    f = {0: one}
+    frontier = [0]
+    pairs = list(zip(gens, images))
+    while frontier:
+        x = frontier.pop()
+        fx = f[x]
+        for g, img in pairs:
+            y = G.mul(x, g)
+            fy = mul(fx, img)
+            if y in f:
+                if f[y] != fy:
+                    return None
+            else:
+                f[y] = fy
+                frontier.append(y)
+    return f
+
+
 class FiniteGroup:
     """A finite group over an ordered list of raw element values.
 
@@ -66,6 +125,8 @@ class FiniteGroup:
         self._compose = compose
         self._inverse = inverse
         self.name = name
+        # set by reptheory.character_table, and released with the group
+        self._character_table = None
         if generators is None:
             self._generators_raw = None
         else:
@@ -123,15 +184,7 @@ class FiniteGroup:
         """Generator indices; computed greedily when not supplied."""
         if self._generators_raw is not None:
             return sorted(self.index[g] for g in self._generators_raw)
-        gens: list[int] = []
-        reached = {0}
-        for i in range(1, self.order):
-            if i not in reached:
-                gens.append(i)
-                reached = set(subgroup_closure(self, gens))
-                if len(reached) == self.order:
-                    break
-        return gens
+        return _greedy_generators(range(self.order), 0, self.mul)[0]
 
     def is_abelian(self) -> bool:
         gens = self.generators
@@ -149,23 +202,19 @@ class FiniteGroup:
         """
         gens = self.generators or list(range(1, self.order))
         gen_pairs = [(g, self.inv(g)) for g in gens]
+        mul = self.mul
+
+        def conjugate(x, pair):
+            return mul(pair[1], mul(x, pair[0]))
+
         seen = [False] * self.order
         classes = []
         for start in range(self.order):
-            if seen[start]:
-                continue
-            orbit = {start}
-            frontier = [start]
-            seen[start] = True
-            while frontier:
-                x = frontier.pop()
-                for g, ginv in gen_pairs:
-                    y = self.mul(ginv, self.mul(x, g))
-                    if not seen[y]:
-                        seen[y] = True
-                        orbit.add(y)
-                        frontier.append(y)
-            classes.append(tuple(sorted(orbit)))
+            if not seen[start]:
+                cls = tuple(sorted(orbit([start], gen_pairs, conjugate)))
+                for x in cls:
+                    seen[x] = True
+                classes.append(cls)
         return classes
 
     @cached_property
@@ -215,17 +264,8 @@ class FiniteGroup:
 
 def subgroup_closure(G: FiniteGroup, generators) -> tuple[int, ...]:
     """Sorted index tuple of the subgroup generated by the given indices."""
-    members = {0}
     gens = [g for g in generators if g != 0]
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = G.mul(x, g)
-            if y not in members:
-                members.add(y)
-                frontier.append(y)
-    return tuple(sorted(members))
+    return tuple(sorted(orbit([0], gens, G.mul)))
 
 
 @dataclass(frozen=True)
@@ -310,9 +350,38 @@ def left_cosets(G: FiniteGroup, H: Subgroup) -> list[tuple[int, ...]]:
     return cosets
 
 
-def coset_transversal(G: FiniteGroup, H: Subgroup) -> list[int]:
-    """Minimal-element representatives of the left cosets (identity first)."""
-    return [c[0] for c in left_cosets(G, H)]
+class CosetAction:
+    """Left translation by G = H.parent on the left cosets gamma_i H.
+
+    The transversal (gamma_1, ..., gamma_n) defaults to the minimal element of
+    each coset; a transversal that repeats or misses a coset raises GroupError.
+    """
+
+    def __init__(self, H: Subgroup, transversal=None):
+        G = H.parent
+        cosets = left_cosets(G, H)
+        n = len(cosets)
+        if transversal is None:
+            transversal = [c[0] for c in cosets]
+        self.group = G
+        self.transversal = tuple(transversal)
+        if len(self.transversal) != n:
+            raise GroupError(f"transversal must have {n} entries")
+        coset_of = {x: k for k, c in enumerate(cosets) for x in c}
+        slot_of_coset = {coset_of.get(t): i for i, t in enumerate(self.transversal)}
+        if None in slot_of_coset or len(slot_of_coset) != n:
+            raise GroupError("invalid transversal: cosets repeated or missed")
+        self._slot = [slot_of_coset[coset_of[x]] for x in range(G.order)]
+        self._inverses = [G.inv(t) for t in self.transversal]
+
+    def image(self, g: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(sigma, cocycle) with g gamma_i in gamma_sigma(i) H and cocycle[i] =
+        gamma_sigma(i)^-1 g gamma_i, an element of H given as an index of G."""
+        mul = self.group.mul
+        moved = [mul(g, t) for t in self.transversal]
+        sigma = tuple(self._slot[x] for x in moved)
+        cocycle = tuple(mul(self._inverses[j], x) for j, x in zip(sigma, moved))
+        return sigma, cocycle
 
 
 # -- group constructors -------------------------------------------------------
@@ -327,17 +396,7 @@ def group_from_permutations(generators, name="permgroup",
         if sorted(g) != list(range(degree)):
             raise GroupError(f"{g} is not a permutation of 0..{degree - 1}")
     identity = tuple(range(degree))
-    members = {identity}
-    frontier = [identity]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = _perm_compose(x, g)
-            if y not in members:
-                if len(members) >= max_order:
-                    raise GroupError(f"closure exceeds order bound {max_order}")
-                members.add(y)
-                frontier.append(y)
+    members = orbit([identity], gens, _perm_compose, max_order)
     return FiniteGroup(members, _perm_compose, _perm_inverse, identity,
                        generators=gens, name=name)
 
@@ -538,48 +597,28 @@ def extraspecial_exponent_p2_group(p: int) -> FiniteGroup:
 
 def _closure_of_class_union(G: FiniteGroup, class_elems) -> Subgroup:
     """Subgroup generated by a conjugation-closed element set (hence normal)."""
-    gens: list[int] = []
-    members: tuple[int, ...] = (0,)
-    mset = {0}
-    for c in class_elems:
-        if c not in mset:
-            gens.append(c)
-            members = subgroup_closure(G, gens)
-            mset = set(members)
-    return Subgroup(G, members, tuple(sorted(gens)))
+    gens, members = _greedy_generators(class_elems, 0, G.mul)
+    return Subgroup(G, tuple(sorted(members)), tuple(sorted(gens)))
 
 
 def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """All normal subgroups, as joins of normal closures of conjugacy classes."""
-    closures = {}
-    base = []
-    for cls in G.conjugacy_classes:
-        if cls == (0,):
-            continue
-        N = _closure_of_class_union(G, cls)
-        if N.elements not in closures:
-            closures[N.elements] = N
-            base.append(N)
-    found = {(0,): G.trivial_subgroup()}
-    for N in base:
-        found.setdefault(N.elements, N)
-    frontier = list(base)
-    while frontier:
-        A = frontier.pop()
-        for B in list(found.values()):
-            if B.order == 1:
-                continue
-            if set(B.elements) <= set(A.elements) or set(A.elements) <= set(B.elements):
-                continue
-            gens = tuple(sorted(set(A.generators) | set(B.generators)))
-            J = Subgroup(G, subgroup_closure(G, gens), gens)
-            if J.elements not in found:
-                found[J.elements] = J
-                frontier.append(J)
-    full = tuple(range(G.order))
-    if full not in found:
-        found[full] = Subgroup(G, full, tuple(G.generators))
-    return sorted(found.values(), key=lambda S: (S.order, S.elements))
+    base = list(dict.fromkeys(_closure_of_class_union(G, cls)
+                              for cls in G.conjugacy_classes[1:]))
+
+    def join(A: Subgroup, B: Subgroup) -> Subgroup:
+        if B.element_set <= A.element_set:
+            return A
+        if A.element_set <= B.element_set:
+            return B
+        # A is normal, so the join is the product set AB
+        gens = tuple(sorted(set(A.generators) | set(B.generators)))
+        members = orbit(A.elements, B.generators, G.mul)
+        return Subgroup(G, tuple(sorted(members)), gens)
+
+    # the join of all of base is G itself, so G is among the joins found
+    found = orbit([G.trivial_subgroup()] + base, base, join)
+    return sorted(found, key=lambda S: (S.order, S.elements))
 
 
 def is_simple(G: FiniteGroup) -> bool:
@@ -621,8 +660,13 @@ class WreathProduct:
         for a in self.top:
             if len(a) != self.n or sorted(a) != list(range(self.n)):
                 raise GroupError("top elements must be permutations")
-            if _perm_inverse(a) not in self.top:
-                raise GroupError("top permutation set must be a group")
+        # what the greedy generators generate contains the top set, so it is
+        # the top set exactly when no closure grows past len(self.top)
+        try:
+            self.top_generators = _greedy_generators(
+                self.top, ident, _perm_compose, len(self.top))[0]
+        except GroupError:
+            raise GroupError("top permutation set must be a group") from None
         self.top_identity = ident
         self.identity = (ident, (0,) * self.n)
 
@@ -662,7 +706,7 @@ class WreathProduct:
             for s in self.top
             for h in iter_product(range(self.base.order), repeat=self.n)
         ]
-        gens = [self.top_element(s) for s in _generating_perms(self.top)]
+        gens = [self.top_element(s) for s in self.top_generators]
         for g in self.base.generators:
             gens.append(self.base_element([g] + [0] * (self.n - 1)))
         return FiniteGroup(elements, self.compose, self.inverse, self.identity,
@@ -672,49 +716,16 @@ class WreathProduct:
     def subgroup_from_raw(self, raws, name="wreath-sub",
                           max_order=DEFAULT_MAX_ORDER) -> FiniteGroup:
         """Closure of raw wreath elements as a standalone FiniteGroup."""
-        members = {self.identity}
-        frontier = [self.identity]
-        gens = [tuple(r) if not isinstance(r, tuple) else r for r in raws]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self.compose(x, g)
-                if y not in members:
-                    if len(members) >= max_order:
-                        raise GroupError(f"closure exceeds order bound {max_order}")
-                    members.add(y)
-                    frontier.append(y)
+        gens = [tuple(r) for r in raws]
+        members = orbit([self.identity], gens, self.compose, max_order)
         return FiniteGroup(members, self.compose, self.inverse, self.identity,
                            generators=gens, name=name)
 
 
-def _generating_perms(perms) -> list[tuple[int, ...]]:
-    ident = tuple(range(len(perms[0])))
-    gens: list[tuple[int, ...]] = []
-    reached = {ident}
-    for p in perms:
-        if p not in reached:
-            gens.append(p)
-            frontier = list(reached)
-            while frontier:
-                x = frontier.pop()
-                for g in gens:
-                    y = _perm_compose(x, g)
-                    if y not in reached:
-                        reached.add(y)
-                        frontier.append(y)
-    return gens
-
-
 def cyclic_rotations(n: int) -> list[tuple[int, ...]]:
-    """The cyclic group generated by i -> i+1 mod n, as image tuples."""
-    rot = tuple(list(range(1, n)) + [0])
-    out = [tuple(range(n))]
-    cur = rot
-    while cur != out[0]:
-        out.append(cur)
-        cur = _perm_compose(cur, rot)
-    return out
+    """The cyclic group generated by i -> i+1 mod n, as image tuples; entry k
+    is the k-th power i -> i+k mod n."""
+    return [tuple((i + k) % n for i in range(n)) for k in range(n)]
 
 
 def wreath_cyclic(H: FiniteGroup, ell: int) -> WreathProduct:
@@ -751,48 +762,15 @@ def embed_in_wreath(G: FiniteGroup, H: Subgroup,
     the transversal changes the image only by an inner automorphism of the
     wreath product.
     """
-    cosets = left_cosets(G, H)
-    n = len(cosets)
-    if transversal is None:
-        transversal = [c[0] for c in cosets]
-    transversal = list(transversal)
-    if len(transversal) != n:
-        raise GroupError(f"transversal must have {n} entries")
-    hit = set()
-    for t in transversal:
-        c_idx = next(i for i, c in enumerate(cosets) if t in c)
-        hit.add(c_idx)
-    if len(hit) != n:
-        raise GroupError("invalid transversal: cosets repeated or missed")
+    action = CosetAction(H, transversal)
     Hgroup = H.as_group
     images = []
-    sigmas = set()
     for g in range(G.order):
-        sigma = [0] * n
-        parts = [0] * n
-        for i, gamma in enumerate(transversal):
-            gg = G.mul(g, gamma)
-            target = next(
-                j for j, t in enumerate(transversal)
-                if G.mul(G.inv(t), gg) in H
-            )
-            sigma[i] = target
-            parts[i] = Hgroup.index[G.mul(G.inv(transversal[target]), gg)]
-        images.append((tuple(sigma), tuple(parts)))
-        sigmas.add(tuple(sigma))
-    # close the sigma images into the top permutation group
-    frontier = list(sigmas)
-    top = set(sigmas)
-    top.add(tuple(range(n)))
-    while frontier:
-        x = frontier.pop()
-        for y in list(top):
-            z = _perm_compose(x, y)
-            if z not in top:
-                top.add(z)
-                frontier.append(z)
-    W = WreathProduct(Hgroup, top)
-    return WreathEmbedding(W, tuple(images), tuple(transversal), H)
+        sigma, cocycle = action.image(g)
+        images.append((sigma, tuple(Hgroup.index[t] for t in cocycle)))
+    # g -> sigma_g is a homomorphism, so its images already form the top group
+    W = WreathProduct(Hgroup, {sigma for sigma, _ in images})
+    return WreathEmbedding(W, tuple(images), action.transversal, H)
 
 
 # -- classifiers ---------------------------------------------------------------
@@ -949,28 +927,6 @@ def classify_wreath_subgroup(W: WreathProduct,
 # -- automorphisms -------------------------------------------------------------
 
 
-def _hom_from_generator_images(G: FiniteGroup, gens: list[int],
-                               images: list[int]) -> list[int] | None:
-    """Total map G -> G extending gens -> images multiplicatively, or None."""
-    f = {0: 0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        fx = f[x]
-        for g, img in zip(gens, images):
-            y = G.mul(x, g)
-            fy = G.mul(fx, img)
-            if y in f:
-                if f[y] != fy:
-                    return None
-            else:
-                f[y] = fy
-                frontier.append(y)
-    if len(f) != G.order:
-        return None
-    return [f[i] for i in range(G.order)]
-
-
 def _greedy_generating_sequence(G: FiniteGroup) -> list[int]:
     gens: list[int] = []
     size = 1
@@ -1008,8 +964,8 @@ def automorphism_count(G: FiniteGroup, search_bound=2_000_000) -> int:
         )
     count = 0
     for images in iter_product(*candidate_lists):
-        f = _hom_from_generator_images(G, gens, list(images))
-        if f is not None and len(set(f)) == G.order:
+        f = extend_from_generators(G, gens, images, G.mul, 0)
+        if f is not None and len(f) == G.order and len(set(f.values())) == G.order:
             count += 1
     return count
 

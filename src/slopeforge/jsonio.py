@@ -31,8 +31,13 @@ def _expect(cond: bool, path: str, message: str):
         raise InputError(path, message)
 
 
+def is_int(obj) -> bool:
+    """A JSON integer: true and false are bools, not integers."""
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
 def parse_rational(obj, path: str) -> Fraction:
-    _expect(isinstance(obj, (str, int)), path, "expected a rational string")
+    _expect(isinstance(obj, str) or is_int(obj), path, "expected a rational string")
     try:
         return rational_from_str(str(obj))
     except ValueError as exc:
@@ -56,7 +61,7 @@ def parse_slope_multiset(obj, path: str = "$") -> SlopeMultiset:
         _expect(isinstance(entry, list) and len(entry) == 2, epath,
                 "expected [slope, multiplicity]")
         slope = parse_rational(entry[0], f"{epath}[0]")
-        _expect(isinstance(entry[1], int) and entry[1] >= 1, f"{epath}[1]",
+        _expect(is_int(entry[1]) and entry[1] >= 1, f"{epath}[1]",
                 "expected a positive integer multiplicity")
         pairs.append((slope, entry[1]))
     try:
@@ -87,7 +92,7 @@ def parse_cyclotomic(obj, path: str) -> Cyclotomic:
     _expect("conductor" in obj and "coefficients" in obj, path,
             "expected keys conductor, coefficients")
     n = obj["conductor"]
-    _expect(isinstance(n, int) and n >= 1, f"{path}.conductor",
+    _expect(is_int(n) and n >= 1, f"{path}.conductor",
             "expected a positive integer")
     coeffs = obj["coefficients"]
     _expect(isinstance(coeffs, list), f"{path}.coefficients", "expected a list")
@@ -133,7 +138,7 @@ def parse_group(obj, path: str = "$.group") -> FiniteGroup:
         perms = []
         for i, g in enumerate(gens):
             gpath = f"{path}.permutation_generators[{i}]"
-            _expect(isinstance(g, list) and all(isinstance(x, int) for x in g),
+            _expect(isinstance(g, list) and all(is_int(x) for x in g),
                     gpath, "expected a list of 1-indexed images")
             _expect(sorted(g) == list(range(1, len(g) + 1)), gpath,
                     "not a permutation of 1..n")
@@ -144,8 +149,10 @@ def parse_group(obj, path: str = "$.group") -> FiniteGroup:
             raise InputError(path, str(exc)) from None
     if "cayley_table" in obj:
         table = obj["cayley_table"]
-        _expect(isinstance(table, list), f"{path}.cayley_table",
-                "expected a list of rows")
+        _expect(isinstance(table, list)
+                and all(isinstance(row, list) and all(is_int(x) for x in row)
+                        for row in table),
+                f"{path}.cayley_table", "expected a list of rows of integers")
         try:
             return group_from_cayley_table(table)
         except ValueError as exc:
@@ -154,7 +161,7 @@ def parse_group(obj, path: str = "$.group") -> FiniteGroup:
 
 
 def parse_subgroup(obj, G: FiniteGroup, path: str) -> Subgroup:
-    _expect(isinstance(obj, list) and all(isinstance(x, int) for x in obj),
+    _expect(isinstance(obj, list) and all(is_int(x) for x in obj),
             path, "expected a list of element indices")
     _expect(all(0 <= x < G.order for x in obj), path,
             f"indices must lie in 0..{G.order - 1}")
@@ -217,7 +224,7 @@ def parse_lower_chain(obj, path: str = "$") -> tuple[FiniteGroup, LowerChain]:
 def parse_rank_one_operator(obj, path: str = "$") -> RankOneOperator:
     _expect(isinstance(obj, dict), path, "expected an object")
     p = obj.get("p")
-    _expect(isinstance(p, int) and p >= 2, f"{path}.p", "expected a prime")
+    _expect(is_int(p) and p >= 2, f"{path}.p", "expected a prime")
     coeffs = obj.get("coefficients")
     _expect(isinstance(coeffs, list), f"{path}.coefficients", "expected a list")
     vals = [parse_rational(c, f"{path}.coefficients[{i}]")

@@ -22,7 +22,8 @@ from math import gcd, isqrt
 import numpy as np
 
 from .exactnum import Cyclotomic, is_prime
-from .groups import FiniteGroup, Subgroup, left_cosets
+from .groups import (CosetAction, FiniteGroup, GroupError, Subgroup,
+                     extend_from_generators, left_cosets)
 from . import modp
 
 DEFAULT_TABLE_BOUND = 2000
@@ -170,6 +171,13 @@ def induce(chi: ClassFunction, H: Subgroup) -> ClassFunction:
     return ClassFunction(G, tuple(vals))
 
 
+def _coset_action(H: Subgroup, transversal) -> CosetAction:
+    try:
+        return CosetAction(H, transversal)
+    except GroupError as exc:
+        raise RepTheoryError(str(exc)) from None
+
+
 def tensor_induce(chi: ClassFunction, H: Subgroup,
                   transversal=None) -> ClassFunction:
     """Tensor-induced character via the cycle decomposition on G/H.
@@ -183,40 +191,23 @@ def tensor_induce(chi: ClassFunction, H: Subgroup,
     Hg = H.as_group
     if chi.group is not Hg:
         raise RepTheoryError("character must live on the subgroup")
-    cosets = left_cosets(G, H)
-    n = len(cosets)
-    if transversal is None:
-        transversal = [c[0] for c in cosets]
-    if len(transversal) != n:
-        raise RepTheoryError("transversal size mismatch")
-    coset_of = {}
-    for idx, c in enumerate(cosets):
-        for x in c:
-            coset_of[x] = idx
-    slot_of = [coset_of[t] for t in transversal]
-    if sorted(slot_of) != list(range(n)):
-        raise RepTheoryError("invalid transversal")
+    action = _coset_action(H, transversal)
+    n = len(action.transversal)
     vals = []
     for cls in G.conjugacy_classes:
-        g = cls[0]
-        # permutation of transversal slots induced by left translation
-        perm = [0] * n
-        for i, gamma in enumerate(transversal):
-            target_coset = coset_of[G.mul(g, gamma)]
-            perm[i] = slot_of.index(target_coset)
+        perm, cocycle = action.image(cls[0])
         value = Cyclotomic.rational(1)
         seen = [False] * n
         for i in range(n):
             if seen[i]:
                 continue
-            length = 0
+            # the cocycles along the cycle multiply to gamma_i^-1 g^|O| gamma_i
+            inside = 0
             j = i
             while not seen[j]:
                 seen[j] = True
+                inside = G.mul(cocycle[j], inside)
                 j = perm[j]
-                length += 1
-            gamma = transversal[i]
-            inside = G.mul(G.inv(gamma), G.mul(G.power(g, length), gamma))
             value = value * chi.value_at(Hg.index[inside])
         vals.append(value)
     return ClassFunction(G, tuple(vals))
@@ -365,19 +356,9 @@ def character_table(G: FiniteGroup,
         raise RepTheoryError(
             f"group order {G.order} exceeds the table bound {max_order}"
         )
-    return _character_table_cached(G)
-
-
-_TABLE_CACHE: dict[int, CharacterTable] = {}
-
-
-def _character_table_cached(G: FiniteGroup) -> CharacterTable:
-    cached = _TABLE_CACHE.get(id(G))
-    if cached is not None and cached.group is G:
-        return cached
-    table = _dixon_schneider(G)
-    _TABLE_CACHE[id(G)] = table
-    return table
+    if G._character_table is None:
+        G._character_table = _dixon_schneider(G)
+    return G._character_table
 
 
 def _dixon_schneider(G: FiniteGroup) -> CharacterTable:
@@ -606,20 +587,10 @@ def rep_from_generator_images(G: FiniteGroup, generator_indices,
         dim = dims.pop()
     if dim > MATRIX_DIM_BOUND:
         raise RepTheoryError(f"matrix representations bounded to dim <= {MATRIX_DIM_BOUND}")
-    mats: dict[int, Matrix] = {0: _mat_identity(dim)}
-    frontier = [0]
-    gen_list = list(zip(generator_indices, images))
-    while frontier:
-        x = frontier.pop()
-        for g, mg in gen_list:
-            y = G.mul(x, g)
-            my = _mat_mul(mats[x], mg)
-            if y in mats:
-                if mats[y] != my:
-                    raise RepTheoryError("generator images are not multiplicative")
-            else:
-                mats[y] = my
-                frontier.append(y)
+    mats = extend_from_generators(G, generator_indices, images, _mat_mul,
+                                  _mat_identity(dim))
+    if mats is None:
+        raise RepTheoryError("generator images are not multiplicative")
     if len(mats) != G.order:
         raise RepTheoryError("generators do not generate the group")
     return MatrixRep(G, dim, tuple(mats[i] for i in range(G.order)))
@@ -647,29 +618,6 @@ def tensor(rep1: MatrixRep, rep2: MatrixRep) -> MatrixRep:
     return MatrixRep(rep1.group, rep1.dimension * rep2.dimension, mats)
 
 
-def _embedding_data(G: FiniteGroup, H: Subgroup, transversal):
-    cosets = left_cosets(G, H)
-    n = len(cosets)
-    if transversal is None:
-        transversal = [c[0] for c in cosets]
-    coset_of = {}
-    for idx, c in enumerate(cosets):
-        for x in c:
-            coset_of[x] = idx
-    slot_of = [coset_of[t] for t in transversal]
-    if len(transversal) != n or sorted(slot_of) != list(range(n)):
-        raise RepTheoryError("invalid transversal")
-    return transversal, coset_of, slot_of, n
-
-
-def _coset_permutation(G, g, transversal, coset_of, slot_of):
-    n = len(transversal)
-    perm = [0] * n
-    for i, gamma in enumerate(transversal):
-        perm[i] = slot_of.index(coset_of[G.mul(g, gamma)])
-    return perm
-
-
 def induced_matrix_rep(rep: MatrixRep, H: Subgroup,
                        transversal=None) -> MatrixRep:
     """Block-permutation matrices of the induced representation on V^n."""
@@ -677,23 +625,21 @@ def induced_matrix_rep(rep: MatrixRep, H: Subgroup,
     Hg = H.as_group
     if rep.group is not Hg:
         raise RepTheoryError("representation must live on the subgroup")
-    transversal, coset_of, slot_of, n = _embedding_data(G, H, transversal)
+    action = _coset_action(H, transversal)
+    n = len(action.transversal)
     d = rep.dimension
     if n * d > MATRIX_DIM_BOUND:
         raise RepTheoryError("induced dimension exceeds the matrix bound")
     zero = Cyclotomic.rational(0)
     mats = []
     for g in range(G.order):
-        perm = _coset_permutation(G, g, transversal, coset_of, slot_of)
-        blocks = {}
-        for j in range(n):
-            t_j = G.mul(G.inv(transversal[perm[j]]), G.mul(g, transversal[j]))
-            blocks[(perm[j], j)] = rep.matrix_of(Hg.index[t_j])
+        perm, cocycle = action.image(g)
         big = [[zero] * (n * d) for _ in range(n * d)]
-        for (bi, bj), M in blocks.items():
+        for j in range(n):
+            M = rep.matrix_of(Hg.index[cocycle[j]])
             for a in range(d):
                 for b in range(d):
-                    big[bi * d + a][bj * d + b] = M[a][b]
+                    big[perm[j] * d + a][j * d + b] = M[a][b]
         mats.append(tuple(tuple(row) for row in big))
     return MatrixRep(G, n * d, tuple(mats))
 
@@ -705,7 +651,8 @@ def tensor_induced_matrix_rep(rep: MatrixRep, H: Subgroup,
     Hg = H.as_group
     if rep.group is not Hg:
         raise RepTheoryError("representation must live on the subgroup")
-    transversal, coset_of, slot_of, n = _embedding_data(G, H, transversal)
+    action = _coset_action(H, transversal)
+    n = len(action.transversal)
     d = rep.dimension
     if d**n > MATRIX_DIM_BOUND:
         raise RepTheoryError("tensor-induced dimension exceeds the matrix bound")
@@ -714,14 +661,11 @@ def tensor_induced_matrix_rep(rep: MatrixRep, H: Subgroup,
     indices = list(iter_product(range(d), repeat=n))
     mats = []
     for g in range(G.order):
-        perm = _coset_permutation(G, g, transversal, coset_of, slot_of)
+        perm, cocycle = action.image(g)
         inv_perm = [0] * n
         for i, t in enumerate(perm):
             inv_perm[t] = i
-        slot_mats = []
-        for j in range(n):
-            t_j = G.mul(G.inv(transversal[perm[j]]), G.mul(g, transversal[j]))
-            slot_mats.append(rep.matrix_of(Hg.index[t_j]))
+        slot_mats = [rep.matrix_of(Hg.index[t]) for t in cocycle]
         big = []
         for I in indices:
             row = []

@@ -47,18 +47,18 @@ class SuiteResult:
 
 
 def _fail(name, detail, t0, limit):
-    return SuiteResult(name, False, detail, time.time() - t0, limit)
+    return SuiteResult(name, False, detail, time.perf_counter() - t0, limit)
 
 
 def _ok(name, detail, t0, limit):
-    return SuiteResult(name, True, detail, time.time() - t0, limit)
+    return SuiteResult(name, True, detail, time.perf_counter() - t0, limit)
 
 
 # -- 1: Weyl dimension identity --------------------------------------------------
 
 
 def suite_weyl(seed: int = 0) -> SuiteResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     name, limit = "weyl-dimension", 1.0
     cases = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 3), ("D", 4), ("G", 2)]
     checked = 0
@@ -80,14 +80,10 @@ def suite_weyl(seed: int = 0) -> SuiteResult:
 # -- 2 and 3: abelian chains: integrality and the Swan oracle ---------------------
 
 
-def _abelian_corpus_cached(seed):
-    return corpus.abelian_chain_corpus(count=20, seed=seed)
-
-
 def suite_hasse_arf(seed: int = 2024) -> SuiteResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     name, limit = "hasse-arf-integrality", 10.0
-    chains = _abelian_corpus_cached(seed)
+    chains = corpus.abelian_chain_corpus(count=20, seed=seed)
     pairs = 0
     for lc in chains:
         bc = upper_from_lower(lc)
@@ -103,9 +99,9 @@ def suite_hasse_arf(seed: int = 2024) -> SuiteResult:
 
 
 def suite_swan_oracle(seed: int = 2024) -> SuiteResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     name, limit = "swan-oracle", 10.0
-    chains = _abelian_corpus_cached(seed)
+    chains = corpus.abelian_chain_corpus(count=20, seed=seed)
     pairs = 0
     for lc in chains:
         bc = upper_from_lower(lc)
@@ -121,7 +117,7 @@ def suite_swan_oracle(seed: int = 2024) -> SuiteResult:
 
 
 def suite_mackey(seed: int = 11) -> SuiteResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     name, limit = "mackey-decomposition", 30.0
     rng = random.Random(seed)
     pairs = corpus.mackey_pair_corpus()
@@ -162,7 +158,7 @@ def suite_mackey(seed: int = 11) -> SuiteResult:
 
 
 def suite_tensor_induction(seed: int = 0) -> SuiteResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     name, limit = "tensor-induction-oracle", 30.0
     cases = corpus.tensor_induction_corpus()
     count = 0
@@ -187,7 +183,7 @@ def suite_tensor_induction(seed: int = 0) -> SuiteResult:
 
 
 def suite_newton_additivity(seed: int = 31337) -> SuiteResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     name, limit = "newton-additivity", 1.0
     rng = random.Random(seed)
     for i in range(100):
@@ -216,7 +212,7 @@ def suite_newton_additivity(seed: int = 31337) -> SuiteResult:
 
 
 def suite_filtration(seed: int = 7177) -> SuiteResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     name, limit = "filtration-realization", 30.0
     chains = corpus.filtered_group_corpus(count=15, seed=seed)
     drop_seen = False
@@ -267,7 +263,7 @@ def _regular_sum(table):
 
 
 def suite_kummer(seed: int = 7177) -> SuiteResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     name, limit = "kummer-scaling", 5.0
     chains = corpus.filtered_group_corpus(count=8, seed=seed)
     rng = random.Random(seed)
@@ -308,7 +304,7 @@ def _p_power_brute(op: RankOneOperator, cap: int = 40) -> int:
 
 
 def suite_robba(seed: int = 4099) -> SuiteResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     name, limit = "rank-one-operators", 5.0
     ops = corpus.rank_one_corpus(count=50, seed=seed)
     for op in ops:
@@ -344,7 +340,7 @@ def suite_robba(seed: int = 4099) -> SuiteResult:
 
 
 def suite_wreath_classification(seed: int = 0) -> SuiteResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     name, limit = "wreath-classification", 60.0
     A5 = gp.alternating_group(5)
     W = gp.wreath_cyclic(A5, 2)
@@ -452,7 +448,7 @@ def _goursat_brute_force_agrees(H: gp.FiniteGroup, q: int, ell: int) -> bool:
 
 
 def suite_dimension_gcd(seed: int = 0) -> SuiteResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     name, limit = "dimension-gcd", 60.0
     zoo = corpus.group_zoo_up_to_100()
     if len(zoo) < 25:
@@ -473,7 +469,7 @@ def suite_dimension_gcd(seed: int = 0) -> SuiteResult:
 
 
 def suite_predicates(seed: int = 0) -> SuiteResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     name, limit = "structural-predicates", 30.0
     count = 0
     for chain, p in corpus.prime_power_chain_corpus():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from slopeforge.cli import main
 
 
@@ -217,6 +219,46 @@ class TestVerifyCommand:
     def test_unknown_suite(self, capsys):
         code = main(["verify", "--suite", "nonsense"])
         assert code == 2
+
+
+S3_GENS = [[2, 1, 3], [2, 3, 1]]
+C3_BASE = {"permutation_generators": [[2, 3, 1]]}
+
+
+class TestInputBoundary:
+    """Malformed payloads exit 2 with an error naming the JSON path, never a
+    traceback; JSON true/false are not integers."""
+
+    @pytest.mark.parametrize("command, payload, path", [
+        ("table", {"group": {"cayley_table": [1, 2]}}, "$.group.cayley_table"),
+        ("table", {"group": {"cayley_table": [[True, False], [False, True]]}},
+         "$.group.cayley_table"),
+        ("np", {"slopes": [["1/2", True]]}, "$.slopes[0][1]"),
+        ("np", {"format": True, "slopes": [["1/2", 2]]}, "$.format"),
+        ("np", {"slopes": [[True, 1]]}, "$.slopes[0][0]"),
+        ("table", {"group": {"permutation_generators": [[2, True]]}},
+         "$.group.permutation_generators[0]"),
+        ("induce", {"group": {"permutation_generators": S3_GENS},
+                    "subgroup": [False, 3, 4],
+                    "character": {"values": ["1", "1", "1"]}}, "$.subgroup"),
+        ("induce", {"group": {"permutation_generators": S3_GENS},
+                    "subgroup": [0, 3, 4],
+                    "character": {"values": [
+                        "1", {"conductor": True, "coefficients": ["1"]}, "1"]}},
+         "$.character.values[1].conductor"),
+        ("robba", {"p": True, "coefficients": ["1"]}, "$.p"),
+        ("wreath", {"base": C3_BASE, "ell": True}, "$.ell"),
+        ("classify", {"wreath": {"base": C3_BASE, "ell": True},
+                      "generators": [[1, [0, 0]]]}, "$.wreath.ell"),
+        ("classify", {"wreath": {"base": C3_BASE, "ell": 2},
+                      "generators": [[True, [0, 0]]]}, "$.generators[0]"),
+        ("classify", {"wreath": {"base": C3_BASE, "ell": 2},
+                      "generators": [[1, [0, True]]]}, "$.generators[0]"),
+    ])
+    def test_exit_2_names_path(self, capsys, tmp_path, command, payload, path):
+        code, out, err = run_cli([command], capsys, payload, tmp_path=tmp_path)
+        assert code == 2 and out is None
+        assert f"input error: {path}:" in err
 
 
 class TestDeterminism:

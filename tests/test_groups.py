@@ -1,14 +1,18 @@
+from itertools import product as iter_product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slopeforge.groups import (GoursatDichotomyError, GroupError,
-                               alternating_group, classify_wreath_subgroup,
+                               WreathProduct, alternating_group,
+                               classify_wreath_subgroup,
                                cyclic_group, dihedral_group, direct_power,
                                direct_product, elementary_abelian_group,
                                embed_in_wreath, generated_subgroup,
                                goursat_classify, group_from_cayley_table,
                                group_from_permutations, heisenberg_group,
                                is_simple, left_cosets, longest_normal_chain,
-                               normal_subgroups, outer_automorphism_order,
+                               normal_subgroups, orbit, outer_automorphism_order,
                                quaternion_group, select_prime, subgroup_closure,
                                symmetric_group, wreath_cyclic)
 
@@ -49,6 +53,37 @@ class TestConstruction:
         assert quaternion_group().order == 8
         assert heisenberg_group(3).order == 27
         assert elementary_abelian_group(2, 3).order == 8
+
+
+def pairwise_product_closure(perms, degree):
+    """Multiply all pairs until nothing new appears (a reference closure)."""
+    group = {tuple(range(degree))} | set(perms)
+    while True:
+        bigger = group | {tuple(a[x] for x in b) for a, b in iter_product(group, group)}
+        if bigger == group:
+            return group
+        group = bigger
+
+
+@st.composite
+def permutation_lists(draw):
+    degree = draw(st.integers(1, 5))
+    perm = st.permutations(range(degree)).map(tuple)
+    return degree, draw(st.lists(perm, max_size=3))
+
+
+class TestOrbit:
+    @settings(max_examples=60, deadline=None)
+    @given(permutation_lists())
+    def test_closure_matches_pairwise_products(self, case):
+        degree, perms = case
+        expected = pairwise_product_closure(perms, degree)
+        identity = tuple(range(degree))
+        compose = lambda a, b: tuple(a[x] for x in b)  # noqa: E731
+        assert orbit([identity], perms, compose) == expected
+        if perms:
+            G = group_from_permutations(perms)
+            assert set(G.elements) == expected
 
 
 class TestConjugacyClasses:
@@ -104,6 +139,11 @@ class TestWreath:
         for ell in (1, 2, 3):
             W = wreath_cyclic(symmetric_group(3), ell)
             assert W.order == ell * 6**ell
+
+    def test_top_must_be_closed_under_products(self):
+        # closed under inverses, but the two transpositions generate S3
+        with pytest.raises(GroupError, match="must be a group"):
+            WreathProduct(cyclic_group(2), [(0, 1, 2), (1, 0, 2), (0, 2, 1)])
 
     def test_conjugation_relation(self):
         # sigma^-1 (h_1, .., h_n) sigma = (h_sigma(1), ..., h_sigma(n))

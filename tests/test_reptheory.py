@@ -1,10 +1,13 @@
+import gc
+import weakref
 from itertools import product as iter_product
 
 import pytest
 
 from slopeforge.exactnum import Cyclotomic
-from slopeforge.groups import (alternating_group, cyclic_group, dihedral_group,
-                               generated_subgroup, heisenberg_group,
+from slopeforge.groups import (CosetAction, alternating_group, cyclic_group,
+                               dihedral_group, generated_subgroup,
+                               heisenberg_group,
                                left_cosets, normal_subgroups, quaternion_group,
                                symmetric_group, wreath_cyclic)
 from slopeforge.reptheory import (RepTheoryError, character_of, character_table,
@@ -24,6 +27,18 @@ def a3_of_s3():
 
 def nontrivial_linear(table):
     return next(c for c in table.irreducibles[1:] if int(c.degree) == 1)
+
+
+def assert_coset_action(H, transversal):
+    """g gamma_i = gamma_sigma(i) cocycle_i with cocycle_i in H, for every g."""
+    G = H.parent
+    action = CosetAction(H, transversal)
+    for g in range(G.order):
+        sigma, cocycle = action.image(g)
+        assert sorted(sigma) == list(range(len(transversal)))
+        for i, gamma in enumerate(transversal):
+            assert cocycle[i] in H
+            assert G.mul(g, gamma) == G.mul(transversal[sigma[i]], cocycle[i])
 
 
 class TestInnerProduct:
@@ -138,6 +153,15 @@ class TestCharacterTables:
         with pytest.raises(RepTheoryError):
             character_table(symmetric_group(3), max_order=2)
 
+    def test_table_is_released_with_its_group(self):
+        G = symmetric_group(3)
+        table = character_table(G)
+        assert character_table(G) is table
+        ref = weakref.ref(table)
+        del G, table
+        gc.collect()
+        assert ref() is None
+
     def test_dims_gcd(self):
         assert irreducible_dims_gcd(symmetric_group(3)) == 1
         assert irreducible_dims_gcd(cyclic_group(6)) == 1
@@ -244,6 +268,7 @@ class TestTensorInduction:
         reference = tensor_induce(omega, A3)
         for choice in iter_product(*left_cosets(S3, A3)):
             assert tensor_induce(omega, A3, list(choice)) == reference
+            assert_coset_action(A3, choice)
 
     def test_transversal_independence_index_three(self):
         A4 = alternating_group(4)
@@ -252,6 +277,7 @@ class TestTensorInduction:
         reference = tensor_induce(chi, V4)
         for choice in iter_product(*left_cosets(A4, V4)):
             assert tensor_induce(chi, V4, list(choice)) == reference
+            assert_coset_action(V4, choice)
 
     def test_restriction_formulas(self):
         S3, A3 = a3_of_s3()
