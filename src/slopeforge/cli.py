@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import jsonio
-from .exactnum import rational_from_str
+from .exactnum import is_prime, rational_from_str
 from .filtered import (hasse_arf_check, herbrand_phi, newton_polygon,
                        slope_decomposition, swan_conductor, upper_from_lower)
 from .groups import (GroupError, classify_wreath_subgroup, cyclic_rotations,
@@ -125,7 +125,7 @@ def cmd_np(args) -> int:
 
 def cmd_swan(args) -> int:
     payload = _read_payload(args)
-    G, chain = jsonio.parse_break_chain(payload)
+    G, chain = jsonio.parse_break_chain(payload, max_order=args.max_order)
     chi = jsonio.parse_class_function(payload.get("character"), G, "$.character")
     dec = slope_decomposition(chain, chi)
     poly = newton_polygon(chain, chi)
@@ -140,7 +140,7 @@ def cmd_swan(args) -> int:
 
 def cmd_herbrand(args) -> int:
     payload = _read_payload(args)
-    G, lower = jsonio.parse_lower_chain(payload)
+    G, lower = jsonio.parse_lower_chain(payload, max_order=args.max_order)
     phi = herbrand_phi(lower)
     upper = upper_from_lower(lower)
     _write_payload(args, {
@@ -156,7 +156,7 @@ def cmd_herbrand(args) -> int:
 
 def _parse_induction_payload(args):
     payload = _read_payload(args)
-    G = jsonio.parse_group(payload.get("group"))
+    G = jsonio.parse_group(payload.get("group"), max_order=args.max_order)
     H = jsonio.parse_subgroup(payload.get("subgroup"), G, "$.subgroup")
     chi = jsonio.parse_class_function(payload.get("character"), H.as_group,
                                       "$.character")
@@ -181,23 +181,29 @@ def cmd_tind(args) -> int:
 
 def cmd_mackey(args) -> int:
     payload = _read_payload(args)
-    G = jsonio.parse_group(payload.get("group"))
+    G = jsonio.parse_group(payload.get("group"), max_order=args.max_order)
     H = jsonio.parse_subgroup(payload.get("subgroup"), G, "$.subgroup")
     V = jsonio.parse_class_function(payload.get("left"), H.as_group, "$.left")
     W = jsonio.parse_class_function(payload.get("right"), H.as_group, "$.right")
-    ok, witness = mackey_check(V, W, H)
+    try:
+        ok, witness = mackey_check(V, W, H)
+    except RepTheoryError as exc:
+        raise InputError("$.subgroup", str(exc)) from None
     _write_payload(args, {"pass": ok, "witness": witness})
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
 def cmd_wreath(args) -> int:
     payload = _read_payload(args)
-    base = jsonio.parse_group(payload.get("base"), "$.base")
+    base = jsonio.parse_group(payload.get("base"), "$.base", args.max_order)
     ell = payload.get("ell")
     if not jsonio.is_int(ell) or ell < 1:
         raise InputError("$.ell", "expected a positive integer")
     W = wreath_cyclic(base, ell)
-    G = W.group(max_order=args.max_order)
+    try:
+        G = W.group(max_order=args.max_order)
+    except GroupError as exc:
+        raise InputError("$.ell", str(exc)) from None
     _write_payload(args, {
         "order": G.order,
         "class_count": len(G.conjugacy_classes),
@@ -210,10 +216,13 @@ def cmd_classify(args) -> int:
     wreath_obj = payload.get("wreath")
     if not isinstance(wreath_obj, dict):
         raise InputError("$.wreath", "expected an object")
-    base = jsonio.parse_group(wreath_obj.get("base"), "$.wreath.base")
+    base = jsonio.parse_group(wreath_obj.get("base"), "$.wreath.base",
+                              args.max_order)
     ell = wreath_obj.get("ell")
     if not jsonio.is_int(ell) or ell < 2:
         raise InputError("$.wreath.ell", "expected an integer >= 2")
+    if not is_prime(ell):
+        raise InputError("$.wreath.ell", f"top degree ell = {ell} must be prime")
     W = wreath_cyclic(base, ell)
     gens = payload.get("generators")
     if not isinstance(gens, list) or not gens:
@@ -248,7 +257,7 @@ def cmd_classify(args) -> int:
 
 def cmd_table(args) -> int:
     payload = _read_payload(args)
-    G = jsonio.parse_group(payload.get("group"))
+    G = jsonio.parse_group(payload.get("group"), max_order=args.max_order)
     table = character_table(G, max_order=args.max_order)
     out = {
         "order": G.order,
@@ -324,6 +333,8 @@ def cmd_verify(args) -> int:
     if unknown:
         raise InputError("$.suite", f"unknown suites: {', '.join(unknown)}; "
                          f"known: {', '.join(SUITES)}")
+    if args.jobs < 1:
+        raise InputError("--jobs", f"expected a positive integer, got {args.jobs}")
     results = run_suites(names, jobs=args.jobs, seed=args.seed)
     for r in results:
         print(r.line(), file=sys.stderr)

@@ -8,11 +8,15 @@ and groups up to the configured order bound (default 10000) can be enumerated
 in full.  Wreath products compose lazily and never require enumerating the
 ambient product, only the subgroups actually built inside it.
 
-Every closure (group and subgroup generation, conjugacy classes, normal
-closures, wreath tops) goes through `orbit`; every use of left translation on
-the cosets G/H (the wreath embedding, tensor induction, induced matrices)
-goes through `CosetAction`; homomorphisms given on generators are extended by
-`extend_from_generators`.
+The closure and action routines are these four and no others:
+`_extend_closed` grows a subgroup coset by coset (group and subgroup
+generation, normal closures, lattice joins, wreath tops); `orbit` closes a set
+under an action that is not right multiplication (conjugacy classes, the
+lattice of normal subgroups under joins); `CosetAction` is left translation on
+the cosets G/H (the wreath embedding, tensor induction, induced matrices); and
+`extend_from_generators` extends a homomorphism given on generators.
+Subgroups built by these closures are trusted (`Subgroup._from_closure`); a
+subgroup given from outside is validated.
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ from itertools import product as iter_product
 from .exactnum import is_prime
 
 DEFAULT_MAX_ORDER = 10000
+# A wreath product over a base of at most this order composes through the
+# base's multiplication table (at most 256 x 256 small ints, about 0.5 MB).
+BASE_TABLE_MAX_ORDER = 256
 
 
 class GroupError(ValueError):
@@ -51,11 +58,8 @@ def _perm_inverse(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def orbit(seeds, gens, act, bound=None) -> set:
-    """The smallest superset of `seeds` closed under x -> act(x, g), g in gens.
-
-    Raises GroupError as soon as the set would grow past `bound` elements.
-    """
+def orbit(seeds, gens, act) -> set:
+    """The smallest superset of `seeds` closed under x -> act(x, g), g in gens."""
     frontier = list(seeds)  # in the given order, so the search is reproducible
     members = set(frontier)
     while frontier:
@@ -63,10 +67,31 @@ def orbit(seeds, gens, act, bound=None) -> set:
         for g in gens:
             y = act(x, g)
             if y not in members:
-                if bound is not None and len(members) >= bound:
-                    raise GroupError(f"closure exceeds order bound {bound}")
                 members.add(y)
                 frontier.append(y)
+    return members
+
+
+def _extend_closed(closed, gens, act, identity, bound=None) -> set:
+    """closed . <gens> for a set `closed` that is a group under act (right
+    multiplication), as a union of right cosets closed . r (Dimino's step).
+
+    The result is a group when `closed` lies in <gens> or gens normalize it.
+    A coset is added whole for each r . g outside the union, with r running
+    over the coset representatives found so far; GroupError is raised before
+    a coset would take the union past `bound` elements.
+    """
+    coset = list(closed)
+    members = set(coset)
+    reps = [identity]
+    for r in reps:  # reps grows while it is walked
+        for g in gens:
+            y = act(r, g)
+            if y not in members:
+                if bound is not None and len(members) + len(coset) > bound:
+                    raise GroupError(f"closure exceeds order bound {bound}")
+                members.update([act(h, y) for h in coset])
+                reps.append(y)
     return members
 
 
@@ -78,7 +103,7 @@ def _greedy_generators(elements, identity, act, bound=None) -> tuple[list, set]:
     for x in elements:
         if x not in reached:
             gens.append(x)
-            reached = orbit(reached, gens, act, bound)
+            reached = _extend_closed(reached, gens, act, identity, bound)
     return gens, reached
 
 
@@ -142,6 +167,13 @@ class FiniteGroup:
 
     def mul(self, i: int, j: int) -> int:
         return self.index[self._compose(self.elements[i], self.elements[j])]
+
+    @cached_property
+    def _mul_rows(self) -> list[list[int]]:
+        """The multiplication table, _mul_rows[i][j] = mul(i, j), built on
+        first use; only wreath products over a small base read it."""
+        n = self.order
+        return [[self.mul(i, j) for j in range(n)] for i in range(n)]
 
     @cached_property
     def _inv_list(self) -> list[int]:
@@ -245,7 +277,7 @@ class FiniteGroup:
 
     def full_subgroup(self) -> Subgroup:
         if not hasattr(self, "_full_subgroup"):
-            self._full_subgroup = Subgroup(
+            self._full_subgroup = Subgroup._from_closure(
                 self, tuple(range(self.order)), tuple(self.generators)
             )
         return self._full_subgroup
@@ -264,8 +296,7 @@ class FiniteGroup:
 
 def subgroup_closure(G: FiniteGroup, generators) -> tuple[int, ...]:
     """Sorted index tuple of the subgroup generated by the given indices."""
-    gens = [g for g in generators if g != 0]
-    return tuple(sorted(orbit([0], gens, G.mul)))
+    return tuple(sorted(_greedy_generators(generators, 0, G.mul)[1]))
 
 
 @dataclass(frozen=True)
@@ -288,6 +319,19 @@ class Subgroup:
             for y in self.elements:
                 if G.mul(y, x) not in eset:
                     raise GroupError("subgroup not closed under products")
+
+    @classmethod
+    def _from_closure(cls, parent: FiniteGroup, elements: tuple[int, ...],
+                      generators: tuple[int, ...]) -> Subgroup:
+        """A subgroup that a closure routine built from `generators`, so it
+        is not checked again; a subgroup from anywhere else goes through the
+        validating constructor."""
+        S = object.__new__(cls)
+        object.__setattr__(S, "parent", parent)
+        object.__setattr__(S, "elements", elements)
+        object.__setattr__(S, "generators", generators)
+        object.__setattr__(S, "_set", frozenset(elements))
+        return S
 
     @property
     def order(self) -> int:
@@ -333,7 +377,7 @@ class Subgroup:
 
 def generated_subgroup(G: FiniteGroup, generators) -> Subgroup:
     gens = tuple(sorted(set(g for g in generators if g != 0)))
-    return Subgroup(G, subgroup_closure(G, gens), gens)
+    return Subgroup._from_closure(G, subgroup_closure(G, gens), gens)
 
 
 def left_cosets(G: FiniteGroup, H: Subgroup) -> list[tuple[int, ...]]:
@@ -396,7 +440,7 @@ def group_from_permutations(generators, name="permgroup",
         if sorted(g) != list(range(degree)):
             raise GroupError(f"{g} is not a permutation of 0..{degree - 1}")
     identity = tuple(range(degree))
-    members = orbit([identity], gens, _perm_compose, max_order)
+    members = _greedy_generators(gens, identity, _perm_compose, max_order)[1]
     return FiniteGroup(members, _perm_compose, _perm_inverse, identity,
                        generators=gens, name=name)
 
@@ -598,7 +642,7 @@ def extraspecial_exponent_p2_group(p: int) -> FiniteGroup:
 def _closure_of_class_union(G: FiniteGroup, class_elems) -> Subgroup:
     """Subgroup generated by a conjugation-closed element set (hence normal)."""
     gens, members = _greedy_generators(class_elems, 0, G.mul)
-    return Subgroup(G, tuple(sorted(members)), tuple(sorted(gens)))
+    return Subgroup._from_closure(G, tuple(sorted(members)), tuple(sorted(gens)))
 
 
 def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
@@ -611,10 +655,10 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
             return A
         if A.element_set <= B.element_set:
             return B
-        # A is normal, so the join is the product set AB
+        # A is normal, so the join is the product set AB, a union of cosets A.b
         gens = tuple(sorted(set(A.generators) | set(B.generators)))
-        members = orbit(A.elements, B.generators, G.mul)
-        return Subgroup(G, tuple(sorted(members)), gens)
+        members = _extend_closed(A.elements, B.generators, G.mul, 0)
+        return Subgroup._from_closure(G, tuple(sorted(members)), gens)
 
     # the join of all of base is G itself, so G is among the joins found
     found = orbit([G.trivial_subgroup()] + base, base, join)
@@ -677,6 +721,10 @@ class WreathProduct:
     def compose(self, u, v):
         s1, h1 = u
         s2, h2 = v
+        if self.base.order <= BASE_TABLE_MAX_ORDER:
+            t = self.base._mul_rows
+            return (tuple([s1[x] for x in s2]),
+                    tuple([t[h1[x]][y] for x, y in zip(s2, h2)]))
         mul = self.base.mul
         return (
             _perm_compose(s1, s2),
@@ -717,7 +765,8 @@ class WreathProduct:
                           max_order=DEFAULT_MAX_ORDER) -> FiniteGroup:
         """Closure of raw wreath elements as a standalone FiniteGroup."""
         gens = [tuple(r) for r in raws]
-        members = orbit([self.identity], gens, self.compose, max_order)
+        members = _greedy_generators(gens, self.identity, self.compose,
+                                     max_order)[1]
         return FiniteGroup(members, self.compose, self.inverse, self.identity,
                            generators=gens, name=name)
 

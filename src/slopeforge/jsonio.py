@@ -11,8 +11,8 @@ from fractions import Fraction
 
 from .exactnum import Cyclotomic, rational_from_str, rational_to_str
 from .filtered import BreakChain, LowerChain
-from .groups import (FiniteGroup, Subgroup, group_from_cayley_table,
-                     group_from_permutations)
+from .groups import (DEFAULT_MAX_ORDER, FiniteGroup, Subgroup,
+                     group_from_cayley_table, group_from_permutations)
 from .newton import NewtonPolygon, SlopeMultiset
 from .reptheory import ClassFunction
 from .robba import RankOneOperator
@@ -129,7 +129,10 @@ def class_function_json(chi: ClassFunction) -> dict:
 # -- groups and subgroups ----------------------------------------------------------------
 
 
-def parse_group(obj, path: str = "$.group") -> FiniteGroup:
+def parse_group(obj, path: str = "$.group",
+                max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+    """A group given by permutation generators or a Cayley table, refused
+    when its order exceeds max_order."""
     _expect(isinstance(obj, dict), path, "expected an object")
     if "permutation_generators" in obj:
         gens = obj["permutation_generators"]
@@ -144,7 +147,7 @@ def parse_group(obj, path: str = "$.group") -> FiniteGroup:
                     "not a permutation of 1..n")
             perms.append(tuple(x - 1 for x in g))
         try:
-            return group_from_permutations(perms)
+            return group_from_permutations(perms, max_order=max_order)
         except ValueError as exc:
             raise InputError(path, str(exc)) from None
     if "cayley_table" in obj:
@@ -153,6 +156,8 @@ def parse_group(obj, path: str = "$.group") -> FiniteGroup:
                 and all(isinstance(row, list) and all(is_int(x) for x in row)
                         for row in table),
                 f"{path}.cayley_table", "expected a list of rows of integers")
+        _expect(len(table) <= max_order, f"{path}.cayley_table",
+                f"group order {len(table)} exceeds bound {max_order}")
         try:
             return group_from_cayley_table(table)
         except ValueError as exc:
@@ -178,9 +183,10 @@ def subgroup_json(H: Subgroup) -> list[int]:
 # -- chains ------------------------------------------------------------------------------
 
 
-def parse_break_chain(obj, path: str = "$") -> tuple[FiniteGroup, BreakChain]:
+def parse_break_chain(obj, path: str = "$", max_order: int = DEFAULT_MAX_ORDER
+                      ) -> tuple[FiniteGroup, BreakChain]:
     _expect(isinstance(obj, dict), path, "expected an object")
-    G = parse_group(obj.get("group"), f"{path}.group")
+    G = parse_group(obj.get("group"), f"{path}.group", max_order)
     breaks = obj.get("breaks")
     subs = obj.get("subgroups")
     _expect(isinstance(breaks, list), f"{path}.breaks", "expected a list")
@@ -204,9 +210,10 @@ def break_chain_json(chain: BreakChain) -> dict:
     }
 
 
-def parse_lower_chain(obj, path: str = "$") -> tuple[FiniteGroup, LowerChain]:
+def parse_lower_chain(obj, path: str = "$", max_order: int = DEFAULT_MAX_ORDER
+                      ) -> tuple[FiniteGroup, LowerChain]:
     _expect(isinstance(obj, dict), path, "expected an object")
-    G = parse_group(obj.get("group"), f"{path}.group")
+    G = parse_group(obj.get("group"), f"{path}.group", max_order)
     lower = obj.get("lower")
     _expect(isinstance(lower, list) and lower, f"{path}.lower",
             "expected a non-empty list of element-index lists")

@@ -516,8 +516,14 @@ def _run_suite_entry(args: tuple) -> SuiteResult:
 
 def run_suites(names=None, jobs: int = 1,
                seed: int | None = None) -> list[SuiteResult]:
-    """Run suites by name; a non-None seed reseeds every corpus uniformly."""
+    """Run suites by name; a non-None seed reseeds every corpus uniformly.
+
+    At most one worker process runs per suite, whatever `jobs` asks for.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     names = list(names) if names else list(SUITES)
+    jobs = min(jobs, len(names))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

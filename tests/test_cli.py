@@ -3,6 +3,7 @@ import json
 import pytest
 
 from slopeforge.cli import main
+from slopeforge.verify import run_suites
 
 
 def run_cli(args, capsys, payload=None, monkeypatch=None, tmp_path=None):
@@ -254,11 +255,67 @@ class TestInputBoundary:
                       "generators": [[True, [0, 0]]]}, "$.generators[0]"),
         ("classify", {"wreath": {"base": C3_BASE, "ell": 2},
                       "generators": [[1, [0, True]]]}, "$.generators[0]"),
+        # raised below the parsers: a composite ell, an order past the
+        # bound (9 * 3^9 = 177147), a subgroup that is not normal
+        ("classify", {"wreath": {"base": C3_BASE, "ell": 4},
+                      "generators": [[1, [0, 0, 0, 0]]]}, "$.wreath.ell"),
+        ("wreath", {"base": C3_BASE, "ell": 9}, "$.ell"),
+        ("mackey", {"group": {"permutation_generators": S3_GENS},
+                    "subgroup": [0, 1], "left": {"values": ["1", "1"]},
+                    "right": {"values": ["1", "1"]}}, "$.subgroup"),
     ])
     def test_exit_2_names_path(self, capsys, tmp_path, command, payload, path):
         code, out, err = run_cli([command], capsys, payload, tmp_path=tmp_path)
         assert code == 2 and out is None
         assert f"input error: {path}:" in err
+
+    @pytest.mark.parametrize("command, payload, path", [
+        ("induce", {"group": {"permutation_generators": [[2, 1, 3, 4], [2, 3, 4, 1]]},
+                    "subgroup": [0], "character": {"values": ["1"]}}, "$.group"),
+        ("table", {"group": {"cayley_table": [[(i + j) % 11 for j in range(11)]
+                                              for i in range(11)]}},
+         "$.group.cayley_table"),
+    ])
+    def test_max_order_bounds_the_parsed_group(self, capsys, tmp_path, command,
+                                               payload, path):
+        code, out, err = run_cli([command, "--max-order", "10"], capsys, payload,
+                                 tmp_path=tmp_path)
+        assert code == 2 and out is None
+        assert f"input error: {path}:" in err and "bound 10" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_must_be_positive(self, capsys, jobs):
+        code = main(["verify", "--suite", "weyl-dimension", "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "input error: --jobs:" in captured.err
+
+    def test_pool_is_capped_at_the_suite_count(self, monkeypatch):
+        import concurrent.futures
+
+        workers = []
+
+        class RecordingPool:
+            """Runs in this process and records the worker count asked for."""
+
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        results = run_suites(["weyl-dimension", "kummer-scaling"], jobs=64)
+        assert workers == [2]
+        assert [r.name for r in results] == ["weyl-dimension", "kummer-scaling"]
+        run_suites(["weyl-dimension"], jobs=64)  # one suite: no pool at all
+        assert workers == [2]
 
 
 class TestDeterminism:

@@ -1,10 +1,12 @@
+import random
 from itertools import product as iter_product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slopeforge.groups import (GoursatDichotomyError, GroupError,
-                               WreathProduct, alternating_group,
+from slopeforge.groups import (BASE_TABLE_MAX_ORDER, GoursatDichotomyError,
+                               GroupError, Subgroup, WreathProduct,
+                               alternating_group,
                                classify_wreath_subgroup,
                                cyclic_group, dihedral_group, direct_power,
                                direct_product, elementary_abelian_group,
@@ -34,6 +36,11 @@ class TestConstruction:
     def test_order_bound(self):
         with pytest.raises(GroupError):
             group_from_permutations([tuple(list(range(1, 11)) + [0])], max_order=5)
+        # S3 is reached coset by coset (2, 4, 6 elements): the bound is exact
+        s3 = [(1, 0, 2), (1, 2, 0)]
+        with pytest.raises(GroupError, match="closure exceeds order bound 5"):
+            group_from_permutations(s3, max_order=5)
+        assert group_from_permutations(s3, max_order=6).order == 6
 
     def test_cayley_table_roundtrip(self):
         C3 = cyclic_group(3)
@@ -84,6 +91,11 @@ class TestOrbit:
         if perms:
             G = group_from_permutations(perms)
             assert set(G.elements) == expected
+        S = symmetric_group(degree)
+        gens = [S.index[p] for p in perms]
+        closure = subgroup_closure(S, gens)
+        assert {S.elements[i] for i in closure} == expected
+        assert generated_subgroup(S, gens).elements == closure
 
 
 class TestConjugacyClasses:
@@ -121,6 +133,17 @@ class TestNormalSubgroups:
         assert [n.order for n in ns] == [1, 2, 4, 8]
         assert longest_normal_chain(ns) == 4
 
+    @pytest.mark.parametrize("G", [
+        symmetric_group(4),
+        wreath_cyclic(alternating_group(4), 2).group(),
+        wreath_cyclic(symmetric_group(3), 3).group(),
+    ], ids=["S4", "A4wrC2", "S3wrC3"])
+    def test_closure_built_subgroups_pass_validation(self, G):
+        for S in normal_subgroups(G):
+            checked = Subgroup(G, S.elements, S.generators)
+            assert checked == S and checked.is_normal()
+            assert subgroup_closure(G, S.generators) == S.elements
+
 
 class TestWreath:
     def test_orders(self):
@@ -139,6 +162,24 @@ class TestWreath:
         for ell in (1, 2, 3):
             W = wreath_cyclic(symmetric_group(3), ell)
             assert W.order == ell * 6**ell
+
+    @pytest.mark.parametrize("W, build", [
+        (wreath_cyclic(alternating_group(5), 2), lambda W: W.group()),
+        # the diagonal of C257 wr C2: a base above the table threshold
+        (wreath_cyclic(cyclic_group(257), 2), lambda W: W.subgroup_from_raw(
+            [W.top_element((1, 0)), W.base_element((1, 1))])),
+    ], ids=["A5wrC2", "C257wrC2-diagonal"])
+    def test_compose_matches_base_mul(self, W, build):
+        G = build(W)
+        mul = W.base.mul
+        rng = random.Random(7)
+        for _ in range(200):
+            (s1, h1), (s2, h2) = rng.choice(G.elements), rng.choice(G.elements)
+            expected = (tuple(s1[x] for x in s2),
+                        tuple(mul(h1[s2[i]], h2[i]) for i in range(W.n)))
+            assert W.compose((s1, h1), (s2, h2)) == expected
+        small = W.base.order <= BASE_TABLE_MAX_ORDER
+        assert ("_mul_rows" in vars(W.base)) == small
 
     def test_top_must_be_closed_under_products(self):
         # closed under inverses, but the two transpositions generate S3
