@@ -8,8 +8,8 @@ exact rational arithmetic.
 
 from fractions import Fraction as F
 
-from slopeforge import (SlopeMultiset, polygon_from_slopes, scale_slopes,
-                        slopes_from_polygon, tensor_slope_bound)
+from slopeforge import (SlopeMultiset, polygon_from_slopes, slopes_from_polygon,
+                        tensor_slope_bound)
 
 print("== building polygons ==")
 ms = SlopeMultiset.from_pairs([(F(0), 2), (F(1, 2), 2)])
@@ -34,7 +34,7 @@ print("half-slopes in a+b lands every vertex on the integer lattice")
 
 print()
 print("== scaling slopes (ramification by degree n) ==")
-print("x3:", scale_slopes(SlopeMultiset.from_pairs([(F(1, 3), 2), (F(1), 1)]), 3).entries)
+print("x3:", SlopeMultiset.from_pairs([(F(1, 3), 2), (F(1), 1)]).scale(3).entries)
 
 print()
 print("== slope constraints on a tensor product ==")

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 from slopeforge import (BreakChain, LowerChain, cyclic_group,
                         generated_subgroup, character_table, hasse_arf_check,
                         herbrand_phi, slope_decomposition, swan_conductor,
-                        swan_lower_oracle, upper_from_lower, kummer_scale)
+                        swan_lower_oracle, upper_from_lower)
 
 print("== a wildly ramified order-4 chain ==")
 C4 = cyclic_group(4)
@@ -53,4 +53,4 @@ print()
 print("== scaling the chain multiplies every slope ==")
 chi = table.irreducibles[-1]
 for n in (1, 2, 3):
-    print(f"n = {n}: swan {swan_conductor(kummer_scale(chain, n), chi)}")
+    print(f"n = {n}: swan {swan_conductor(chain.scaled(n), chi)}")

@@ -7,7 +7,7 @@ Frobenius formula; tensor induction multiplies over the orbits of the coset
 action and is cross-checked against an explicit matrix construction.
 """
 
-from slopeforge import (character_of, character_table, cyclic_group,
+from slopeforge import (character_table, cyclic_group,
                         generated_subgroup, induce, induced_matrix_rep,
                         inner_product_int, mackey_check, normal_subgroups,
                         rep_from_generator_images, restrict, symmetric_group,
@@ -46,11 +46,11 @@ H = generated_subgroup(C4, [C4.power(1, 2)])
 Hg = H.as_group
 sign_rep = rep_from_generator_images(Hg, Hg.generators,
                                      [[[Cyclotomic.rational(-1)]]])
-sign = character_of(sign_rep)
+sign = sign_rep.character()
 ti = tensor_induce(sign, H)
 print("tensor-induced values:", [str_of_cyclotomic(v) for v in ti.values])
 print("equals trace of the explicit tensor construction:",
-      ti == character_of(tensor_induced_matrix_rep(sign_rep, H)))
+      ti == tensor_induced_matrix_rep(sign_rep, H).character())
 print("induced character equals the block-matrix trace:",
-      induce(sign, H) == character_of(induced_matrix_rep(sign_rep, H)))
+      induce(sign, H) == induced_matrix_rep(sign_rep, H).character())
 print("degree law: deg = deg(chi)^index:", int(ti.degree) == 1)

@@ -4,7 +4,7 @@ p-adic differential operators and Weyl dimensions."""
 
 from .exactnum import Cyclotomic, PLUS_INFINITY, padic_valuation
 from .newton import (NewtonPolygon, SlopeMultiset, polygon_from_slopes,
-                     scale_slopes, slopes_from_polygon, tensor_slope_bound)
+                     slopes_from_polygon, tensor_slope_bound)
 from .groups import (FiniteGroup, GoursatResult, GroupError, Subgroup,
                      WreathProduct, alternating_group, classify_wreath_subgroup,
                      cyclic_group, dihedral_group, direct_power, direct_product,
@@ -15,8 +15,8 @@ from .groups import (FiniteGroup, GoursatResult, GroupError, Subgroup,
                      left_cosets, normal_subgroups, outer_automorphism_order,
                      quaternion_group, select_prime, subgroup_closure,
                      symmetric_group, wreath_cyclic)
-from .reptheory import (CharacterTable, ClassFunction, MatrixRep, character_of,
-                        character_table, conjugate_character, direct_sum,
+from .reptheory import (CharacterTable, ClassFunction, MatrixRep, character_table,
+                        conjugate_character, direct_sum,
                         induce, induced_matrix_rep, inner_product,
                         inner_product_int, irreducible_dims_gcd, mackey_check,
                         regular_character, rep_from_generator_images, restrict,
@@ -24,13 +24,13 @@ from .reptheory import (CharacterTable, ClassFunction, MatrixRep, character_of,
                         tind_summand_check, trivial_character)
 from .filtered import (BreakChain, LowerChain, graded_characters,
                        graded_pieces_disjoint, hasse_arf_check, herbrand_phi,
-                       invariant_dimension, kummer_scale, lower_from_upper,
-                       newton_polygon, prime_power_dim_check,
+                       invariant_dimension, lower_from_upper, newton_polygon,
+                       prime_power_dim_check,
                        slope_decomposition, slope_zero_existence_check,
                        swan_conductor, swan_lower_oracle, tensor_bound_check,
                        upper_from_lower)
-from .robba import (RankOneOperator, character_order, frobenius_residue_class,
-                    is_tame, kummer_pullback, p_power_reduce, residue)
+from .robba import (RankOneOperator, character_order, is_tame, kummer_pullback,
+                    p_power_reduce, residue)
 from .robba import reduce as reduce_operator
 from .robba import slope as operator_slope
 from .robba import tensor as tensor_operators

@@ -1,26 +1,30 @@
 """Command line front-end: JSON in, JSON (or SVG) out.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.  Inputs come
-from --input PATH or stdin ("-"); outputs go to --output PATH or stdout.
+`main` is the one driver of every subcommand: it reads the JSON payload from
+--input PATH or stdin ("-"), calls ``cmd_<name>(payload, args)`` for the
+report and writes the report to --output PATH or stdout.  Exit codes: 0
+success, 1 a report with "pass": false (a verification failure), 2 an input
+error.  Subcommands only compute.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from fractions import Fraction
 
 from . import jsonio
 from .exactnum import is_prime, rational_from_str
-from .filtered import (hasse_arf_check, herbrand_phi, newton_polygon,
-                       slope_decomposition, swan_conductor, upper_from_lower)
-from .groups import (GroupError, classify_wreath_subgroup, cyclic_rotations,
-                     wreath_cyclic)
+from .filtered import herbrand_phi, slope_decomposition, upper_from_lower
+from .groups import (DEFAULT_MAX_ORDER, GroupError, classify_wreath_subgroup,
+                     is_simple, rotation, wreath_cyclic)
 from .jsonio import InputError
 from .newton import polygon_from_slopes
-from .reptheory import (RepTheoryError, character_table, induce,
-                        irreducible_dims_gcd, mackey_check, tensor_induce)
+from .reptheory import (DEFAULT_TABLE_BOUND, RepTheoryError, character_table,
+                        induce, irreducible_dims_gcd, mackey_check, tensor_induce)
 from .robba import (character_order, is_tame, p_power_reduce,
                     reduce as robba_reduce, residue, slope as robba_slope)
 from .verify import SUITES, run_suites
@@ -30,9 +34,12 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT_ERROR = 2
 
+# Lattice dots an SVG draws at most; a larger polygon is drawn without them.
+SVG_MAX_LATTICE_DOTS = 10_000
+
 
 def _read_payload(args) -> dict:
-    source = getattr(args, "input", None) or "-"
+    source = args.input or "-"
     try:
         if source == "-":
             text = sys.stdin.read()
@@ -56,19 +63,23 @@ def _read_payload(args) -> dict:
 def _write_payload(args, payload: dict):
     payload = {"format": jsonio.FORMAT_VERSION, **payload}
     text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
-    target = getattr(args, "output", None) or "-"
+    target = args.output or "-"
     if target == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(target, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputError("--output", f"cannot write {target}: {exc.strerror}") from None
 
 
 # -- SVG rendering of Newton polygons ---------------------------------------------
 
 
 def render_polygon_svg(np_obj, width: int = 480, height: int = 360) -> str:
-    """Static picture: axes, the polygon, its vertices, integer lattice dots."""
+    """Static picture: axes, the polygon, its vertices and, up to
+    SVG_MAX_LATTICE_DOTS of them, the integer lattice dots."""
     xs = [float(x) for x, _ in np_obj.vertices]
     ys = [float(y) for _, y in np_obj.vertices]
     x_max = max(max(xs), 1.0)
@@ -90,11 +101,12 @@ def render_polygon_svg(np_obj, width: int = 480, height: int = 360) -> str:
         f'<line x1="{sx(0)}" y1="{height - pad}" x2="{sx(0)}" y2="{pad / 2}" '
         'stroke="black" stroke-width="1"/>',
     ]
-    for ix in range(int(x_max) + 1):
-        for iy in range(int(y_max) + 1):
-            parts.append(
-                f'<circle cx="{sx(ix):.2f}" cy="{sy(iy):.2f}" r="1.5" fill="#bbbbbb"/>'
-            )
+    if (int(x_max) + 1) * (int(y_max) + 1) <= SVG_MAX_LATTICE_DOTS:
+        for ix in range(int(x_max) + 1):
+            for iy in range(int(y_max) + 1):
+                parts.append(
+                    f'<circle cx="{sx(ix):.2f}" cy="{sy(iy):.2f}" r="1.5" fill="#bbbbbb"/>'
+                )
     points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="#004488" stroke-width="2"/>'
@@ -107,80 +119,88 @@ def render_polygon_svg(np_obj, width: int = 480, height: int = 360) -> str:
     return "\n".join(parts)
 
 
-# -- subcommands -------------------------------------------------------------------
+def _write_svg(path: str, text: str):
+    """Write through a temporary file beside `path` and rename it into place,
+    so `path` never holds a partial picture.  A path that exists and is not a
+    regular file (a device such as /dev/stdout, a pipe) is written in place."""
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    tmp = path if in_place else f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        if not in_place:
+            os.replace(tmp, path)
+    except OSError as exc:
+        if not in_place:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise InputError("--svg", f"cannot write {path}: {exc.strerror}") from None
 
 
-def cmd_np(args) -> int:
-    payload = _read_payload(args)
+# -- subcommands: each turns the payload and options into a report ------------------
+
+
+def cmd_np(payload, args) -> dict:
     ms = jsonio.parse_slope_multiset(payload)
     poly = polygon_from_slopes(ms)
     out = jsonio.polygon_json(poly)
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_polygon_svg(poly))
+        try:
+            svg = render_polygon_svg(poly)
+        except OverflowError:  # a coordinate past the float range
+            raise InputError("$.slopes", "polygon too large to draw") from None
+        _write_svg(args.svg, svg)
         out["svg"] = args.svg
-    _write_payload(args, out)
-    return EXIT_OK
+    return out
 
 
-def cmd_swan(args) -> int:
-    payload = _read_payload(args)
+def cmd_swan(payload, args) -> dict:
     G, chain = jsonio.parse_break_chain(payload, max_order=args.max_order)
     chi = jsonio.parse_class_function(payload.get("character"), G, "$.character")
     dec = slope_decomposition(chain, chi)
-    poly = newton_polygon(chain, chi)
-    _write_payload(args, {
+    # the polygon of the decomposition: its height is the Swan conductor and
+    # its integrality the Hasse-Arf property
+    poly = polygon_from_slopes(dec)
+    return {
         "slopes": jsonio.slope_multiset_json(dec)["slopes"],
         "polygon": jsonio.polygon_json(poly),
-        "swan": jsonio.rational_json(swan_conductor(chain, chi)),
-        "hasse_arf": hasse_arf_check(chain, chi),
-    })
-    return EXIT_OK
+        "swan": jsonio.rational_json(poly.height),
+        "hasse_arf": poly.is_integral(),
+    }
 
 
-def cmd_herbrand(args) -> int:
-    payload = _read_payload(args)
+def cmd_herbrand(payload, args) -> dict:
     G, lower = jsonio.parse_lower_chain(payload, max_order=args.max_order)
     phi = herbrand_phi(lower)
-    upper = upper_from_lower(lower)
-    _write_payload(args, {
+    return {
         "phi": {
             "breakpoints": [[jsonio.rational_json(x), jsonio.rational_json(y)]
                             for x, y in phi.vertices],
             "final_slope": jsonio.rational_json(phi.final_slope),
         },
-        "upper": jsonio.break_chain_json(upper),
-    })
-    return EXIT_OK
+        "upper": jsonio.break_chain_json(upper_from_lower(lower)),
+    }
 
 
-def _parse_induction_payload(args):
-    payload = _read_payload(args)
+def _induced(payload, args, operation) -> dict:
     G = jsonio.parse_group(payload.get("group"), max_order=args.max_order)
     H = jsonio.parse_subgroup(payload.get("subgroup"), G, "$.subgroup")
     chi = jsonio.parse_class_function(payload.get("character"), H.as_group,
                                       "$.character")
-    return G, H, chi
+    result = operation(chi, H)
+    return {"character": jsonio.class_function_json(result),
+            "degree": jsonio.rational_json(result.degree)}
 
 
-def cmd_induce(args) -> int:
-    G, H, chi = _parse_induction_payload(args)
-    result = induce(chi, H)
-    _write_payload(args, {"character": jsonio.class_function_json(result),
-                          "degree": jsonio.rational_json(result.degree)})
-    return EXIT_OK
+def cmd_induce(payload, args) -> dict:
+    return _induced(payload, args, induce)
 
 
-def cmd_tind(args) -> int:
-    G, H, chi = _parse_induction_payload(args)
-    result = tensor_induce(chi, H)
-    _write_payload(args, {"character": jsonio.class_function_json(result),
-                          "degree": jsonio.rational_json(result.degree)})
-    return EXIT_OK
+def cmd_tind(payload, args) -> dict:
+    return _induced(payload, args, tensor_induce)
 
 
-def cmd_mackey(args) -> int:
-    payload = _read_payload(args)
+def cmd_mackey(payload, args) -> dict:
     G = jsonio.parse_group(payload.get("group"), max_order=args.max_order)
     H = jsonio.parse_subgroup(payload.get("subgroup"), G, "$.subgroup")
     V = jsonio.parse_class_function(payload.get("left"), H.as_group, "$.left")
@@ -189,30 +209,27 @@ def cmd_mackey(args) -> int:
         ok, witness = mackey_check(V, W, H)
     except RepTheoryError as exc:
         raise InputError("$.subgroup", str(exc)) from None
-    _write_payload(args, {"pass": ok, "witness": witness})
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
+    return {"pass": ok, "witness": witness}
 
 
-def cmd_wreath(args) -> int:
-    payload = _read_payload(args)
+def cmd_wreath(payload, args) -> dict:
     base = jsonio.parse_group(payload.get("base"), "$.base", args.max_order)
     ell = payload.get("ell")
     if not jsonio.is_int(ell) or ell < 1:
         raise InputError("$.ell", "expected a positive integer")
-    W = wreath_cyclic(base, ell)
-    try:
-        G = W.group(max_order=args.max_order)
-    except GroupError as exc:
-        raise InputError("$.ell", str(exc)) from None
-    _write_payload(args, {
-        "order": G.order,
-        "class_count": len(G.conjugacy_classes),
-    })
-    return EXIT_OK
+    # the order ell * |base|^ell against the bound, before any of the ell
+    # rotations is built; for |base| >= 2 the power alone is past the bound
+    # once 2^ell is, so it is only computed for an ell below the bound's bit
+    # length
+    bound = args.max_order
+    if ell > bound or (base.order > 1 and (ell >= bound.bit_length()
+                                           or ell * base.order**ell > bound)):
+        raise InputError("$.ell", f"wreath product order exceeds bound {bound}")
+    G = wreath_cyclic(base, ell).group(max_order=args.max_order)
+    return {"order": G.order, "class_count": len(G.conjugacy_classes)}
 
 
-def cmd_classify(args) -> int:
-    payload = _read_payload(args)
+def cmd_classify(payload, args) -> dict:
     wreath_obj = payload.get("wreath")
     if not isinstance(wreath_obj, dict):
         raise InputError("$.wreath", "expected an object")
@@ -223,25 +240,29 @@ def cmd_classify(args) -> int:
         raise InputError("$.wreath.ell", "expected an integer >= 2")
     if not is_prime(ell):
         raise InputError("$.wreath.ell", f"top degree ell = {ell} must be prime")
-    W = wreath_cyclic(base, ell)
+    if not is_simple(base):
+        raise InputError("$.wreath.base", "base group is not simple")
     gens = payload.get("generators")
     if not isinstance(gens, list) or not gens:
         raise InputError("$.generators", "expected a non-empty list")
     raws = []
     for i, g in enumerate(gens):
-        path = f"$.generators[{i}]"
         if (not isinstance(g, list) or len(g) != 2
                 or not jsonio.is_int(g[0])
                 or not isinstance(g[1], list)
                 or len(g[1]) != ell
                 or not all(jsonio.is_int(x) and 0 <= x < base.order
                            for x in g[1])):
-            raise InputError(path, "expected [rotation, [base indices...]]")
-        rot = cyclic_rotations(ell)[g[0] % ell]
-        raws.append((rot, tuple(g[1])))
-    gbar = W.subgroup_from_raw(raws, max_order=args.max_order)
-    report = classify_wreath_subgroup(W, gbar)
-    _write_payload(args, {
+            raise InputError(f"$.generators[{i}]",
+                             "expected [rotation, [base indices...]]")
+        raws.append((rotation(ell, g[0] % ell), tuple(g[1])))
+    W = wreath_cyclic(base, ell)
+    try:
+        gbar = W.subgroup_from_raw(raws, max_order=args.max_order)
+        report = classify_wreath_subgroup(W, gbar)
+    except GroupError as exc:
+        raise InputError("$.generators", str(exc)) from None
+    return {
         "case": report.case,
         "abelian_base": report.abelian_base,
         "goursat_full": report.goursat.full,
@@ -251,12 +272,10 @@ def cmd_classify(args) -> int:
         "chain_bound_ok": report.chain_bound_ok,
         "trichotomy_ok": report.trichotomy_ok,
         "direct_product": report.direct_product,
-    })
-    return EXIT_OK
+    }
 
 
-def cmd_table(args) -> int:
-    payload = _read_payload(args)
+def cmd_table(payload, args) -> dict:
     G = jsonio.parse_group(payload.get("group"), max_order=args.max_order)
     table = character_table(G, max_order=args.max_order)
     out = {
@@ -269,16 +288,14 @@ def cmd_table(args) -> int:
     }
     if args.gcd:
         out["nontrivial_dims_gcd"] = irreducible_dims_gcd(G)
-    _write_payload(args, out)
-    return EXIT_OK
+    return out
 
 
-def cmd_robba(args) -> int:
-    payload = _read_payload(args)
+def cmd_robba(payload, args) -> dict:
     op = jsonio.parse_rank_one_operator(payload)
     red = robba_reduce(op)
     n_power, tame_res = p_power_reduce(op)
-    out = {
+    return {
         "reduced": jsonio.rank_one_operator_json(red),
         "slope": jsonio.rational_json(robba_slope(op)),
         "residue": jsonio.rational_json(residue(op)),
@@ -287,8 +304,6 @@ def cmd_robba(args) -> int:
         "p_power_residue": jsonio.rational_json(tame_res),
         "character_order": character_order(op) if is_tame(op) else None,
     }
-    _write_payload(args, out)
-    return EXIT_OK
 
 
 def _parse_weight(text: str, rs):
@@ -306,7 +321,7 @@ def _parse_weight(text: str, rs):
                          "expected 'Nrho' or comma-separated coordinates") from None
 
 
-def cmd_weyl_dim(args) -> int:
+def cmd_weyl_dim(payload, args) -> dict:
     try:
         rs = build_root_system(args.family, args.rank)
     except ValueError as exc:
@@ -316,16 +331,15 @@ def cmd_weyl_dim(args) -> int:
         dim = weyl_dim(rs, weight)
     except ValueError as exc:
         raise InputError("$.weight", str(exc)) from None
-    _write_payload(args, {
+    return {
         "family": args.family,
         "rank": args.rank,
         "positive_roots": rs.num_positive_roots,
         "dimension": dim,
-    })
-    return EXIT_OK
+    }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(payload, args) -> dict:
     names = args.suite
     if not names or "all" in names:
         names = list(SUITES)
@@ -338,17 +352,15 @@ def cmd_verify(args) -> int:
     results = run_suites(names, jobs=args.jobs, seed=args.seed)
     for r in results:
         print(r.line(), file=sys.stderr)
-    ok = all(r.passed and r.within_time for r in results)
-    _write_payload(args, {
-        "pass": ok,
+    return {
+        "pass": all(r.passed and r.within_time for r in results),
         "suites": [
             {"name": r.name, "pass": r.passed, "elapsed": round(r.elapsed, 3),
              "time_limit": r.time_limit, "within_time": r.within_time,
              "detail": r.detail}
             for r in results
         ],
-    })
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,38 +371,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def io_args(p, svg=False):
+    def io_command(name, help, func, max_order=DEFAULT_MAX_ORDER):
+        """A JSON-in, JSON-out subcommand; max_order=None: no group is parsed."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--input", default="-", help="input JSON path or - for stdin")
         p.add_argument("--output", default="-", help="output JSON path or - for stdout")
-        p.add_argument("--seed", type=int, default=0, help="corpus seed")
-        p.add_argument("--max-order", type=int, default=10000,
-                       help="group enumeration bound")
-        if svg:
-            p.add_argument("--svg", default=None, help="also render an SVG here")
+        if max_order is not None:
+            p.add_argument("--max-order", type=int, default=max_order,
+                           help=f"group enumeration bound (default {max_order})")
+        p.set_defaults(func=func)
         return p
 
-    io_args(sub.add_parser("np", help="slope multiset -> Newton polygon"), svg=True
-            ).set_defaults(func=cmd_np)
-    io_args(sub.add_parser("swan", help="break chain + character -> Swan data")
-            ).set_defaults(func=cmd_swan)
-    io_args(sub.add_parser("herbrand", help="lower chain -> transition + upper chain")
-            ).set_defaults(func=cmd_herbrand)
-    io_args(sub.add_parser("induce", help="induced character")
-            ).set_defaults(func=cmd_induce)
-    io_args(sub.add_parser("tind", help="tensor-induced character")
-            ).set_defaults(func=cmd_tind)
-    io_args(sub.add_parser("mackey", help="product-of-inductions identity check")
-            ).set_defaults(func=cmd_mackey)
-    io_args(sub.add_parser("wreath", help="cyclic wreath product summary")
-            ).set_defaults(func=cmd_wreath)
-    io_args(sub.add_parser("classify", help="classify a subgroup of a cyclic wreath")
-            ).set_defaults(func=cmd_classify)
-    table_parser = io_args(sub.add_parser("table", help="character table"))
-    table_parser.add_argument("--gcd", action="store_true",
+    io_command("np", "slope multiset -> Newton polygon", cmd_np, max_order=None
+               ).add_argument("--svg", default=None, help="also render an SVG here")
+    io_command("swan", "break chain + character -> Swan data", cmd_swan)
+    io_command("herbrand", "lower chain -> transition + upper chain", cmd_herbrand)
+    io_command("induce", "induced character", cmd_induce)
+    io_command("tind", "tensor-induced character", cmd_tind)
+    io_command("mackey", "product-of-inductions identity check", cmd_mackey)
+    io_command("wreath", "cyclic wreath product summary", cmd_wreath)
+    io_command("classify", "classify a subgroup of a cyclic wreath", cmd_classify)
+    io_command("table", "character table", cmd_table, max_order=DEFAULT_TABLE_BOUND
+               ).add_argument("--gcd", action="store_true",
                               help="append the gcd of non-trivial degrees")
-    table_parser.set_defaults(func=cmd_table, max_order=2000)
-    io_args(sub.add_parser("robba", help="rank-one operator analysis")
-            ).set_defaults(func=cmd_robba)
+    io_command("robba", "rank-one operator analysis", cmd_robba, max_order=None)
 
     wd = sub.add_parser("weyl-dim", help="Weyl dimension of a highest weight")
     wd.add_argument("--family", required=True, choices=list("ABCDEFG"))
@@ -412,16 +416,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except InputError as exc:
+        payload = _read_payload(args) if "input" in args else None
+        report = args.func(payload, args)
+        _write_payload(args, report)
+    except ValueError as exc:  # InputError, GroupError, RepTheoryError, ...
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (GroupError, RepTheoryError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    return EXIT_VERIFY_FAIL if report.get("pass") is False else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -84,15 +84,11 @@ class BreakChain:
         return self.group.trivial_subgroup()
 
     def scaled(self, n: int) -> BreakChain:
+        """Multiply every break by n, keeping the subgroups."""
         if not isinstance(n, int) or n < 1:
             raise FilteredError("scaling factor must be a positive integer")
         return BreakChain(self.group, tuple(b * n for b in self.breaks),
                           self.subgroups)
-
-
-def kummer_scale(chain: BreakChain, n: int) -> BreakChain:
-    """Multiply every break by n, keeping the subgroups."""
-    return chain.scaled(n)
 
 
 @dataclass(frozen=True)

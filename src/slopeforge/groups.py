@@ -771,10 +771,15 @@ class WreathProduct:
                            generators=gens, name=name)
 
 
+def rotation(n: int, k: int) -> tuple[int, ...]:
+    """The k-th power i -> i+k mod n of the rotation of n points."""
+    return tuple((i + k) % n for i in range(n))
+
+
 def cyclic_rotations(n: int) -> list[tuple[int, ...]]:
     """The cyclic group generated by i -> i+1 mod n, as image tuples; entry k
-    is the k-th power i -> i+k mod n."""
-    return [tuple((i + k) % n for i in range(n)) for k in range(n)]
+    is rotation(n, k)."""
+    return [rotation(n, k) for k in range(n)]
 
 
 def wreath_cyclic(H: FiniteGroup, ell: int) -> WreathProduct:

@@ -63,10 +63,6 @@ class SlopeMultiset:
         return 0
 
 
-def scale_slopes(s: SlopeMultiset, n: int) -> SlopeMultiset:
-    return s.scale(n)
-
-
 @dataclass(frozen=True)
 class NewtonPolygon:
     """Convex polygon with vertices in Q>=0 x Q>=0 starting at the origin.
@@ -115,14 +111,6 @@ def polygon_from_slopes(s: SlopeMultiset) -> NewtonPolygon:
         vertices.append((x, y))
     # strictly increasing slopes never produce collinear interior vertices
     return NewtonPolygon(tuple(vertices))
-
-
-def height(np: NewtonPolygon) -> Fraction:
-    return np.height
-
-
-def is_integral(np: NewtonPolygon) -> bool:
-    return np.is_integral()
 
 
 def slopes_from_polygon(np: NewtonPolygon) -> SlopeMultiset:

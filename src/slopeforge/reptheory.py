@@ -681,7 +681,3 @@ def tensor_induced_matrix_rep(rep: MatrixRep, H: Subgroup,
             big.append(tuple(row))
         mats.append(tuple(big))
     return MatrixRep(G, d**n, tuple(mats))
-
-
-def character_of(rep: MatrixRep) -> ClassFunction:
-    return rep.character()

@@ -79,15 +79,6 @@ def residue(op: RankOneOperator) -> Fraction:
     return a1 - (a1.numerator // a1.denominator)
 
 
-def frobenius_residue_class(op: RankOneOperator) -> Fraction:
-    """The residue as an element of Z_(p)/Z; the denominator is prime to p."""
-    r = residue(op)
-    if r.denominator % op.p == 0:
-        # unreachable for valid operators: v_p(a1) >= 0 forces p | denominator out
-        raise ValueError("residue does not lie in Z_(p)/Z")
-    return r
-
-
 def tensor(op1: RankOneOperator, op2: RankOneOperator) -> RankOneOperator:
     """Tensor of rank-one operators: connection forms add coefficient-wise."""
     if op1.p != op2.p:

@@ -1,8 +1,10 @@
 """Named verification suites over the seeded corpora.
 
-Each suite runs one batch of property checks and reports pass/fail with a
-detail line; `run_suites` drives them sequentially or across a process pool.
-All checks are exact; a suite fails on the first violated property.
+Each suite runs one batch of property checks and returns its detail line, or
+raises SuiteFailure at the first violated property.  `SUITES` gives each suite
+its time budget; `run_suite` times a run and builds its SuiteResult, and
+`run_suites` drives them sequentially or across a process pool.  All checks
+are exact.
 """
 
 from __future__ import annotations
@@ -14,15 +16,15 @@ from fractions import Fraction
 
 from . import corpus
 from . import groups as gp
-from .filtered import (graded_pieces_disjoint, hasse_arf_check, kummer_scale,
+from .filtered import (graded_pieces_disjoint, hasse_arf_check,
                        prime_power_dim_check, slope_decomposition,
                        slope_zero_existence_check, swan_conductor,
                        swan_lower_oracle, tensor_bound_check, upper_from_lower)
 from .newton import polygon_from_slopes
-from .reptheory import (character_of, character_table, conjugate_character,
-                        induce, induced_matrix_rep, irreducible_dims_gcd,
-                        mackey_check, restrict, tensor_induce,
-                        tensor_induced_matrix_rep, tind_summand_check)
+from .reptheory import (character_table, conjugate_character, induce,
+                        induced_matrix_rep, irreducible_dims_gcd, mackey_check,
+                        restrict, tensor_induce, tensor_induced_matrix_rep,
+                        tind_summand_check)
 from .robba import (RankOneOperator, character_order, is_tame,
                     kummer_pullback, p_power_reduce, reduce as robba_reduce,
                     residue, slope as robba_slope, tensor as robba_tensor)
@@ -46,43 +48,35 @@ class SuiteResult:
         return f"{status} {self.name}: {self.detail} ({self.elapsed:.2f}s / limit {self.time_limit:.0f}s)"
 
 
-def _fail(name, detail, t0, limit):
-    return SuiteResult(name, False, detail, time.perf_counter() - t0, limit)
-
-
-def _ok(name, detail, t0, limit):
-    return SuiteResult(name, True, detail, time.perf_counter() - t0, limit)
+class SuiteFailure(Exception):
+    """A violated property; the message is the suite's detail line."""
 
 
 # -- 1: Weyl dimension identity --------------------------------------------------
 
 
-def suite_weyl(seed: int = 0) -> SuiteResult:
-    t0 = time.perf_counter()
-    name, limit = "weyl-dimension", 1.0
+def suite_weyl(seed: int = 0) -> str:
     cases = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 3), ("D", 4), ("G", 2)]
     checked = 0
     for family, rank in cases:
         rs = build_root_system(family, rank)
         for m in (1, 2, 3):
             if not check_2m_rho(rs, m):
-                return _fail(name, f"{family}{rank} m={m}", t0, limit)
+                raise SuiteFailure(f"{family}{rank} m={m}")
             checked += 1
     a2 = build_root_system("A", 2)
     if weyl_dim(a2, a2.rho_multiple(2)) != 27:
-        return _fail(name, "A2 spot value", t0, limit)
+        raise SuiteFailure("A2 spot value")
     g2 = build_root_system("G", 2)
     if weyl_dim(g2, g2.rho_multiple(4)) != 15625:
-        return _fail(name, "G2 spot value", t0, limit)
-    return _ok(name, f"{checked} family/m pairs + 2 spot values", t0, limit)
+        raise SuiteFailure("G2 spot value")
+    return f"{checked} family/m pairs + 2 spot values"
 
 
 # -- 2 and 3: abelian chains: integrality and the Swan oracle ---------------------
 
 
-def suite_hasse_arf(seed: int = 2024) -> SuiteResult:
-    t0 = time.perf_counter()
-    name, limit = "hasse-arf-integrality", 10.0
+def suite_hasse_arf(seed: int = 2024) -> str:
     chains = corpus.abelian_chain_corpus(count=20, seed=seed)
     pairs = 0
     for lc in chains:
@@ -91,16 +85,14 @@ def suite_hasse_arf(seed: int = 2024) -> SuiteResult:
         for chi in table.irreducibles:
             sw = swan_conductor(bc, chi)
             if sw.denominator != 1:
-                return _fail(name, f"{lc.group.name}: fractional Swan {sw}", t0, limit)
+                raise SuiteFailure(f"{lc.group.name}: fractional Swan {sw}")
             if not hasse_arf_check(bc, chi):
-                return _fail(name, f"{lc.group.name}: non-integral polygon", t0, limit)
+                raise SuiteFailure(f"{lc.group.name}: non-integral polygon")
             pairs += 1
-    return _ok(name, f"{len(chains)} chains, {pairs} integral Swans", t0, limit)
+    return f"{len(chains)} chains, {pairs} integral Swans"
 
 
-def suite_swan_oracle(seed: int = 2024) -> SuiteResult:
-    t0 = time.perf_counter()
-    name, limit = "swan-oracle", 10.0
+def suite_swan_oracle(seed: int = 2024) -> str:
     chains = corpus.abelian_chain_corpus(count=20, seed=seed)
     pairs = 0
     for lc in chains:
@@ -108,17 +100,15 @@ def suite_swan_oracle(seed: int = 2024) -> SuiteResult:
         table = character_table(lc.group)
         for chi in table.irreducibles:
             if swan_conductor(bc, chi) != swan_lower_oracle(lc, chi):
-                return _fail(name, f"{lc.group.name}: oracle mismatch", t0, limit)
+                raise SuiteFailure(f"{lc.group.name}: oracle mismatch")
             pairs += 1
-    return _ok(name, f"{pairs} (chain, irreducible) pairs agree", t0, limit)
+    return f"{pairs} (chain, irreducible) pairs agree"
 
 
 # -- 4: Mackey identity and restriction formulas -----------------------------------
 
 
-def suite_mackey(seed: int = 11) -> SuiteResult:
-    t0 = time.perf_counter()
-    name, limit = "mackey-decomposition", 30.0
+def suite_mackey(seed: int = 11) -> str:
     rng = random.Random(seed)
     pairs = corpus.mackey_pair_corpus()
     count = 0
@@ -130,7 +120,7 @@ def suite_mackey(seed: int = 11) -> SuiteResult:
             W = rng.choice(irr)
             ok, witness = mackey_check(V, W, H)
             if not ok:
-                return _fail(name, f"{G.name}/{H.order}: {witness}", t0, limit)
+                raise SuiteFailure(f"{G.name}/{H.order}: {witness}")
             count += 1
         transversal = [c[0] for c in gp.left_cosets(G, H)]
         for chi in irr:
@@ -141,79 +131,72 @@ def suite_mackey(seed: int = 11) -> SuiteResult:
                 term = conjugate_character(chi, H, gamma)
                 total = term if total is None else total + term
             if res != total:
-                return _fail(name, f"{G.name}: additive restriction formula", t0, limit)
+                raise SuiteFailure(f"{G.name}: additive restriction formula")
             tires = restrict(tensor_induce(chi, H), H)
             prod = None
             for gamma in transversal:
                 term = conjugate_character(chi, H, gamma)
                 prod = term if prod is None else prod * term
             if tires != prod:
-                return _fail(name, f"{G.name}: multiplicative restriction formula",
-                             t0, limit)
+                raise SuiteFailure(f"{G.name}: multiplicative restriction formula")
             count += 1
-    return _ok(name, f"{len(pairs)} normal pairs, {count} identities", t0, limit)
+    return f"{len(pairs)} normal pairs, {count} identities"
 
 
 # -- 5: tensor induction against the matrix oracle ---------------------------------
 
 
-def suite_tensor_induction(seed: int = 0) -> SuiteResult:
-    t0 = time.perf_counter()
-    name, limit = "tensor-induction-oracle", 30.0
+def suite_tensor_induction(seed: int = 0) -> str:
     cases = corpus.tensor_induction_corpus()
     count = 0
     for H, rep in cases:
-        chi = character_of(rep)
+        chi = rep.character()
         ti = tensor_induce(chi, H)
-        if character_of(tensor_induced_matrix_rep(rep, H)) != ti:
-            return _fail(name, f"{H.parent.name}: trace oracle mismatch", t0, limit)
+        if tensor_induced_matrix_rep(rep, H).character() != ti:
+            raise SuiteFailure(f"{H.parent.name}: trace oracle mismatch")
         n = H.parent.order // H.order
         if int(ti.degree) != int(chi.degree) ** n:
-            return _fail(name, f"{H.parent.name}: degree law", t0, limit)
+            raise SuiteFailure(f"{H.parent.name}: degree law")
         if rep.dimension * n <= 8:
-            if character_of(induced_matrix_rep(rep, H)) != induce(chi, H):
-                return _fail(name, f"{H.parent.name}: induced trace oracle", t0, limit)
+            if induced_matrix_rep(rep, H).character() != induce(chi, H):
+                raise SuiteFailure(f"{H.parent.name}: induced trace oracle")
         if not tind_summand_check(chi, H):
-            return _fail(name, f"{H.parent.name}: summand check", t0, limit)
+            raise SuiteFailure(f"{H.parent.name}: summand check")
         count += 1
-    return _ok(name, f"{count} (G, H, rep) triples", t0, limit)
+    return f"{count} (G, H, rep) triples"
 
 
 # -- 6: Newton polygon additivity ----------------------------------------------------
 
 
-def suite_newton_additivity(seed: int = 31337) -> SuiteResult:
-    t0 = time.perf_counter()
-    name, limit = "newton-additivity", 1.0
+def suite_newton_additivity(seed: int = 31337) -> str:
     rng = random.Random(seed)
     for i in range(100):
         a = corpus.random_slope_multiset(rng)
         b = corpus.random_slope_multiset(rng)
         pa, pb, pab = (polygon_from_slopes(x) for x in (a, b, a + b))
         if pab.height != pa.height + pb.height:
-            return _fail(name, f"height additivity case {i}", t0, limit)
+            raise SuiteFailure(f"height additivity case {i}")
         if pab.vertices[-1][0] != pa.vertices[-1][0] + pb.vertices[-1][0]:
-            return _fail(name, f"width additivity case {i}", t0, limit)
+            raise SuiteFailure(f"width additivity case {i}")
         # monoid sum of polygons: slopes with multiplicity merge
         merged = {}
         for s, m in list(a.entries) + list(b.entries):
             merged[s] = merged.get(s, 0) + m
         if dict((s, m) for s, m in (a + b).entries) != merged:
-            return _fail(name, f"merge case {i}", t0, limit)
+            raise SuiteFailure(f"merge case {i}")
         # duality holds trivially: rebuilding from the same data is invariant
         if polygon_from_slopes(a) != pa:
-            return _fail(name, f"dual invariance case {i}", t0, limit)
+            raise SuiteFailure(f"dual invariance case {i}")
         if a + b != b + a:
-            return _fail(name, f"commutativity case {i}", t0, limit)
-    return _ok(name, "100 random multiset pairs", t0, limit)
+            raise SuiteFailure(f"commutativity case {i}")
+    return "100 random multiset pairs"
 
 
 # -- 7: slope filtration realization ---------------------------------------------------
 
 
-def suite_filtration(seed: int = 7177) -> SuiteResult:
-    t0 = time.perf_counter()
-    name, limit = "filtration-realization", 30.0
+def suite_filtration(seed: int = 7177) -> str:
     chains = corpus.filtered_group_corpus(count=15, seed=seed)
     drop_seen = False
     checked = 0
@@ -224,32 +207,30 @@ def suite_filtration(seed: int = 7177) -> SuiteResult:
         for chi in table.irreducibles:
             dec = slope_decomposition(chain, chi)
             if len(dec.entries) != 1:
-                return _fail(name, f"{G.name}: irreducible with several slopes",
-                             t0, limit)
+                raise SuiteFailure(f"{G.name}: irreducible with several slopes")
             if dec.total_dimension != int(chi.degree):
-                return _fail(name, f"{G.name}: multiplicity sum", t0, limit)
+                raise SuiteFailure(f"{G.name}: multiplicity sum")
             slopes[chi] = dec.entries[0][0]
         for chi in table.irreducibles:
             if not graded_pieces_disjoint(chain, chi, table):
-                return _fail(name, f"{G.name}: graded pieces overlap", t0, limit)
+                raise SuiteFailure(f"{G.name}: graded pieces overlap")
         reg_check = graded_pieces_disjoint(
             chain, _regular_sum(table), table
         )
         if not reg_check:
-            return _fail(name, f"{G.name}: graded pieces of the regular sum", t0, limit)
+            raise SuiteFailure(f"{G.name}: graded pieces of the regular sum")
         for chi in table.irreducibles:
             for psi in table.irreducibles:
                 if not tensor_bound_check(chain, chi, psi):
-                    return _fail(name, f"{G.name}: tensor bound", t0, limit)
+                    raise SuiteFailure(f"{G.name}: tensor bound")
                 checked += 1
                 if slopes[chi] == slopes[psi] > 0:
                     prod_dec = slope_decomposition(chain, chi * psi)
                     if any(s < slopes[chi] for s, _ in prod_dec.entries):
                         drop_seen = True
     if not drop_seen:
-        return _fail(name, "no equal-slope drop instance found", t0, limit)
-    return _ok(name, f"{len(chains)} chains, {checked} tensor pairs, drop seen",
-               t0, limit)
+        raise SuiteFailure("no equal-slope drop instance found")
+    return f"{len(chains)} chains, {checked} tensor pairs, drop seen"
 
 
 def _regular_sum(table):
@@ -262,9 +243,7 @@ def _regular_sum(table):
 # -- 8: Kummer scaling -------------------------------------------------------------------
 
 
-def suite_kummer(seed: int = 7177) -> SuiteResult:
-    t0 = time.perf_counter()
-    name, limit = "kummer-scaling", 5.0
+def suite_kummer(seed: int = 7177) -> str:
     chains = corpus.filtered_group_corpus(count=8, seed=seed)
     rng = random.Random(seed)
     checked = 0
@@ -272,20 +251,18 @@ def suite_kummer(seed: int = 7177) -> SuiteResult:
         table = character_table(chain.group)
         for chi in table.irreducibles:
             for n in (1, 2, 3, 4, 5):
-                scaled = kummer_scale(chain, n)
+                scaled = chain.scaled(n)
                 if swan_conductor(scaled, chi) != n * swan_conductor(chain, chi):
-                    return _fail(name, f"{chain.group.name}: swan scaling n={n}",
-                                 t0, limit)
+                    raise SuiteFailure(f"{chain.group.name}: swan scaling n={n}")
                 if slope_decomposition(scaled, chi) != slope_decomposition(chain, chi).scale(n):
-                    return _fail(name, f"{chain.group.name}: decomposition scaling",
-                                 t0, limit)
+                    raise SuiteFailure(f"{chain.group.name}: decomposition scaling")
                 checked += 1
     for _ in range(50):
         ms = corpus.random_slope_multiset(rng)
         m, n = rng.randrange(1, 5), rng.randrange(1, 5)
         if ms.scale(m * n) != ms.scale(n).scale(m):
-            return _fail(name, "scale functoriality", t0, limit)
-    return _ok(name, f"{checked} swan scalings + 50 functoriality cases", t0, limit)
+            raise SuiteFailure("scale functoriality")
+    return f"{checked} swan scalings + 50 functoriality cases"
 
 
 # -- 9: rank-one operators ---------------------------------------------------------------
@@ -303,55 +280,51 @@ def _p_power_brute(op: RankOneOperator, cap: int = 40) -> int:
     raise AssertionError("brute-force p-power search exceeded the cap")
 
 
-def suite_robba(seed: int = 4099) -> SuiteResult:
-    t0 = time.perf_counter()
-    name, limit = "rank-one-operators", 5.0
+def suite_robba(seed: int = 4099) -> str:
     ops = corpus.rank_one_corpus(count=50, seed=seed)
     for op in ops:
         red = robba_reduce(op)
         if robba_reduce(red) != red:
-            return _fail(name, "reduce not idempotent", t0, limit)
+            raise SuiteFailure("reduce not idempotent")
         if robba_slope(op) != robba_slope(red):
-            return _fail(name, "slope changed by reduction", t0, limit)
+            raise SuiteFailure("slope changed by reduction")
         if robba_slope(red) != Fraction(max(0, red.pole_order - 1)):
-            return _fail(name, "slope is not pole order - 1", t0, limit)
+            raise SuiteFailure("slope is not pole order - 1")
         n_min, tame_res = p_power_reduce(op)
         if n_min != _p_power_brute(op):
-            return _fail(name, f"p-power minimality p={op.p}", t0, limit)
+            raise SuiteFailure(f"p-power minimality p={op.p}")
         if tame_res != (op.p**n_min * op.coefficient(1)) % 1:
-            return _fail(name, "p-power residue", t0, limit)
+            raise SuiteFailure("p-power residue")
         for n in (1, 2, 3, 4, 5):
             pulled = kummer_pullback(op, n)
             if robba_slope(pulled) != n * robba_slope(op):
-                return _fail(name, f"pullback slope n={n}", t0, limit)
+                raise SuiteFailure(f"pullback slope n={n}")
             if residue(pulled) != (n * op.coefficient(1)) % 1:
-                return _fail(name, f"pullback residue n={n}", t0, limit)
+                raise SuiteFailure(f"pullback residue n={n}")
         if is_tame(op):
             m = character_order(op)
             if m < 1 or (m * robba_reduce(op).coefficient(1)).denominator != 1:
-                return _fail(name, "character order not finite", t0, limit)
+                raise SuiteFailure("character order not finite")
     special = RankOneOperator.make(2, [0, 1])
     if p_power_reduce(special)[0] != 2:
-        return _fail(name, "p=2 threshold case", t0, limit)
-    return _ok(name, f"{len(ops)} operators over p in (2,3,5)", t0, limit)
+        raise SuiteFailure("p=2 threshold case")
+    return f"{len(ops)} operators over p in (2,3,5)"
 
 
 # -- 10: wreath classification --------------------------------------------------------------
 
 
-def suite_wreath_classification(seed: int = 0) -> SuiteResult:
-    t0 = time.perf_counter()
-    name, limit = "wreath-classification", 60.0
+def suite_wreath_classification(seed: int = 0) -> str:
     A5 = gp.alternating_group(5)
     W = gp.wreath_cyclic(A5, 2)
     G = W.group()
     report = gp.classify_wreath_subgroup(W, G)
     if report.case != "full_wreath" or not report.trichotomy_ok:
-        return _fail(name, "order-7200 full wreath classification", t0, limit)
+        raise SuiteFailure("order-7200 full wreath classification")
     if report.normal_subgroup_orders != (1, 3600, 7200):
-        return _fail(name, f"normal orders {report.normal_subgroup_orders}", t0, limit)
+        raise SuiteFailure(f"normal orders {report.normal_subgroup_orders}")
     if not report.chain_bound_ok:
-        return _fail(name, "normal chain bound", t0, limit)
+        raise SuiteFailure("normal chain bound")
 
     # brute force against subspace enumeration for prime cyclic bases
     for q in (3, 5, 7):
@@ -359,22 +332,21 @@ def suite_wreath_classification(seed: int = 0) -> SuiteResult:
         for ell in (2, 3):
             agree = _goursat_brute_force_agrees(H, q, ell)
             if not agree:
-                return _fail(name, f"goursat brute force q={q} ell={ell}", t0, limit)
+                raise SuiteFailure(f"goursat brute force q={q} ell={ell}")
 
     # semidirect case with ell = 3 not dividing |Out(A5)| = 2
     if gp.outer_automorphism_order(A5) != 2:
-        return _fail(name, "outer automorphism count of A5", t0, limit)
+        raise SuiteFailure("outer automorphism count of A5")
     W3 = gp.wreath_cyclic(A5, 3)
     gens3 = [W3.top_element((1, 2, 0))]
     gens3 += [W3.base_element((g, g, g)) for g in A5.generators]
     Gbar3 = W3.subgroup_from_raw(gens3, name="diag3")
     rep3 = gp.classify_wreath_subgroup(W3, Gbar3)
     if rep3.case != "semidirect" or rep3.direct_product is not True:
-        return _fail(name, "direct product detection", t0, limit)
+        raise SuiteFailure("direct product detection")
     if not rep3.chain_bound_ok:
-        return _fail(name, "semidirect chain bound", t0, limit)
-    return _ok(name, "7200-group trichotomy, brute-force goursat, direct product",
-               t0, limit)
+        raise SuiteFailure("semidirect chain bound")
+    return "7200-group trichotomy, brute-force goursat, direct product"
 
 
 def _all_subspaces(q: int, ell: int) -> list[frozenset]:
@@ -447,66 +419,69 @@ def _goursat_brute_force_agrees(H: gp.FiniteGroup, q: int, ell: int) -> bool:
 # -- 11: irreducible dimension statistics ------------------------------------------------------
 
 
-def suite_dimension_gcd(seed: int = 0) -> SuiteResult:
-    t0 = time.perf_counter()
-    name, limit = "dimension-gcd", 60.0
+def suite_dimension_gcd(seed: int = 0) -> str:
     zoo = corpus.group_zoo_up_to_100()
     if len(zoo) < 25:
-        return _fail(name, "corpus too small", t0, limit)
+        raise SuiteFailure("corpus too small")
     for G in zoo:
         table = character_table(G)
         degs = table.degrees
         if sum(d * d for d in degs) != G.order:
-            return _fail(name, f"{G.name}: degree squares", t0, limit)
+            raise SuiteFailure(f"{G.name}: degree squares")
         if any(G.order % d for d in degs):
-            return _fail(name, f"{G.name}: degree divisibility", t0, limit)
+            raise SuiteFailure(f"{G.name}: degree divisibility")
         if irreducible_dims_gcd(G) != 1:
-            return _fail(name, f"{G.name}: gcd", t0, limit)
-    return _ok(name, f"{len(zoo)} groups of order <= 100", t0, limit)
+            raise SuiteFailure(f"{G.name}: gcd")
+    return f"{len(zoo)} groups of order <= 100"
 
 
 # -- 12: structural predicates --------------------------------------------------------------------
 
 
-def suite_predicates(seed: int = 0) -> SuiteResult:
-    t0 = time.perf_counter()
-    name, limit = "structural-predicates", 30.0
+def suite_predicates(seed: int = 0) -> str:
     count = 0
     for chain, p in corpus.prime_power_chain_corpus():
         table = character_table(chain.group)
         for chi in table.irreducibles:
             if not prime_power_dim_check(chain, chi, p):
-                return _fail(name, f"{chain.group.name}: p-power dimension", t0, limit)
+                raise SuiteFailure(f"{chain.group.name}: p-power dimension")
             count += 1
     for chain in corpus.fractional_break_chain_corpus():
         table = character_table(chain.group)
         if not slope_zero_existence_check(chain, table):
-            return _fail(name, f"{chain.group.name}: slope-zero existence", t0, limit)
+            raise SuiteFailure(f"{chain.group.name}: slope-zero existence")
         count += 1
-    return _ok(name, f"{count} predicate instances", t0, limit)
+    return f"{count} predicate instances"
 
 
+# name: (suite, time budget in seconds).  The budgets are gates: never loosen them.
 SUITES = {
-    "weyl-dimension": suite_weyl,
-    "hasse-arf-integrality": suite_hasse_arf,
-    "swan-oracle": suite_swan_oracle,
-    "mackey-decomposition": suite_mackey,
-    "tensor-induction-oracle": suite_tensor_induction,
-    "newton-additivity": suite_newton_additivity,
-    "filtration-realization": suite_filtration,
-    "kummer-scaling": suite_kummer,
-    "rank-one-operators": suite_robba,
-    "wreath-classification": suite_wreath_classification,
-    "dimension-gcd": suite_dimension_gcd,
-    "structural-predicates": suite_predicates,
+    "weyl-dimension": (suite_weyl, 1.0),
+    "hasse-arf-integrality": (suite_hasse_arf, 10.0),
+    "swan-oracle": (suite_swan_oracle, 10.0),
+    "mackey-decomposition": (suite_mackey, 30.0),
+    "tensor-induction-oracle": (suite_tensor_induction, 30.0),
+    "newton-additivity": (suite_newton_additivity, 1.0),
+    "filtration-realization": (suite_filtration, 30.0),
+    "kummer-scaling": (suite_kummer, 5.0),
+    "rank-one-operators": (suite_robba, 5.0),
+    "wreath-classification": (suite_wreath_classification, 60.0),
+    "dimension-gcd": (suite_dimension_gcd, 60.0),
+    "structural-predicates": (suite_predicates, 30.0),
 }
 
 
 def run_suite(name: str, seed: int | None = None) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    fn = SUITES[name]
-    return fn() if seed is None else fn(seed)
+    fn, limit = SUITES[name]
+    t0 = time.perf_counter()
+    try:
+        detail = fn() if seed is None else fn(seed)
+        passed = True
+    except SuiteFailure as exc:
+        detail, passed = str(exc), False
+    return SuiteResult(name, passed, detail, time.perf_counter() - t0, limit)
 
 
 def _run_suite_entry(args: tuple) -> SuiteResult:

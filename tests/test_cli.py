@@ -1,8 +1,12 @@
 import json
+import time
 
 import pytest
 
+from slopeforge import cli, verify
 from slopeforge.cli import main
+from slopeforge.groups import DEFAULT_MAX_ORDER
+from slopeforge.reptheory import DEFAULT_TABLE_BOUND
 from slopeforge.verify import run_suites
 
 
@@ -35,6 +39,37 @@ class TestNewtonCommand:
         assert code == 0
         text = svg_path.read_text()
         assert text.startswith("<svg") and "polyline" in text
+        # vertices (0,0), (1,0), (3,4): a 4 x 5 lattice of dots
+        assert text.count('r="1.5"') == 4 * 5
+        # written through a temporary file that is renamed into place
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["input.json", "poly.svg"]
+
+    def test_svg_past_the_dot_budget(self, capsys, tmp_path):
+        # height 90000: 301 x 90001 lattice points, far past the budget
+        svg_path = tmp_path / "tall.svg"
+        start = time.perf_counter()
+        code, out, _ = run_cli(["np", "--svg", str(svg_path)], capsys,
+                               {"slopes": [["300", 300]]}, tmp_path=tmp_path)
+        assert time.perf_counter() - start < 2
+        assert code == 0 and out["height"] == "90000"
+        text = svg_path.read_text()
+        assert text.startswith("<svg") and text.endswith("</svg>")
+        assert "polyline" in text and 'r="1.5"' not in text
+
+    def test_svg_past_the_float_range(self, capsys, tmp_path):
+        svg_path = tmp_path / "huge.svg"
+        code, out, err = run_cli(["np", "--svg", str(svg_path)], capsys,
+                                 {"slopes": [["1" + "0" * 400, 1]]}, tmp_path=tmp_path)
+        assert code == 2 and out is None and not svg_path.exists()
+        assert err.startswith("input error: $.slopes: polygon too large to draw")
+
+    @pytest.mark.parametrize("option", ["--output", "--svg"])
+    def test_unwritable_path_exits_2(self, capsys, tmp_path, option):
+        target = str(tmp_path / "missing" / "out")
+        code, out, err = run_cli(["np", option, target], capsys,
+                                 {"slopes": [["1/2", 2]]}, tmp_path=tmp_path)
+        assert code == 2 and out is None
+        assert err.startswith(f"input error: {option}: cannot write {target}")
 
     def test_malformed_input_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(["np"], capsys, {"slopes": [["x", 2]]},
@@ -263,11 +298,30 @@ class TestInputBoundary:
         ("mackey", {"group": {"permutation_generators": S3_GENS},
                     "subgroup": [0, 1], "left": {"values": ["1", "1"]},
                     "right": {"values": ["1", "1"]}}, "$.subgroup"),
+        # the refusals of the wreath classifier: a base that is not simple
+        # (C4), generators that miss the top rotation, a closure past the
+        # bound (C3 wr C7 has order 7 * 3^7 = 15309)
+        ("classify", {"wreath": {"base": {"permutation_generators": [[2, 3, 4, 1]]},
+                                 "ell": 2},
+                      "generators": [[1, [0, 0]]]}, "$.wreath.base"),
+        ("classify", {"wreath": {"base": C3_BASE, "ell": 2},
+                      "generators": [[0, [1, 0]]]}, "$.generators"),
+        ("classify", {"wreath": {"base": C3_BASE, "ell": 7},
+                      "generators": [[1, [0] * 7], [0, [1] + [0] * 6]]}, "$.generators"),
     ])
     def test_exit_2_names_path(self, capsys, tmp_path, command, payload, path):
         code, out, err = run_cli([command], capsys, payload, tmp_path=tmp_path)
         assert code == 2 and out is None
         assert f"input error: {path}:" in err
+
+    def test_huge_ell_is_refused_before_the_rotations(self, capsys, tmp_path):
+        # 1 + 10^9 rotations of 10^9 points each are never built, nor 2^(10^9)
+        payload = {"base": {"permutation_generators": [[2, 1]]}, "ell": 1_000_000_000}
+        start = time.perf_counter()
+        code, out, err = run_cli(["wreath"], capsys, payload, tmp_path=tmp_path)
+        assert time.perf_counter() - start < 2
+        assert code == 2 and out is None
+        assert err.startswith("input error: $.ell:") and len(err.encode()) < 200
 
     @pytest.mark.parametrize("command, payload, path", [
         ("induce", {"group": {"permutation_generators": [[2, 1, 3, 4], [2, 3, 4, 1]]},
@@ -316,6 +370,47 @@ class TestInputBoundary:
         assert [r.name for r in results] == ["weyl-dimension", "kummer-scaling"]
         run_suites(["weyl-dimension"], jobs=64)  # one suite: no pool at all
         assert workers == [2]
+
+
+class TestDriver:
+    """main alone reads the payload, writes the report and picks the exit
+    code; options that no subcommand reads do not exist."""
+
+    def test_report_that_fails_exits_1(self, capsys, tmp_path, monkeypatch):
+        seen = []
+
+        def cmd_np(payload, args):
+            seen.append(payload)
+            return {"pass": False, "why": "injected"}
+        monkeypatch.setattr(cli, "cmd_np", cmd_np)
+        code, out, err = run_cli(["np"], capsys, {"slopes": []}, tmp_path=tmp_path)
+        assert seen == [{"slopes": []}]
+        assert code == 1 and err == ""
+        assert out == {"format": 1, "pass": False, "why": "injected"}
+
+    @pytest.mark.parametrize("argv", [
+        ["np", "--seed", "1"], ["table", "--seed", "1"], ["np", "--max-order", "5"],
+        ["robba", "--max-order", "5"],
+    ])
+    def test_unread_options_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_max_order_defaults(self):
+        parser = cli.build_parser()
+        assert parser.parse_args(["wreath"]).max_order == DEFAULT_MAX_ORDER
+        assert parser.parse_args(["table"]).max_order == DEFAULT_TABLE_BOUND
+
+    def test_suite_failure_is_a_failed_result(self, monkeypatch):
+        def suite(seed=0):
+            raise verify.SuiteFailure(f"broken at seed {seed}")
+        monkeypatch.setitem(verify.SUITES, "weyl-dimension", (suite, 1.0))
+        result = verify.run_suite("weyl-dimension", seed=5)
+        assert (result.passed, result.detail, result.time_limit) == (
+            False, "broken at seed 5", 1.0)
+        assert result.line().startswith("FAIL weyl-dimension: broken at seed 5 (")
 
 
 class TestDeterminism:

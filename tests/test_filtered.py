@@ -5,8 +5,7 @@ import pytest
 from slopeforge.filtered import (BreakChain, FilteredError, LowerChain,
                                  graded_characters, graded_pieces_disjoint,
                                  hasse_arf_check, herbrand_phi,
-                                 invariant_dimension, kummer_scale,
-                                 lower_from_upper,
+                                 invariant_dimension, lower_from_upper,
                                  prime_power_dim_check, slope_decomposition,
                                  slope_zero_existence_check, swan_conductor,
                                  swan_lower_oracle, tensor_bound_check,
@@ -207,17 +206,17 @@ class TestSwan:
 class TestKummer:
     def test_identity(self, c6_chain):
         C6, chain, table, chars = c6_chain
-        assert kummer_scale(chain, 1) == chain
+        assert chain.scaled(1) == chain
 
     def test_break_scaling(self):
         C2 = cyclic_group(2)
         chain = BreakChain(C2, (F(1),), (C2.full_subgroup(),))
-        assert kummer_scale(chain, 2).breaks == (F(2),)
+        assert chain.scaled(2).breaks == (F(2),)
 
     def test_commutes_with_decomposition(self, c6_chain):
         C6, chain, table, chars = c6_chain
         for chi in table.irreducibles:
-            assert slope_decomposition(kummer_scale(chain, 3), chi) == (
+            assert slope_decomposition(chain.scaled(3), chi) == (
                 slope_decomposition(chain, chi).scale(3))
 
 

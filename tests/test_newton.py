@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slopeforge.newton import (NewtonPolygon, SlopeMultiset, polygon_from_slopes,
-                               scale_slopes, slopes_from_polygon,
-                               tensor_slope_bound)
+                               slopes_from_polygon, tensor_slope_bound)
 
 
 def ms(*pairs):
@@ -96,16 +95,16 @@ class TestIntegrality:
 class TestScaling:
     def test_identity(self):
         a = ms(("1/2", 1), ("2", 3))
-        assert scale_slopes(a, 1) == a
+        assert a.scale(1) == a
 
     def test_examples(self):
-        assert scale_slopes(ms(("1/2", 1)), 2) == ms(("1", 1))
-        assert scale_slopes(ms(("1/3", 2), ("1", 1)), 3) == ms(("1", 2), ("3", 1))
+        assert ms(("1/2", 1)).scale(2) == ms(("1", 1))
+        assert ms(("1/3", 2), ("1", 1)).scale(3) == ms(("1", 2), ("3", 1))
 
     @settings(max_examples=60, deadline=None)
     @given(multisets(), st.integers(1, 4), st.integers(1, 4))
     def test_functorial(self, a, m, n):
-        assert scale_slopes(a, m * n) == scale_slopes(scale_slopes(a, n), m)
+        assert a.scale(m * n) == a.scale(n).scale(m)
 
 
 class TestTensorBound:

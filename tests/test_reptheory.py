@@ -10,7 +10,7 @@ from slopeforge.groups import (CosetAction, alternating_group, cyclic_group,
                                heisenberg_group,
                                left_cosets, normal_subgroups, quaternion_group,
                                symmetric_group, wreath_cyclic)
-from slopeforge.reptheory import (RepTheoryError, character_of, character_table,
+from slopeforge.reptheory import (RepTheoryError, character_table,
                                   conjugate_character, direct_sum, induce,
                                   induced_matrix_rep, inner_product,
                                   inner_product_int, irreducible_dims_gcd,
@@ -258,9 +258,9 @@ class TestTensorInduction:
         Hg = H.as_group
         rep = rep_from_generator_images(Hg, Hg.generators,
                                         [[[Cyclotomic.rational(-1)]]])
-        sign = character_of(rep)
-        assert tensor_induce(sign, H) == character_of(tensor_induced_matrix_rep(rep, H))
-        assert induce(sign, H) == character_of(induced_matrix_rep(rep, H))
+        sign = rep.character()
+        assert tensor_induce(sign, H) == tensor_induced_matrix_rep(rep, H).character()
+        assert induce(sign, H) == induced_matrix_rep(rep, H).character()
 
     def test_transversal_independence(self):
         S3, A3 = a3_of_s3()
@@ -368,12 +368,12 @@ class TestMatrixReps:
         C4 = cyclic_group(4)
         i4 = Cyclotomic.zeta(4)
         rep = rep_from_generator_images(C4, C4.generators, [[[i4]]])
-        chi = character_of(rep)
+        chi = rep.character()
         both = direct_sum(rep, rep)
-        assert character_of(both) == chi + chi
+        assert both.character() == chi + chi
         trivial_rep = rep_from_generator_images(
             C4, C4.generators, [[[Cyclotomic.rational(1)]]])
-        assert character_of(tensor(rep, trivial_rep)) == chi
+        assert tensor(rep, trivial_rep).character() == chi
 
     def test_two_dimensional_multiplicative(self):
         S3 = symmetric_group(3)
@@ -386,6 +386,6 @@ class TestMatrixReps:
             else:
                 imgs.append(((zero, one), (one, zero)))
         rep = rep_from_generator_images(S3, S3.generators, imgs)
-        chi = character_of(rep)
+        chi = rep.character()
         assert int(chi.degree) == 2
         assert inner_product_int(chi, chi) == 1

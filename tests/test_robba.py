@@ -2,8 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from slopeforge.robba import (RankOneOperator, character_order,
-                              frobenius_residue_class, is_tame,
+from slopeforge.robba import (RankOneOperator, character_order, is_tame,
                               kummer_pullback, p_power_reduce, reduce, residue,
                               slope, tensor)
 
@@ -71,16 +70,13 @@ class TestSlope:
 class TestResidue:
     def test_fractional(self):
         assert residue(op(2, F(1, 3))) == F(1, 3)
+        assert residue(op(3, F(5, 7))) == F(5, 7)
 
     def test_integer_is_trivial(self):
         assert residue(op(2, 5)) == 0
 
     def test_negative_wraps(self):
         assert residue(op(3, F(-1, 2))) == F(1, 2)
-
-    def test_frobenius_class_denominator_prime_to_p(self):
-        r = frobenius_residue_class(op(3, F(5, 7)))
-        assert r == F(5, 7) and r.denominator % 3 != 0
 
     def test_is_tame(self):
         assert is_tame(op(3, F(1, 2)))
