@@ -157,7 +157,10 @@ def cmd_np(payload, args) -> dict:
 def cmd_swan(payload, args) -> dict:
     G, chain = jsonio.parse_break_chain(payload, max_order=args.max_order)
     chi = jsonio.parse_class_function(payload.get("character"), G, "$.character")
-    dec = slope_decomposition(chain, chi)
+    try:
+        dec = slope_decomposition(chain, chi)
+    except ValueError as exc:  # a class function that is not a character
+        raise InputError("$.character", str(exc)) from None
     # the polygon of the decomposition: its height is the Swan conductor and
     # its integrality the Hasse-Arf property
     poly = polygon_from_slopes(dec)
@@ -218,12 +221,12 @@ def cmd_wreath(payload, args) -> dict:
     if not jsonio.is_int(ell) or ell < 1:
         raise InputError("$.ell", "expected a positive integer")
     # the order ell * |base|^ell against the bound, before any of the ell
-    # rotations is built; for |base| >= 2 the power alone is past the bound
-    # once 2^ell is, so it is only computed for an ell below the bound's bit
-    # length
+    # rotations of ell points is built: ell^2 <= the order, and for
+    # |base| >= 2 the power alone is past the bound once 2^ell is, so it is
+    # only computed for an ell below the bound's bit length
     bound = args.max_order
-    if ell > bound or (base.order > 1 and (ell >= bound.bit_length()
-                                           or ell * base.order**ell > bound)):
+    if ell * ell > bound or (base.order > 1 and (ell >= bound.bit_length()
+                                                 or ell * base.order**ell > bound)):
         raise InputError("$.ell", f"wreath product order exceeds bound {bound}")
     G = wreath_cyclic(base, ell).group(max_order=args.max_order)
     return {"order": G.order, "class_count": len(G.conjugacy_classes)}

@@ -208,13 +208,13 @@ class Cyclotomic:
 
     def rational_value(self) -> Fraction:
         if not self.is_rational:
-            raise ValueError(f"{self!r} is not rational")
+            raise ValueError(f"a value of conductor {self.conductor} is not rational")
         return self.coeffs[0]
 
     def integer_value(self) -> int:
         q = self.rational_value()
         if q.denominator != 1:
-            raise ValueError(f"{self!r} is not a rational integer")
+            raise ValueError("a rational value is not an integer")
         return q.numerator
 
     def _lift_coeffs(self, n: int) -> list[Fraction]:
@@ -373,4 +373,5 @@ def rational_from_str(s: str) -> Fraction:
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {s!r}") from exc
+        shown = s if len(s) <= 12 else s[:12] + "..."
+        raise ValueError(f"not a rational: {shown!r}") from exc

@@ -25,7 +25,7 @@ from .exactnum import Cyclotomic, is_prime
 from .groups import FiniteGroup, Subgroup
 from .newton import NewtonPolygon, SlopeMultiset, polygon_from_slopes
 from .reptheory import (CharacterTable, ClassFunction, inner_product_int,
-                        restrict, trivial_character)
+                        trivial_character)
 
 
 class FilteredError(ValueError):
@@ -171,28 +171,20 @@ def herbrand_phi(chain: LowerChain) -> PiecewiseLinear:
         y += slope
         if chain.at(i).order != chain.at(i + 1).order:
             vertices.append((Fraction(i), y))
-    final_slope = Fraction(1, g0)
-    if len(vertices) == 1:
-        # constant chain never reaching a jump: identity-like single slope
-        final_slope = Fraction(chain.at(1).order, g0)
-    return PiecewiseLinear(tuple(vertices), final_slope)
+    return PiecewiseLinear(tuple(vertices), Fraction(1, g0))
 
 
 def upper_from_lower(chain: LowerChain) -> BreakChain:
     """Renumber a lower chain into a break chain via the Herbrand function.
 
-    Breaks sit at phi(i) for the integers i >= 1 with G_i != G_(i+1); the
+    Breaks sit at phi(i) for the integers i >= 1 with G_i != G_(i+1), which
+    are the vertices of phi after the origin (G_i is non-trivial there); the
     subgroup on the interval up to phi(i) is G_i.  A chain with trivial G_1
     is entirely tame and yields the empty break chain.
     """
-    phi = herbrand_phi(chain)
-    breaks = []
-    subs = []
-    for i in range(1, chain.depth + 1):
-        if chain.at(i).order != chain.at(i + 1).order and chain.at(i).order > 1:
-            breaks.append(phi(Fraction(i)))
-            subs.append(chain.at(i))
-    return BreakChain(chain.group, tuple(breaks), tuple(subs))
+    jumps = herbrand_phi(chain).vertices[1:]
+    return BreakChain(chain.group, tuple(y for _, y in jumps),
+                      tuple(chain.at(int(x)) for x, _ in jumps))
 
 
 def lower_from_upper(chain: BreakChain) -> LowerChain:
@@ -228,11 +220,20 @@ def invariant_dimension(chi: ClassFunction, H: Subgroup) -> int:
     total = Cyclotomic.rational(0)
     for h in H.elements:
         total = total + chi.value_at(h)
-    value = (total * Fraction(1, H.order))
-    dim = value.rational_value()
-    if dim.denominator != 1 or dim < 0:
-        raise FilteredError(f"{chi!r} is not a character (invariant dim {dim})")
+    value = total * Fraction(1, H.order)
+    dim = value.coeffs[0]
+    if not value.is_rational or dim.denominator != 1 or dim < 0:
+        raise FilteredError(
+            f"not a character: invariant dimension under a subgroup of order "
+            f"{H.order} is not a non-negative integer")
     return int(dim)
+
+
+def _graded(chain: BreakChain, parts: list) -> list[tuple[Fraction, object]]:
+    """The graded levels from the invariants `parts` under H_1, ..., H_k and
+    the trivial group: (0, parts[0]), then (b_i, parts[i+1] - parts[i])."""
+    return [(Fraction(0), parts[0])] + [
+        (b, parts[i + 1] - parts[i]) for i, b in enumerate(chain.breaks)]
 
 
 def slope_decomposition(chain: BreakChain, chi: ClassFunction) -> SlopeMultiset:
@@ -242,20 +243,11 @@ def slope_decomposition(chain: BreakChain, chi: ClassFunction) -> SlopeMultiset:
     deg = chi.degree
     if deg.denominator != 1:
         raise FilteredError("input must be a character")
-    pairs = []
-    dims = [invariant_dimension(chi, H) for H in chain.subgroups]
-    dims.append(int(deg))  # invariants under the trivial subgroup
-    if chain.subgroups:
-        if dims[0] > 0:
-            pairs.append((Fraction(0), dims[0]))
-        for i, b in enumerate(chain.breaks):
-            mult = dims[i + 1] - dims[i]
-            if mult < 0:
-                raise FilteredError("invariant dimensions must increase down the chain")
-            if mult > 0:
-                pairs.append((b, mult))
-    else:
-        pairs.append((Fraction(0), int(deg)))
+    dims = [invariant_dimension(chi, H) for H in chain.subgroups] + [int(deg)]
+    pairs = _graded(chain, dims)
+    # pairs[0] is an invariant dimension, or the degree that SlopeMultiset checks
+    if any(mult < 0 for _, mult in pairs[1:]):
+        raise FilteredError("invariant dimensions must increase down the chain")
     ms = SlopeMultiset.from_pairs(pairs)
     if ms.total_dimension != int(deg):
         raise AssertionError("graded multiplicities must sum to the degree")
@@ -308,19 +300,9 @@ def invariant_character(chi: ClassFunction, H: Subgroup) -> ClassFunction:
 def graded_characters(chain: BreakChain,
                       chi: ClassFunction) -> list[tuple[Fraction, ClassFunction]]:
     """The graded pieces as (slope, character) pairs, zero pieces omitted."""
-    G = chain.group
-    pieces = []
-    parts = [invariant_character(chi, H) for H in chain.subgroups]
-    parts.append(chi)
-    if not chain.subgroups:
-        return [(Fraction(0), chi)] if int(chi.degree) else []
-    if int(parts[0].degree):
-        pieces.append((Fraction(0), parts[0]))
-    for i, b in enumerate(chain.breaks):
-        piece = parts[i + 1] - parts[i]
-        if int(piece.degree):
-            pieces.append((b, piece))
-    return pieces
+    parts = [invariant_character(chi, H) for H in chain.subgroups] + [chi]
+    return [(s, piece) for s, piece in _graded(chain, parts)
+            if int(piece.degree)]
 
 
 def graded_pieces_disjoint(chain: BreakChain, chi: ClassFunction,
@@ -409,11 +391,7 @@ def prime_power_dim_check(chain: BreakChain, chi: ClassFunction, p: int) -> bool
         raise FilteredError("the wild subgroup must be a p-group")
     if inner_product_int(chi, chi) != 1:
         raise FilteredError("character must be irreducible")
-    end_char = chi * chi.dual()
-    hypothesis = inner_product_int(
-        restrict(end_char, wild), trivial_character(wild.as_group)
-    ) == 1
-    if not hypothesis:
+    if invariant_dimension(chi * chi.dual(), wild) != 1:
         return True
     deg = int(chi.degree)
     while deg % p == 0:

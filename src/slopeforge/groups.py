@@ -344,10 +344,6 @@ class Subgroup:
     def __contains__(self, i: int) -> bool:
         return i in self._set
 
-    @property
-    def index_in_parent(self) -> int:
-        return self.parent.order // self.order
-
     def is_normal(self) -> bool:
         G = self.parent
         gens = G.generators or range(G.order)
@@ -370,6 +366,13 @@ class Subgroup:
             generators=list(self.generators) or None,
             name=f"{G.name}-sub{self.order}",
         )
+
+    @cached_property
+    def class_fusion(self) -> tuple[int, ...]:
+        """The parent class of each conjugacy class of as_group."""
+        class_of = self.parent.class_of
+        Hg = self.as_group
+        return tuple(class_of[Hg.elements[rep]] for rep in Hg.class_representatives)
 
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent.name})"

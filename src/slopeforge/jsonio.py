@@ -85,7 +85,9 @@ def polygon_json(np: NewtonPolygon) -> dict:
 # -- cyclotomics and class functions ------------------------------------------------
 
 
-def parse_cyclotomic(obj, path: str) -> Cyclotomic:
+def parse_cyclotomic(obj, path: str, max_conductor: int) -> Cyclotomic:
+    """A rational string or {conductor, coefficients}; a conductor above
+    max_conductor is refused before Phi_n, quadratic in n, is computed."""
     if isinstance(obj, (str, int)):
         return Cyclotomic.rational(parse_rational(obj, path))
     _expect(isinstance(obj, dict), path, "expected a rational string or an object")
@@ -94,6 +96,8 @@ def parse_cyclotomic(obj, path: str) -> Cyclotomic:
     n = obj["conductor"]
     _expect(is_int(n) and n >= 1, f"{path}.conductor",
             "expected a positive integer")
+    _expect(n <= max_conductor, f"{path}.conductor",
+            f"expected a conductor of at most {max_conductor}")
     coeffs = obj["coefficients"]
     _expect(isinstance(coeffs, list), f"{path}.coefficients", "expected a list")
     vals = [parse_rational(c, f"{path}.coefficients[{i}]")
@@ -111,13 +115,16 @@ def cyclotomic_json(v: Cyclotomic):
 
 
 def parse_class_function(obj, G: FiniteGroup, path: str) -> ClassFunction:
+    """Values on the classes of G.  Every character value of G lies in
+    Q(zeta_n) with n dividing lcm(2, exponent of G), so a conductor above
+    2|G| is refused."""
     _expect(isinstance(obj, dict), path, "expected an object")
     vals = obj.get("values")
     _expect(isinstance(vals, list), f"{path}.values", "expected a list")
     r = len(G.conjugacy_classes)
     _expect(len(vals) == r, f"{path}.values",
             f"expected {r} values (one per conjugacy class)")
-    parsed = tuple(parse_cyclotomic(v, f"{path}.values[{i}]")
+    parsed = tuple(parse_cyclotomic(v, f"{path}.values[{i}]", 2 * G.order)
                    for i, v in enumerate(vals))
     return ClassFunction(G, parsed)
 

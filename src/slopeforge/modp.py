@@ -123,15 +123,7 @@ def poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]
 
 
 def poly_rem(a: list[int], mod: list[int], p: int) -> list[int]:
-    a = [x % p for x in a]
-    d = len(mod) - 1
-    lead_inv = inv_mod(mod[-1], p)
-    for i in range(len(a) - 1, d - 1, -1):
-        c = (a[i] * lead_inv) % p
-        if c:
-            for j in range(d + 1):
-                a[i - d + j] = (a[i - d + j] - c * mod[j]) % p
-    return _poly_trim(a[:d] or [0])
+    return poly_divmod(a, mod, p)[1]
 
 
 def poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
@@ -204,9 +196,7 @@ def poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int
     a = [x % p for x in a]
     b = _poly_trim([x % p for x in b])
     d = len(b) - 1
-    if len(a) - 1 < d:
-        return [0], a
-    q = [0] * (len(a) - d)
+    q = [0] * max(len(a) - d, 1)
     lead_inv = inv_mod(b[-1], p)
     for i in range(len(a) - 1, d - 1, -1):
         c = (a[i] * lead_inv) % p

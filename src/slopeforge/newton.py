@@ -55,13 +55,6 @@ class SlopeMultiset:
             raise ValueError("scaling factor must be a positive integer")
         return SlopeMultiset(tuple((s * n, m) for s, m in self.entries))
 
-    def multiplicity(self, slope) -> int:
-        slope = Fraction(slope)
-        for s, m in self.entries:
-            if s == slope:
-                return m
-        return 0
-
 
 @dataclass(frozen=True)
 class NewtonPolygon:

@@ -5,8 +5,11 @@ group.  Complete character tables are computed with the Dixon-Schneider
 modular method: the class-sum matrices are simultaneously diagonalized over a
 prime field F_ell with ell = 1 mod exponent(G), degrees and values are read
 off mod ell, and the values are lifted to exact cyclotomic numbers through
-the discrete Fourier coefficients of the power map.  Matrix representations
-over cyclotomics exist as oracles for induction and tensor induction.
+the discrete Fourier coefficients of the power map.  Restriction and
+induction go through the class fusion of a subgroup into its parent
+(`Subgroup.class_fusion`), never through the elements of the parent.  Matrix
+representations over cyclotomics exist as oracles for induction and tensor
+induction.
 
 Conjugation of character values is realized by evaluating at inverse
 elements, so no complex-conjugation operation on scalars is needed.
@@ -124,17 +127,14 @@ def inner_product(chi: ClassFunction, psi: ClassFunction) -> Cyclotomic:
 
 
 def inner_product_int(chi: ClassFunction, psi: ClassFunction) -> int:
-    val = inner_product(chi, psi)
-    return val.integer_value()
+    return inner_product(chi, psi).integer_value()
 
 
 def restrict(chi: ClassFunction, H: Subgroup) -> ClassFunction:
     """Transport values along the class fusion of H into its parent."""
     if H.parent is not chi.group:
         raise RepTheoryError("subgroup does not live in the character's group")
-    Hg = H.as_group
-    vals = tuple(chi.value_at(Hg.elements[rep]) for rep in Hg.class_representatives)
-    return ClassFunction(Hg, vals)
+    return ClassFunction(H.as_group, tuple(chi.values[k] for k in H.class_fusion))
 
 
 def conjugate_character(chi: ClassFunction, H: Subgroup, gamma: int) -> ClassFunction:
@@ -154,21 +154,19 @@ def conjugate_character(chi: ClassFunction, H: Subgroup, gamma: int) -> ClassFun
 
 
 def induce(chi: ClassFunction, H: Subgroup) -> ClassFunction:
-    """Frobenius induced character (1/|H|) sum over x with x^-1 g x in H."""
+    """Frobenius induced character through the class fusion of H into G: the
+    value on the class C_k is |G| / (|H| |C_k|) times the sum of |c| chi(c)
+    over the classes c of H inside C_k."""
     G = H.parent
     Hg = H.as_group
     if chi.group is not Hg:
         raise RepTheoryError("character must live on the subgroup")
-    vals = []
-    for cls in G.conjugacy_classes:
-        g = cls[0]
-        total = Cyclotomic.rational(0)
-        for x in range(G.order):
-            y = G.mul(G.inv(x), G.mul(g, x))
-            if y in H:
-                total = total + chi.value_at(Hg.index[y])
-        vals.append(total * Fraction(1, H.order))
-    return ClassFunction(G, tuple(vals))
+    sums = [Cyclotomic.rational(0)] * len(G.conjugacy_classes)
+    for c, k in enumerate(H.class_fusion):
+        sums[k] = sums[k] + len(Hg.conjugacy_classes[c]) * chi.values[c]
+    return ClassFunction(G, tuple(
+        total * Fraction(G.order, H.order * len(cls))
+        for total, cls in zip(sums, G.conjugacy_classes)))
 
 
 def _coset_action(H: Subgroup, transversal) -> CosetAction:
@@ -255,16 +253,7 @@ class CharacterTable:
 
     def decompose(self, chi: ClassFunction) -> tuple[int, ...]:
         """Multiplicities of chi over the irreducibles (must be integers)."""
-        mults = []
-        for irr in self.irreducibles:
-            mults.append(inner_product(chi, irr).integer_value())
-        return tuple(mults)
-
-    def is_character(self, chi: ClassFunction) -> bool:
-        try:
-            return all(m >= 0 for m in self.decompose(chi))
-        except ValueError:
-            return False
+        return tuple(inner_product_int(chi, irr) for irr in self.irreducibles)
 
 
 def _class_matrices(G: FiniteGroup) -> list[np.ndarray]:

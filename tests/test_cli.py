@@ -1,7 +1,12 @@
+import contextlib
+import copy
+import io
 import json
+import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from slopeforge import cli, verify
 from slopeforge.cli import main
@@ -259,6 +264,7 @@ class TestVerifyCommand:
 
 S3_GENS = [[2, 1, 3], [2, 3, 1]]
 C3_BASE = {"permutation_generators": [[2, 3, 1]]}
+C12_GEN = list(range(2, 13)) + [1]
 
 
 class TestInputBoundary:
@@ -308,11 +314,53 @@ class TestInputBoundary:
                       "generators": [[0, [1, 0]]]}, "$.generators"),
         ("classify", {"wreath": {"base": C3_BASE, "ell": 7},
                       "generators": [[1, [0] * 7], [0, [1] + [0] * 6]]}, "$.generators"),
+        # class functions that are not characters: a value 1/3 on C12, a
+        # value zeta_3 on C2, a degree zeta_3 on C2
+        ("swan", {"group": {"permutation_generators": [C12_GEN]}, "breaks": ["1"],
+                  "subgroups": [list(range(12))],
+                  "character": {"values": ["1", "1/3"] + ["1"] * 10}}, "$.character"),
+        ("swan", {"group": {"permutation_generators": [[2, 1]]}, "breaks": ["1"],
+                  "subgroups": [[0, 1]],
+                  "character": {"values": ["1", {"conductor": 3,
+                                                 "coefficients": ["0", "1"]}]}},
+         "$.character"),
+        ("swan", {"group": {"permutation_generators": [[2, 1]]}, "breaks": ["1"],
+                  "subgroups": [[0, 1]],
+                  "character": {"values": [{"conductor": 3,
+                                            "coefficients": ["0", "1"]}, "1"]}},
+         "$.character"),
     ])
     def test_exit_2_names_path(self, capsys, tmp_path, command, payload, path):
         code, out, err = run_cli([command], capsys, payload, tmp_path=tmp_path)
         assert code == 2 and out is None
         assert f"input error: {path}:" in err
+        assert len(err.encode()) < 200
+        assert "ClassFunction(" not in err and "Cyclotomic(" not in err
+
+    @pytest.mark.parametrize("conductor", [27720, 720720])
+    def test_conductor_is_bounded_by_twice_the_order(self, capsys, tmp_path, conductor):
+        # Phi_n costs time quadratic in n; on C2 no conductor above 4 is read
+        payload = {"group": {"permutation_generators": [[2, 1]]}, "breaks": ["1"],
+                   "subgroups": [[0, 1]],
+                   "character": {"values": ["1", {"conductor": conductor,
+                                                  "coefficients": ["0", "1"]}]}}
+        start = time.perf_counter()
+        code, out, err = run_cli(["swan"], capsys, payload, tmp_path=tmp_path)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out is None
+        assert err.startswith("input error: $.character.values[1].conductor:")
+        assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize("ell, code", [(101, 2), (100, 0)])
+    def test_wreath_over_the_trivial_group(self, capsys, tmp_path, ell, code):
+        # the order is ell, but ell rotations of ell points are built
+        payload = {"base": {"permutation_generators": [[1]]}, "ell": ell}
+        got, out, err = run_cli(["wreath"], capsys, payload, tmp_path=tmp_path)
+        assert got == code
+        if code == 2:
+            assert err.startswith("input error: $.ell:")
+        else:
+            assert out["order"] == ell
 
     def test_huge_ell_is_refused_before_the_rotations(self, capsys, tmp_path):
         # 1 + 10^9 rotations of 10^9 points each are never built, nor 2^(10^9)
@@ -420,3 +468,99 @@ class TestDeterminism:
         code2, out2, _ = run_cli(["np"], capsys, payload, tmp_path=tmp_path)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+# -- fuzzing the JSON boundary --------------------------------------------------
+
+OMEGA = {"values": ["1", {"conductor": 3, "coefficients": ["0", "1"]},
+                    {"conductor": 3, "coefficients": ["-1", "-1"]}]}
+S3_A3 = {"group": {"permutation_generators": S3_GENS}, "subgroup": [0, 3, 4]}
+VALID_REQUESTS = [
+    ("np", {"slopes": [["1/2", 2]]}),
+    ("swan", {"group": {"permutation_generators": [[2, 1]]}, "breaks": ["1"],
+              "subgroups": [[0, 1]], "character": {"values": ["1", "-1"]}}),
+    ("herbrand", {"group": {"permutation_generators": [[2, 3, 4, 1]]},
+                  "lower": [[0, 1, 2, 3]] * 3 + [[0, 2]] * 3}),
+    ("induce", {**S3_A3, "character": OMEGA}),
+    ("tind", {**S3_A3, "character": OMEGA}),
+    ("mackey", {**S3_A3, "left": OMEGA, "right": OMEGA}),
+    ("wreath", {"base": C3_BASE, "ell": 2}),
+    ("classify", {"wreath": {"base": C3_BASE, "ell": 2},
+                  "generators": [[1, [0, 0]], [0, [1, 1]]]}),
+    ("table", {"group": {"permutation_generators": S3_GENS}}),
+    ("robba", {"p": 3, "coefficients": ["1/2", "1"]}),
+]
+BOUNDED = {"swan", "herbrand", "induce", "tind", "mackey", "wreath", "classify",
+           "table"}
+KEYS = sorted({"format", "slopes", "group", "permutation_generators",
+               "cayley_table", "breaks", "subgroups", "character", "values",
+               "conductor", "coefficients", "lower", "subgroup", "left", "right",
+               "base", "ell", "wreath", "generators", "p"})
+
+json_scalars = st.one_of(st.none(), st.booleans(),
+                         st.integers(-10**12, 10**12), st.text())
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+def _locations(obj, path=()):
+    yield path
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _locations(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _locations(value, path + (i,))
+
+
+@st.composite
+def mutated_requests(draw):
+    """A valid request with one JSON value replaced, deleted or inserted."""
+    command, payload = draw(st.sampled_from(VALID_REQUESTS))
+    payload = copy.deepcopy(payload)
+    path = draw(st.sampled_from(list(_locations(payload))))
+    target = payload
+    for step in path[:-1]:
+        target = target[step]
+    here = target[path[-1]] if path else payload
+    ops = ["replace"] + (["delete"] if path else [])
+    ops += ["insert"] if isinstance(here, (dict, list)) else []
+    op = draw(st.sampled_from(ops))
+    if op == "replace":
+        value = draw(json_values)
+        if not path:
+            return command, value
+        target[path[-1]] = value
+    elif op == "delete":
+        del target[path[-1]]
+    elif isinstance(here, dict):
+        key = draw(st.one_of(st.sampled_from(KEYS), st.text(max_size=4)))
+        here[key] = draw(json_values)
+    else:
+        here.insert(draw(st.integers(0, len(here))), draw(json_values))
+    return command, payload
+
+
+@settings(max_examples=150, deadline=2000,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_requests())
+# a long string whose repr escapes every character
+@example(("np", {"slopes": [["\U000c7cd6" * 40, 1]]}))
+def test_fuzzed_requests_keep_the_exit_code_contract(request):
+    command, payload = request
+    argv = [command] + (["--max-order", "64"] if command in BOUNDED else [])
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(payload))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 1, 2)
+    text = err.getvalue()
+    assert text.count("\n") <= 1 and len(text.encode()) <= 300, text
+    assert (code == 2) == bool(text)

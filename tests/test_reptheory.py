@@ -1,9 +1,11 @@
 import gc
 import weakref
+from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
 
+from slopeforge.corpus import mackey_pair_corpus
 from slopeforge.exactnum import Cyclotomic
 from slopeforge.groups import (CosetAction, alternating_group, cyclic_group,
                                dihedral_group, generated_subgroup,
@@ -238,6 +240,40 @@ class TestInduction:
             for psi in tG.irreducibles:
                 assert inner_product(induce(chi, A3), psi) == inner_product(
                     chi, restrict(psi, A3))
+
+    @staticmethod
+    def element_wise_induce(chi, H):
+        """The defining formula: (1/|H|) sum over x in G with x^-1 g x in H
+        of chi(x^-1 g x), at one g per class of G."""
+        G, Hg = H.parent, H.as_group
+        vals = []
+        for cls in G.conjugacy_classes:
+            g = cls[0]
+            total = Cyclotomic.rational(0)
+            for x in range(G.order):
+                y = G.mul(G.inv(x), G.mul(g, x))
+                if y in H:
+                    total = total + chi.value_at(Hg.index[y])
+            vals.append(total * Fraction(1, H.order))
+        return vals
+
+    def test_class_fusion_matches_the_element_wise_formula(self):
+        pairs = [H for _, H in mackey_pair_corpus()]
+        for n in range(3, 13):
+            D = dihedral_group(n)
+            rot = D.index[tuple(list(range(1, n)) + [0])]
+            pairs.append(generated_subgroup(D, [rot]))
+        cases = 0
+        for H in pairs:
+            irr = character_table(H.as_group).irreducibles
+            for i, chi in enumerate(irr):
+                for psi in (chi, chi * irr[(i + 1) % len(irr)]):
+                    expected = self.element_wise_induce(psi, H)
+                    got = induce(psi, H).values
+                    assert [(v.conductor, v.coeffs) for v in got] == [
+                        (v.conductor, v.coeffs) for v in expected]
+                    cases += 1
+        assert cases == 252
 
 
 class TestTensorInduction:
