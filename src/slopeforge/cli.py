@@ -38,6 +38,15 @@ EXIT_INPUT_ERROR = 2
 SVG_MAX_LATTICE_DOTS = 10_000
 
 
+def _int_or_float(literal: str):
+    """A JSON integer literal; past `int`'s digit limit it is read as a float,
+    which every integer and rational check refuses where its path is known."""
+    try:
+        return int(literal)
+    except ValueError:
+        return float(literal)
+
+
 def _read_payload(args) -> dict:
     source = args.input or "-"
     try:
@@ -49,7 +58,7 @@ def _read_payload(args) -> dict:
     except OSError as exc:
         raise InputError("$", f"cannot read input: {exc}") from None
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, parse_int=_int_or_float)
     except json.JSONDecodeError as exc:
         raise InputError(f"$:{exc.lineno}:{exc.colno}", exc.msg) from None
     if not isinstance(payload, dict):
@@ -241,6 +250,10 @@ def cmd_classify(payload, args) -> dict:
     ell = wreath_obj.get("ell")
     if not jsonio.is_int(ell) or ell < 2:
         raise InputError("$.wreath.ell", "expected an integer >= 2")
+    # the rule of `wreath`: ell rotations of ell points and closures of
+    # 2 * ell entries are not built, nor ell tested for primality, past it
+    if ell * ell > args.max_order:
+        raise InputError("$.wreath.ell", f"ell * ell exceeds bound {args.max_order}")
     if not is_prime(ell):
         raise InputError("$.wreath.ell", f"top degree ell = {ell} must be prime")
     if not is_simple(base):

@@ -7,6 +7,7 @@ are exact.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -369,9 +370,16 @@ def rational_to_str(q: Fraction | int) -> str:
 
 
 def rational_from_str(s: str) -> Fraction:
+    """An optional sign, digits and an optional "/digits", nothing else.
+
+    Exponents, `_` separators and decimals are refused: `Fraction` would
+    spend time superlinear in the exponent of "1e10000000".
+    """
     s = s.strip()
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        shown = s if len(s) <= 12 else s[:12] + "..."
-        raise ValueError(f"not a rational: {shown!r}") from exc
+    if re.fullmatch(r"[-+]?\d+(/\d+)?", s):
+        try:
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError):
+            pass
+    shown = s if len(s) <= 12 else s[:12] + "..."
+    raise ValueError(f"not a rational: {shown!r}")

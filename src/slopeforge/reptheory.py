@@ -2,10 +2,13 @@
 
 Class functions are value vectors indexed by the conjugacy classes of their
 group.  Complete character tables are computed with the Dixon-Schneider
-modular method: the class-sum matrices are simultaneously diagonalized over a
-prime field F_ell with ell = 1 mod exponent(G), degrees and values are read
+modular method: the class-sum matrices, stored as sparse rows, are
+simultaneously diagonalized over a prime field F_ell with ell = 1 mod
+exponent(G) (in `modp`, on lists of Python ints), degrees and values are read
 off mod ell, and the values are lifted to exact cyclotomic numbers through
-the discrete Fourier coefficients of the power map.  Restriction and
+the discrete Fourier coefficients of the power map, once per Galois orbit of
+classes: the class of g^a with a prime to ord(g) gets the coefficients at g
+permuted, since chi(g^a) = sigma_a(chi(g)).  Restriction and
 induction go through the class fusion of a subgroup into its parent
 (`Subgroup.class_fusion`), never through the elements of the parent.  Matrix
 representations over cyclotomics exist as oracles for induction and tensor
@@ -21,8 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, isqrt
-
-import numpy as np
+from operator import mul
 
 from .exactnum import Cyclotomic, is_prime
 from .groups import (CosetAction, FiniteGroup, GroupError, Subgroup,
@@ -256,16 +258,17 @@ class CharacterTable:
         return tuple(inner_product_int(chi, irr) for irr in self.irreducibles)
 
 
-def _class_matrices(G: FiniteGroup) -> list[np.ndarray]:
+def _class_matrices(G: FiniteGroup) -> list[list[dict[int, int]]]:
+    """The class-sum matrices M_i, M_i[j][k] = #{x in C_i : x^-1 z_k in C_j},
+    each stored as sparse rows: row j maps k to its non-zero entry."""
     r = len(G.conjugacy_classes)
     class_of = G.class_of
     reps = G.class_representatives
-    mats = [np.zeros((r, r), dtype=np.int64) for _ in range(r)]
+    mats = [[{} for _ in range(r)] for _ in range(r)]
     for k, z in enumerate(reps):
         for x in range(G.order):
-            i = class_of[x]
-            j = class_of[G.mul(G.inv(x), z)]
-            mats[i][j, k] += 1
+            row = mats[class_of[x]][class_of[G.mul(G.inv(x), z)]]
+            row[k] = row.get(k, 0) + 1
     return mats
 
 
@@ -306,34 +309,36 @@ def _prime_factors(n: int) -> set[int]:
     return out
 
 
-def _split_eigenvectors(mats: list[np.ndarray], ell: int) -> list[np.ndarray]:
+def _split_eigenvectors(mats: list[list[dict[int, int]]], ell: int) -> list[list[int]]:
     """Common eigenvectors (one per character) of the commuting class matrices."""
-    r = mats[0].shape[0]
-    spaces = [(np.eye(r, dtype=np.int64), list(range(r)))]
+    r = len(mats[0])
+    identity = [[int(i == j) for j in range(r)] for i in range(r)]
+    spaces = [(identity, list(range(r)))]
     for idx in range(1, r):
-        if all(basis.shape[0] == 1 for basis, _ in spaces):
+        if all(len(basis) == 1 for basis, _ in spaces):
             break
         M = mats[idx]
         new_spaces = []
         for basis, pivots in spaces:
-            d = basis.shape[0]
+            d = len(basis)
             if d == 1:
                 new_spaces.append((basis, pivots))
                 continue
-            action = np.zeros((d, d), dtype=np.int64)
-            for b in range(d):
-                img = (M @ basis[b]) % ell
-                action[b] = modp.coords_in_rref_basis(img, basis, pivots, ell)
+            action = []
+            for vec in basis:
+                img = [sum([c * vec[k] for k, c in row.items()]) % ell for row in M]
+                action.append(modp.coords_in_rref_basis(img, basis, pivots, ell))
             # in row coordinates c the action is c -> c @ action
             cp = modp.charpoly(action, ell)
             for root in modp.distinct_roots(cp, ell, seed=idx):
-                shifted = (action - root * np.eye(d, dtype=np.int64)) % ell
-                ker = modp.kernel_basis(shifted.T, ell)
-                sub = (ker @ basis) % ell
-                sub_r, sub_p = modp.rref(sub, ell)
-                new_spaces.append((sub_r, sub_p))
+                # the left kernel of action - root: the kernel of its transpose
+                shifted = [[(action[b][a] - root * (a == b)) % ell for b in range(d)]
+                           for a in range(d)]
+                ker = modp.kernel_basis(shifted, ell)
+                sub = [modp.combine(k, basis, ell) for k in ker]
+                new_spaces.append(modp.rref(sub, ell))
         spaces = new_spaces
-    if any(basis.shape[0] != 1 for basis, _ in spaces):
+    if any(len(basis) != 1 for basis, _ in spaces):
         raise AssertionError("class matrices failed to split to common eigenvectors")
     return [basis[0] for basis, _ in spaces]
 
@@ -371,17 +376,18 @@ def _dixon_schneider(G: FiniteGroup) -> CharacterTable:
     chars_mod = []
     degrees = []
     for v in vectors:
-        v = (v * modp.inv_mod(int(v[0]), ell)) % ell
+        inv0 = modp.inv_mod(v[0], ell)
+        v = [(x * inv0) % ell for x in v]
         s = 0
         for k in range(r):
-            s = (s + int(v[k]) * int(v[inv_class[k]]) * size_inv[k]) % ell
+            s = (s + v[k] * v[inv_class[k]] * size_inv[k]) % ell
         d_sq = (order_mod * modp.inv_mod(s, ell)) % ell
         d = next((x for x in range(1, isqrt(G.order) + 1)
                   if (x * x) % ell == d_sq), None)
         if d is None:
             raise AssertionError("degree lift failed")
         degrees.append(d)
-        chars_mod.append([(d * int(v[k]) * size_inv[k]) % ell for k in range(r)])
+        chars_mod.append([(d * v[k] * size_inv[k]) % ell for k in range(r)])
     if sum(d * d for d in degrees) != G.order:
         raise AssertionError("sum of squared degrees must equal the group order")
 
@@ -398,30 +404,30 @@ def _dixon_schneider(G: FiniteGroup) -> CharacterTable:
             x = G.mul(x, g)
         power_classes.append(row)
 
-    # lift all characters at once per class: the vector of root-of-unity
-    # multiplicities is the inverse DFT of the power-map values mod ell
-    chars_np = np.array(chars_mod, dtype=np.int64)  # rows chi, cols classes
+    # lift all characters at once per Galois orbit of classes: the vector of
+    # root-of-unity multiplicities at g is the inverse DFT of the power-map
+    # values mod ell, and since chi(g^a) = sigma_a(chi(g)) for a prime to
+    # m = ord(g), the class of g^a gets it permuted by u -> u * a^-1 mod m
     value_coeffs: list[list[list[int]]] = [[None] * r for _ in chars_mod]
     for k in range(r):
+        if value_coeffs[0][k] is not None:
+            continue
         m = orders[k]
         wm_inv = modp.inv_mod(pow(omega, e // m, ell), ell)
         m_inv = modp.inv_mod(m, ell)
-        powers = np.empty(m, dtype=np.int64)
-        acc = 1
-        for t in range(m):
-            powers[t] = acc
-            acc = (acc * wm_inv) % ell
-        dft = np.empty((m, m), dtype=np.int64)
-        for u in range(m):
-            dft[u] = powers[(u * np.arange(m)) % m]
-        pow_vals = chars_np[:, power_classes[k]]  # (nchars, m)
-        cs = (dft @ pow_vals.T) % ell
-        cs = (cs * m_inv) % ell  # (m, nchars)
+        powers = [pow(wm_inv, t, ell) for t in range(m)]
+        dft = [[powers[(u * t) % m] for t in range(m)] for u in range(m)]
+        conjugates = [(power_classes[k][a], pow(a, -1, m))
+                      for a in range(2, m) if gcd(a, m) == 1]
         for i, d in enumerate(degrees):
-            col = cs[:, i]
-            if (col > d).any():
+            pow_vals = [chars_mod[i][c] for c in power_classes[k]]
+            col = [(m_inv * sum(map(mul, row, pow_vals))) % ell for row in dft]
+            if any(c > d for c in col):
                 raise AssertionError("eigenvalue multiplicity lift out of range")
-            value_coeffs[i][k] = [int(c) for c in col]
+            value_coeffs[i][k] = col
+            for ka, a_inv in conjugates:
+                if value_coeffs[i][ka] is None:
+                    value_coeffs[i][ka] = [col[(w * a_inv) % m] for w in range(m)]
 
     irreducibles = []
     for i, d in enumerate(degrees):

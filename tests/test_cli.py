@@ -2,8 +2,12 @@ import contextlib
 import copy
 import io
 import json
+import os
+import re
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -329,6 +333,11 @@ class TestInputBoundary:
                   "character": {"values": [{"conductor": 3,
                                             "coefficients": ["0", "1"]}, "1"]}},
          "$.character"),
+        # exponents, "_" and decimals are not rationals of the wire format
+        ("np", {"slopes": [["1e4000", 1]]}, "$.slopes[0][0]"),
+        ("np", {"slopes": [["1e10000000", 1]]}, "$.slopes[0][0]"),
+        ("np", {"slopes": [["1_0", 1]]}, "$.slopes[0][0]"),
+        ("np", {"slopes": [["0.5", 1]]}, "$.slopes[0][0]"),
     ])
     def test_exit_2_names_path(self, capsys, tmp_path, command, payload, path):
         code, out, err = run_cli([command], capsys, payload, tmp_path=tmp_path)
@@ -370,6 +379,33 @@ class TestInputBoundary:
         assert time.perf_counter() - start < 2
         assert code == 2 and out is None
         assert err.startswith("input error: $.ell:") and len(err.encode()) < 200
+
+    def test_huge_ell_is_refused_before_the_closure(self, capsys, tmp_path):
+        # C2 wr C2003 is past the bound; its closure, of up to 10000
+        # elements of 4006 entries, is never built, nor ell tested for primality
+        for ell in (2003, 10**30 + 57):
+            gens = [[1, [0] * 2003], [0, [1] + [0] * 2002]]
+            payload = {"wreath": {"base": {"permutation_generators": [[2, 1]]},
+                                  "ell": ell}, "generators": gens}
+            start = time.perf_counter()
+            code, out, err = run_cli(["classify"], capsys, payload, tmp_path=tmp_path)
+            assert time.perf_counter() - start < 2
+            assert code == 2 and out is None
+            assert err.startswith("input error: $.wreath.ell:") and len(err.encode()) < 200
+
+    @pytest.mark.parametrize("literal, path", [
+        ('{"slopes": [["1/2", %s]]}', "$.slopes[0][1]"),
+        ('{"slopes": [[%s, 1]]}', "$.slopes[0][0]"),
+        ('{"format": %s, "slopes": [["1/2", 1]]}', "$.format"),
+    ])
+    def test_integer_past_the_digit_limit_names_path(self, capsys, tmp_path, literal,
+                                                     path):
+        # json.loads raises a plain ValueError past 4300 digits, without a path
+        (tmp_path / "input.json").write_text(literal % ("7" * 5000))
+        code = main(["np", "--input", str(tmp_path / "input.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"input error: {path}:") and len(err.encode()) < 200
 
     @pytest.mark.parametrize("command, payload, path", [
         ("induce", {"group": {"permutation_generators": [[2, 1, 3, 4], [2, 3, 4, 1]]},
@@ -461,6 +497,15 @@ class TestDriver:
         assert result.line().startswith("FAIL weyl-dimension: broken at seed 5 (")
 
 
+def test_importing_the_cli_loads_no_numpy():
+    # F_ell linear algebra runs on Python ints: no runtime dependency is left
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = "import sys, slopeforge.cli; sys.exit('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], timeout=60,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0
+
+
 class TestDeterminism:
     def test_round_trip_and_repeatability(self, capsys, tmp_path):
         payload = {"slopes": [["1/3", 3], ["2", 1]]}
@@ -497,8 +542,36 @@ KEYS = sorted({"format", "slopes", "group", "permutation_generators",
                "conductor", "coefficients", "lower", "subgroup", "left", "right",
                "base", "ell", "wreath", "generators", "p"})
 
+
+class LongInteger:
+    """A JSON integer literal of `digits` digits, past json.loads's limit."""
+
+    def __init__(self, digits):
+        self.digits = digits
+
+
+LONG_MARK = "\x00long-integer:"
+
+
+def dump_request(payload) -> str:
+    """json.dumps, with each LongInteger written as a run of digits: an int
+    past 4300 digits cannot be converted to text by json.dumps itself."""
+    text = json.dumps(payload, default=lambda o: f"{LONG_MARK}{o.digits}")
+    mark = json.dumps(LONG_MARK)[:-1]
+    return re.sub(re.escape(mark) + r'(\d+)"', lambda m: "7" * int(m[1]), text)
+
+
+# rationals as the wire format must refuse them: exponents, "_" separators,
+# decimals, and digit runs on both sides of the int-conversion limit
+rational_strings = st.one_of(
+    st.from_regex(r"[-+]?[0-9]{1,3}([eE][-+]?[0-9]{1,8})?(_[0-9]{1,3})?"
+                  r"(\.[0-9]{0,3})?(/[0-9]{1,3})?", fullmatch=True),
+    st.builds(lambda n, tail: "9" * n + tail, st.integers(1, 4400),
+              st.sampled_from(["", "/7", "e5", ".5"])))
 json_scalars = st.one_of(st.none(), st.booleans(),
-                         st.integers(-10**12, 10**12), st.text())
+                         st.integers(-10**12, 10**12), st.text(),
+                         rational_strings,
+                         st.integers(4301, 6000).map(LongInteger))
 json_values = st.recursive(
     json_scalars,
     lambda inner: st.one_of(st.lists(inner, max_size=3),
@@ -549,12 +622,13 @@ def mutated_requests(draw):
 @given(mutated_requests())
 # a long string whose repr escapes every character
 @example(("np", {"slopes": [["\U000c7cd6" * 40, 1]]}))
+@example(("np", {"slopes": [["1e10000000", LongInteger(5000)]]}))
 def test_fuzzed_requests_keep_the_exit_code_contract(request):
     command, payload = request
     argv = [command] + (["--max-order", "64"] if command in BOUNDED else [])
     out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
-    sys.stdin = io.StringIO(json.dumps(payload))
+    sys.stdin = io.StringIO(dump_request(payload))
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)

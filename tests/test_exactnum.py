@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -115,6 +116,17 @@ class TestSerialization:
         assert rational_from_str("-7") == F(-7)
         with pytest.raises(ValueError):
             rational_from_str("2.5x")
+        assert rational_from_str(" +3/4\n") == F(3, 4)
+
+    @pytest.mark.parametrize("text", ["1e4000", "1e10000000", "1E5", "1_0",
+                                      "0.5", ".5", "1/2e3", "1/0", "- 1", "--1",
+                                      "", "1/", "/2", "7" * 5000])
+    def test_only_sign_digits_and_slash(self, text):
+        # Fraction reads exponents, "_" and decimals; "1e10000000" took 13 s
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^not a rational: "):
+            rational_from_str(text)
+        assert time.perf_counter() - start < 1
 
     def test_is_prime(self):
         assert [n for n in range(2, 30) if is_prime(n)] == [

@@ -1,15 +1,18 @@
+import functools
 import gc
 import weakref
 from fractions import Fraction
 from itertools import product as iter_product
+from math import gcd
 
 import pytest
 
-from slopeforge.corpus import mackey_pair_corpus
+from slopeforge.corpus import (abelian_groups_up_to_64, group_zoo_up_to_100,
+                               mackey_pair_corpus)
 from slopeforge.exactnum import Cyclotomic
 from slopeforge.groups import (CosetAction, alternating_group, cyclic_group,
                                dihedral_group, generated_subgroup,
-                               heisenberg_group,
+                               group_from_permutations, heisenberg_group,
                                left_cosets, normal_subgroups, quaternion_group,
                                symmetric_group, wreath_cyclic)
 from slopeforge.reptheory import (RepTheoryError, character_table,
@@ -25,6 +28,19 @@ from slopeforge.reptheory import (RepTheoryError, character_table,
 def a3_of_s3():
     S3 = symmetric_group(3)
     return S3, next(N for N in normal_subgroups(S3) if N.order == 3)
+
+
+def frobenius_21():
+    """C7 : C3, whose degree-3 characters need conductor-7 cyclotomics."""
+    x = tuple((i + 1) % 7 for i in range(7))
+    y = tuple((2 * i) % 7 for i in range(7))
+    return group_from_permutations([x, y], name="F21")
+
+
+@functools.cache
+def zeta_coeffs(n, k):
+    """The integer coefficients of zeta_n^k over the power basis of Q(zeta_n)."""
+    return tuple(int(c) for c in Cyclotomic.zeta(n, k)._lift_coeffs(n))
 
 
 def nontrivial_linear(table):
@@ -90,7 +106,8 @@ class TestCharacterTables:
         assert sorted(character_table(maker()).degrees) == degs
 
     def test_orthonormality_exact(self):
-        for G in (symmetric_group(3), quaternion_group(), alternating_group(4)):
+        for G in (symmetric_group(3), quaternion_group(), alternating_group(4),
+                  cyclic_group(16), frobenius_21()):
             table = character_table(G)
             for i, a in enumerate(table.irreducibles):
                 for j, b in enumerate(table.irreducibles):
@@ -99,7 +116,8 @@ class TestCharacterTables:
 
     def test_column_orthogonality_exact(self):
         # sum over irreducibles of chi(g) chi(h^-1) is |centralizer| or zero
-        for G in (symmetric_group(3), quaternion_group(), alternating_group(4)):
+        for G in (symmetric_group(3), quaternion_group(), alternating_group(4),
+                  cyclic_group(16), frobenius_21()):
             table = character_table(G)
             inv = G.inverse_class
             r = len(G.conjugacy_classes)
@@ -115,13 +133,7 @@ class TestCharacterTables:
                     assert total == Cyclotomic.rational(expected)
 
     def test_frobenius_21_irrational_values(self):
-        # C7 : C3, whose degree-3 characters need conductor-7 cyclotomics
-        from slopeforge.groups import group_from_permutations
-
-        x = tuple((i + 1) % 7 for i in range(7))
-        y = tuple((2 * i) % 7 for i in range(7))
-        F21 = group_from_permutations([x, y], name="F21")
-        table = character_table(F21)
+        table = character_table(frobenius_21())
         assert sorted(table.degrees) == [1, 1, 1, 3, 3]
         conds = {max(v.conductor for v in chi.values) for chi in table.irreducibles}
         assert 7 in conds
@@ -130,8 +142,6 @@ class TestCharacterTables:
                 assert inner_product(a, b) == Cyclotomic.rational(1 if i == j else 0)
 
     def test_special_linear_two_three(self):
-        from slopeforge.groups import group_from_permutations
-
         vecs = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
         idx = {v: i for i, v in enumerate(vecs)}
 
@@ -146,6 +156,33 @@ class TestCharacterTables:
         assert SL23.order == 24
         table = character_table(SL23)
         assert sorted(table.degrees) == [1, 1, 1, 2, 2, 2, 3]
+
+    def test_galois_conjugate_classes(self):
+        # chi(g^a) = sigma_a(chi(g)) for a prime to m = ord(g): the stored
+        # value of chi at g, sum_u c_u zeta_n^u, with zeta_n^u sent to
+        # zeta_n^(a u), is the stored value at the class of g^a
+        cyclic = [G for G in abelian_groups_up_to_64()
+                  if G.name.startswith("C") and G.order <= 48]
+        for G in group_zoo_up_to_100() + tuple(cyclic):
+            table = character_table(G)
+            for k, g in enumerate(G.class_representatives):
+                m = G.element_order(g)
+                for a in range(2, m):
+                    if gcd(a, m) != 1:
+                        continue
+                    ka = G.class_of[G.power(g, a)]
+                    for chi in table.irreducibles:
+                        v = chi.values[k]
+                        if v.is_rational:
+                            assert chi.values[ka] == v, (G.name, k, a)
+                            continue
+                        n = v.conductor
+                        image = [0] * len(v.coeffs)
+                        for u, c in enumerate(v.coeffs):
+                            if c:
+                                image = [x + int(c) * y for x, y in
+                                         zip(image, zeta_coeffs(n, a * u % n))]
+                        assert chi.values[ka]._lift_coeffs(n) == image, (G.name, k, a)
 
     def test_trivial_group(self):
         table = character_table(cyclic_group(1))
