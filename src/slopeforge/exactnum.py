@@ -136,8 +136,10 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def _reduce_mod_cyclotomic(coeffs: list[Fraction], n: int) -> list[Fraction]:
-    """Remainder mod the (monic) n-th cyclotomic polynomial, length phi(n)."""
+def reduce_mod_cyclotomic(coeffs: list, n: int) -> list:
+    """Remainder mod the n-th cyclotomic polynomial: at most phi(n) leading
+    coefficients, the caller pads.  Phi_n is monic over Z, so int vectors
+    stay int vectors and one routine serves Fraction and int coefficients."""
     d = euler_phi(n)
     work = list(coeffs)
     if len(work) > d:
@@ -145,11 +147,23 @@ def _reduce_mod_cyclotomic(coeffs: list[Fraction], n: int) -> list[Fraction]:
         for i in range(len(work) - 1, d - 1, -1):
             c = work[i]
             if c:
-                work[i] = Fraction(0)
                 for j in range(d):
                     if phi[j]:
                         work[i - d + j] -= c * phi[j]
-    return work[:d] + [Fraction(0)] * max(0, d - len(work))
+    return work[:d]
+
+
+def lift_coeffs(coeffs: list, m: int, n: int) -> list:
+    """Coefficients over Q(zeta_m) rewritten over Q(zeta_n), n a multiple of
+    m, with zeta_m = zeta_n^(n/m): length phi(n), of the coefficients' type."""
+    if n % m:
+        raise ValueError("can only lift to a multiple of the conductor")
+    step, zero = n // m, coeffs[0] * 0
+    raw = [zero] * ((len(coeffs) - 1) * step + 1)
+    for j, c in enumerate(coeffs):
+        raw[j * step] = c
+    out = reduce_mod_cyclotomic(raw, n)
+    return out + [zero] * (euler_phi(n) - len(out))
 
 
 class Cyclotomic:
@@ -166,7 +180,7 @@ class Cyclotomic:
     def __init__(self, conductor: int, coeffs, _reduced: bool = False):
         coeffs = [Fraction(c) for c in coeffs]
         if not _reduced:
-            coeffs = _reduce_mod_cyclotomic(coeffs, conductor)
+            coeffs = reduce_mod_cyclotomic(coeffs, conductor)
         d = euler_phi(conductor)
         if len(coeffs) != d:
             coeffs = coeffs[:d] + [Fraction(0)] * (d - len(coeffs))
@@ -220,17 +234,9 @@ class Cyclotomic:
 
     def _lift_coeffs(self, n: int) -> list[Fraction]:
         """Coefficient vector in Q(zeta_n), length phi(n); n a conductor multiple."""
-        if n % self.conductor:
-            raise ValueError("can only lift to a multiple of the conductor")
         if n == self.conductor:
             return list(self.coeffs)
-        step = n // self.conductor
-        raw = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
-        for j, c in enumerate(self.coeffs):
-            raw[j * step] = c
-        out = _reduce_mod_cyclotomic(raw, n)
-        d = euler_phi(n)
-        return out + [Fraction(0)] * (d - len(out))
+        return lift_coeffs(self.coeffs, self.conductor, n)
 
     # -- arithmetic --
 
@@ -289,7 +295,7 @@ class Cyclotomic:
             q, rem = _poly_divmod_frac(r0, r1)
             r0, r1 = r1, rem
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-            s1 = _reduce_mod_cyclotomic(s1, n)
+            s1 = reduce_mod_cyclotomic(s1, n)
 
     def __truediv__(self, other):
         return self * Cyclotomic.coerce(other).inverse()
@@ -369,6 +375,12 @@ def rational_to_str(q: Fraction | int) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def shown(x) -> str:
+    """str(x) cut to 12 characters and "...", for bounded error messages."""
+    s = str(x)
+    return s if len(s) <= 12 else s[:12] + "..."
+
+
 def rational_from_str(s: str) -> Fraction:
     """An optional sign, digits and an optional "/digits", nothing else.
 
@@ -381,5 +393,4 @@ def rational_from_str(s: str) -> Fraction:
             return Fraction(s)
         except (ValueError, ZeroDivisionError):
             pass
-    shown = s if len(s) <= 12 else s[:12] + "..."
-    raise ValueError(f"not a rational: {shown!r}")
+    raise ValueError(f"not a rational: {shown(s)!r}")

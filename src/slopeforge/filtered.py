@@ -8,6 +8,12 @@ holds by the interval semantics.  H_1 is the wild subgroup.
 
 Graded slope pieces of a character are cut out by invariant dimensions:
 dim gr^0 = dim V^(H_1) and dim gr^(lambda_i) = dim V^(H_(i+1)) - dim V^(H_i).
+Invariant dimensions and invariant characters are sums over H of the integer
+view of the character (`ClassFunction.int_view`), on Python ints: the power
+basis of Q(zeta_n) is an integral basis, so the sums are exact, and a result
+is accepted only when it is rational (every non-constant coefficient is 0).
+A class function without a view (its values need a conductor above 2|G|,
+which no character does) is summed value by value over the same elements.
 The Swan conductor is the height of the resulting Newton polygon.  Lower
 chains (integer-indexed ramification data) convert to break chains through
 the Herbrand transition function phi(u) = integral of dt / [G_0 : G_t].
@@ -18,6 +24,7 @@ check, never an enforced invariant, so counterexample chains are allowed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -212,17 +219,38 @@ def lower_from_upper(chain: BreakChain) -> LowerChain:
 # -- slope decomposition and Swan conductors -----------------------------------
 
 
+def _summed_rows(rows, classes) -> list[int]:
+    """The sum of rows[k] over the class indices k, with repetition."""
+    total = [0] * len(rows[0])
+    for k, m in Counter(classes).items():
+        for i, x in enumerate(rows[k]):
+            if x:
+                total[i] += m * x
+    return total
+
+
+def _cyclotomic_sum(chi: ClassFunction, elements) -> Cyclotomic:
+    """The sum of chi over the elements, value by value: the route of a
+    class function without an integer view."""
+    return sum((chi.value_at(x) for x in elements), Cyclotomic.rational(0))
+
+
 def invariant_dimension(chi: ClassFunction, H: Subgroup) -> int:
-    """dim of the H-fixed subspace: the average of chi over H."""
+    """dim of the H-fixed subspace: the average of chi over H, summed on the
+    integer view of chi."""
     G = chi.group
     if H.parent is not G:
         raise FilteredError("subgroup must live in the character's group")
-    total = Cyclotomic.rational(0)
-    for h in H.elements:
-        total = total + chi.value_at(h)
-    value = total * Fraction(1, H.order)
-    dim = value.coeffs[0]
-    if not value.is_rational or dim.denominator != 1 or dim < 0:
+    if chi.int_view is None:
+        total, *rest = _cyclotomic_sum(chi, H.elements).coeffs
+        scale = H.order
+    else:
+        _, D, rows = chi.int_view
+        class_of = G.class_of
+        total, *rest = _summed_rows(rows, (class_of[h] for h in H.elements))
+        scale = D * H.order
+    dim, r = divmod(total, scale)
+    if r or dim < 0 or any(rest):
         raise FilteredError(
             f"not a character: invariant dimension under a subgroup of order "
             f"{H.order} is not a non-negative integer")
@@ -284,16 +312,25 @@ def hasse_arf_check(chain: BreakChain, chi: ClassFunction) -> bool:
 
 
 def invariant_character(chi: ClassFunction, H: Subgroup) -> ClassFunction:
-    """Character of the H-fixed subspace, a genuine character for normal H:
-    g -> (1/|H|) sum over h of chi(gh)."""
+    """Character of the H-fixed subspace of a normal subgroup H:
+    g -> (1/|H|) sum over h of chi(gh), summed on the integer view of chi."""
     G = chi.group
+    if H.parent is not G:
+        raise FilteredError("subgroup must live in the character's group")
+    if not H.is_normal():
+        raise FilteredError("subgroup must be normal in the character's group")
+    mul = G.mul
     vals = []
-    for cls in G.conjugacy_classes:
-        g = cls[0]
-        total = Cyclotomic.rational(0)
-        for h in H.elements:
-            total = total + chi.value_at(G.mul(g, h))
-        vals.append(total * Fraction(1, H.order))
+    if chi.int_view is None:
+        for g in G.class_representatives:
+            total = _cyclotomic_sum(chi, (mul(g, h) for h in H.elements))
+            vals.append(total * Fraction(1, H.order))
+        return ClassFunction(G, tuple(vals))
+    n, D, rows = chi.int_view
+    class_of, scale = G.class_of, D * H.order
+    for g in G.class_representatives:
+        total = _summed_rows(rows, (class_of[mul(g, h)] for h in H.elements))
+        vals.append(Cyclotomic(n, [Fraction(x, scale) for x in total], _reduced=True))
     return ClassFunction(G, tuple(vals))
 
 

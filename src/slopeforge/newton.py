@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from .exactnum import shown
+
 
 @dataclass(frozen=True)
 class SlopeMultiset:
@@ -23,9 +25,9 @@ class SlopeMultiset:
         prev = None
         for slope, mult in self.entries:
             if not isinstance(slope, Fraction) or slope < 0:
-                raise ValueError(f"slope {slope!r} must be a Fraction >= 0")
+                raise ValueError(f"slope {shown(slope)} must be a Fraction >= 0")
             if not isinstance(mult, int) or mult < 1:
-                raise ValueError(f"multiplicity {mult!r} must be a positive integer")
+                raise ValueError(f"multiplicity {shown(mult)} must be a positive integer")
             if prev is not None and slope <= prev:
                 raise ValueError("slopes must be strictly increasing")
             prev = slope

@@ -16,17 +16,25 @@ induction.
 
 Conjugation of character values is realized by evaluating at inverse
 elements, so no complex-conjugation operation on scalars is needed.
+
+Each class function has a cached integer view: one conductor n, one common
+denominator D and, per class, the integer coefficients of D times its value
+over the power basis 1, zeta_n, ..., zeta_n^(phi(n)-1).  That basis is an
+integral basis of Z[zeta_n], so sums and products of views stay exact on
+Python ints.  A decomposition over a character table multiplies views,
+reduces once mod Phi_e and accepts a multiplicity only if the result is a
+rational integer, as an inner product of characters is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import gcd, isqrt
+from functools import cached_property, reduce
+from math import gcd, isqrt, lcm
 from operator import mul
 
-from .exactnum import Cyclotomic, is_prime
+from .exactnum import Cyclotomic, is_prime, lift_coeffs, reduce_mod_cyclotomic
 from .groups import (CosetAction, FiniteGroup, GroupError, Subgroup,
                      extend_from_generators, left_cosets)
 from . import modp
@@ -58,6 +66,24 @@ class ClassFunction:
 
     def value_at(self, element: int) -> Cyclotomic:
         return self.values[self.group.class_of[element]]
+
+    @cached_property
+    def int_view(self) -> tuple[int, int, tuple[tuple[int, ...], ...]] | None:
+        """(n, D, rows): rows[k] holds the integer coefficients of D chi(C_k)
+        over the power basis of Q(zeta_n), n the lcm of exponent(G) and the
+        values' conductors, D > 0 the common denominator of the values.
+
+        None when n exceeds 2|G|, the bound parsing puts on one conductor:
+        Phi_n costs time quadratic in n, coprime conductors on a few classes
+        multiply, and a character of G needs no n beyond lcm(2, exponent(G))."""
+        n = reduce(lcm, (v.conductor for v in self.values), self.group.exponent)
+        if n > 2 * self.group.order:
+            return None
+        D = reduce(lcm, (c.denominator for v in self.values for c in v.coeffs), 1)
+        rows = tuple(tuple(lift_coeffs([c.numerator * (D // c.denominator)
+                                        for c in v.coeffs], v.conductor, n))
+                     for v in self.values)
+        return n, D, rows
 
     def dual(self) -> ClassFunction:
         """g -> value at g^-1."""
@@ -253,8 +279,48 @@ class CharacterTable:
     def degrees(self) -> tuple[int, ...]:
         return tuple(int(chi.degree) for chi in self.irreducibles)
 
+    @cached_property
+    def _sized_duals(self) -> list[tuple[int, list[list[int]]]]:
+        """For each irreducible psi, (D, rows): rows[k] = |C_k| D psi(C_k^-1)
+        as integers over the power basis of Q(zeta_e), e = exponent(G)."""
+        sizes = [len(cls) for cls in self.group.conjugacy_classes]
+        inv = self.group.inverse_class
+        out = []
+        for psi in self.irreducibles:
+            _, D, rows = psi.int_view
+            out.append((D, [[size * x for x in rows[inv[k]]]
+                            for k, size in enumerate(sizes)]))
+        return out
+
     def decompose(self, chi: ClassFunction) -> tuple[int, ...]:
-        """Multiplicities of chi over the irreducibles (must be integers)."""
+        """Multiplicities of chi over the irreducibles (must be integers).
+
+        Each <chi, psi> is sum_k chi(C_k) |C_k| psi(C_k^-1) / |G| on integer
+        coefficient vectors, reduced once mod Phi_e; exact, since the power
+        basis is an integral basis and the result must be rational.  A chi
+        outside Q(zeta_e), or a result that is not an integer, goes through
+        inner_product_int, which raises its own message."""
+        G = self.group
+        e = G.exponent
+        # every conductor divides e exactly when the view of chi is at e
+        if chi.group is G and not any(e % v.conductor for v in chi.values):
+            _, D, rows = chi.int_view
+            width = 2 * len(rows[0]) - 1
+            mults = []
+            for D_psi, sized in self._sized_duals:
+                acc = [0] * width
+                for a, b in zip(rows, sized):
+                    for i, x in enumerate(a):
+                        if x:
+                            for j, y in enumerate(b, i):
+                                acc[j] += x * y
+                total, *rest = reduce_mod_cyclotomic(acc, e)
+                q, r = divmod(total, D * D_psi * G.order)
+                if r or any(rest):
+                    break
+                mults.append(q)
+            else:
+                return tuple(mults)
         return tuple(inner_product_int(chi, irr) for irr in self.irreducibles)
 
 

@@ -333,11 +333,20 @@ class TestInputBoundary:
                   "character": {"values": [{"conductor": 3,
                                             "coefficients": ["0", "1"]}, "1"]}},
          "$.character"),
+        # values at coprime conductors 7, 9, 11, 13, 15 on C8 need Q(zeta_n)
+        # with n = 360360, but the chain only reaches classes 0 and 4
+        ("swan", {"group": {"permutation_generators": [list(range(2, 9)) + [1]]},
+                  "breaks": ["1"], "subgroups": [[0, 4]],
+                  "character": {"values": ["1", "1"] + [
+                      {"conductor": n, "coefficients": ["0", "1"]}
+                      for n in (7, 9, 11, 13, 15)] + ["1"]}}, "$.character"),
         # exponents, "_" and decimals are not rationals of the wire format
         ("np", {"slopes": [["1e4000", 1]]}, "$.slopes[0][0]"),
         ("np", {"slopes": [["1e10000000", 1]]}, "$.slopes[0][0]"),
         ("np", {"slopes": [["1_0", 1]]}, "$.slopes[0][0]"),
         ("np", {"slopes": [["0.5", 1]]}, "$.slopes[0][0]"),
+        # a negative slope refused below the parser, shown in bounded form
+        ("np", {"slopes": [["-" + "9" * 4000, 1]]}, "$.slopes"),
     ])
     def test_exit_2_names_path(self, capsys, tmp_path, command, payload, path):
         code, out, err = run_cli([command], capsys, payload, tmp_path=tmp_path)
@@ -567,7 +576,9 @@ rational_strings = st.one_of(
     st.from_regex(r"[-+]?[0-9]{1,3}([eE][-+]?[0-9]{1,8})?(_[0-9]{1,3})?"
                   r"(\.[0-9]{0,3})?(/[0-9]{1,3})?", fullmatch=True),
     st.builds(lambda n, tail: "9" * n + tail, st.integers(1, 4400),
-              st.sampled_from(["", "/7", "e5", ".5"])))
+              st.sampled_from(["", "/7", "e5", ".5"])),
+    st.builds(lambda sign, n, tail: sign + "9" * n + tail, st.sampled_from("-+"),
+              st.integers(1, 4400), st.sampled_from(["", "/7", "e5", ".5"])))
 json_scalars = st.one_of(st.none(), st.booleans(),
                          st.integers(-10**12, 10**12), st.text(),
                          rational_strings,

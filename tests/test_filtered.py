@@ -5,7 +5,8 @@ import pytest
 from slopeforge.filtered import (BreakChain, FilteredError, LowerChain,
                                  graded_characters, graded_pieces_disjoint,
                                  hasse_arf_check, herbrand_phi,
-                                 invariant_dimension, lower_from_upper,
+                                 invariant_character, invariant_dimension,
+                                 lower_from_upper,
                                  prime_power_dim_check, slope_decomposition,
                                  slope_zero_existence_check, swan_conductor,
                                  swan_lower_oracle, tensor_bound_check,
@@ -241,6 +242,22 @@ class TestGradedPieces:
         pieces = graded_characters(chain, mix)
         assert [(s, int(p.degree)) for s, p in pieces] == [(F(1, 2), 1), (F(1), 1)]
         assert graded_pieces_disjoint(chain, mix, table)
+
+
+class TestInvariantCharacterRefusals:
+    def test_subgroup_of_another_group(self):
+        S3, C6 = symmetric_group(3), cyclic_group(6)
+        chi = next(c for c in character_table(S3).irreducibles if int(c.degree) == 2)
+        c3 = generated_subgroup(C6, [C6.power(1, 2)])
+        with pytest.raises(FilteredError, match="subgroup must live"):
+            invariant_character(chi, c3)
+
+    def test_non_normal_subgroup(self):
+        S3 = symmetric_group(3)
+        chi = next(c for c in character_table(S3).irreducibles if int(c.degree) == 2)
+        transp = next(i for i in range(6) if S3.element_order(i) == 2)
+        with pytest.raises(FilteredError, match="must be normal"):
+            invariant_character(chi, generated_subgroup(S3, [transp]))
 
 
 class TestTensorBound:

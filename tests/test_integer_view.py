@@ -1,0 +1,166 @@
+"""The integer view of a class function against element-wise cyclotomic sums.
+
+`invariant_dimension`, `invariant_character` and `CharacterTable.decompose`
+sum integer coefficient vectors; the oracles below are the element-wise
+`Cyclotomic` sums they replaced, kept verbatim, refusal messages included.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from slopeforge.corpus import abelian_groups_up_to_64, group_zoo_up_to_100
+from slopeforge.exactnum import Cyclotomic, euler_phi
+from slopeforge.filtered import (FilteredError, invariant_character,
+                                 invariant_dimension)
+from slopeforge.groups import (cyclic_group, generated_subgroup,
+                               normal_subgroups)
+from slopeforge.reptheory import (ClassFunction, character_table,
+                                  inner_product_int)
+
+
+def oracle_invariant_dimension(chi, H):
+    total = Cyclotomic.rational(0)
+    for h in H.elements:
+        total = total + chi.value_at(h)
+    value = total * Fraction(1, H.order)
+    dim = value.coeffs[0]
+    if not value.is_rational or dim.denominator != 1 or dim < 0:
+        raise FilteredError(
+            f"not a character: invariant dimension under a subgroup of order "
+            f"{H.order} is not a non-negative integer")
+    return int(dim)
+
+
+def oracle_invariant_character(chi, H):
+    G = chi.group
+    vals = []
+    for cls in G.conjugacy_classes:
+        g = cls[0]
+        total = Cyclotomic.rational(0)
+        for h in H.elements:
+            total = total + chi.value_at(G.mul(g, h))
+        vals.append(total * Fraction(1, H.order))
+    return ClassFunction(G, tuple(vals))
+
+
+def oracle_decompose(table, chi):
+    return tuple(inner_product_int(chi, irr) for irr in table.irreducibles)
+
+
+def outcome(fn, *args):
+    """The value, or the type and message of the ValueError raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def subgroup_sample(G, rng):
+    """The trivial and the full subgroup and two seeded other normal ones.
+
+    In an elementary abelian 2-group of rank above 4 (E2^6 has 2825
+    subgroups) the other two are generated by 1 to 3 seeded random elements,
+    which is cheaper than the lattice."""
+    sample = [G.trivial_subgroup(), G.full_subgroup()]
+    if G.exponent == 2 and G.order > 16:
+        for _ in range(2):
+            gens = [rng.randrange(G.order) for _ in range(rng.randrange(1, 4))]
+            sample.append(generated_subgroup(G, gens))
+        return sample
+    others = [N for N in normal_subgroups(G) if 1 < N.order < G.order]
+    return sample + rng.sample(others, min(2, len(others)))
+
+
+def small_view(table):
+    """Whether the integer view has at most 24 entries, r * phi(exponent)."""
+    return len(table.irreducibles) * euler_phi(table.group.exponent) <= 24
+
+
+def class_function_sample(table, rng):
+    """Every irreducible and one seeded product of irreducibles for a small
+    view; elsewhere one seeded product, since the element-wise oracle takes
+    up to 1.4 s a decomposition (C64)."""
+    irr = table.irreducibles
+    pick = lambda: irr[rng.randrange(len(irr))]
+    if small_view(table):
+        return list(irr) + [pick() * pick()]
+    return [pick() * pick()]
+
+
+CORPUS = abelian_groups_up_to_64() + group_zoo_up_to_100()
+
+
+@pytest.mark.parametrize("G", CORPUS, ids=lambda G: f"{G.name}-{G.order}")
+def test_integer_view_matches_the_cyclotomic_oracles(G):
+    rng = random.Random(G.order * 1009 + len(G.conjugacy_classes))
+    table = character_table(G)
+    subgroups = subgroup_sample(G, rng)
+    for chi in class_function_sample(table, rng):
+        assert table.decompose(chi) == oracle_decompose(table, chi)
+        half = chi * Fraction(1, 2)
+        # the inner products of zeta_e chi are zeta_e m, not rational for
+        # e > 2, while the constant coefficient may be an integer
+        twisted = chi * Cyclotomic.zeta(G.exponent)
+        if small_view(table):
+            # a refused decomposition runs inner_product_int, the oracle
+            # itself, so large views add time and no coverage
+            for refused in (half, twisted):
+                assert outcome(table.decompose, refused) == outcome(
+                    oracle_decompose, table, refused)
+        for N in subgroups:
+            assert invariant_dimension(chi, N) == oracle_invariant_dimension(chi, N)
+            for refused in (half, twisted):
+                assert outcome(invariant_dimension, refused, N) == outcome(
+                    oracle_invariant_dimension, refused, N)
+            assert invariant_character(chi, N) == oracle_invariant_character(chi, N)
+
+
+def test_refusals_of_a_zeta_3_valued_function_on_c2():
+    C2 = cyclic_group(2)
+    table = character_table(C2)
+    chi = ClassFunction(C2, (Cyclotomic.rational(1), Cyclotomic.zeta(3)))
+    for H in normal_subgroups(C2):
+        assert outcome(invariant_dimension, chi, H) == outcome(
+            oracle_invariant_dimension, chi, H)
+    assert outcome(invariant_dimension, chi, C2.full_subgroup()) == (
+        "FilteredError", "not a character: invariant dimension under a "
+        "subgroup of order 2 is not a non-negative integer")
+    got = outcome(table.decompose, chi)
+    assert got == outcome(oracle_decompose, table, chi)
+    assert got == ("ValueError", "a value of conductor 3 is not rational")
+
+
+def test_conductor_outside_the_exponent_goes_through_the_inner_product():
+    # zeta_8^2 = i is stored at conductor 8, which does not divide exponent 4
+    C4 = cyclic_group(4)
+    table = character_table(C4)
+    g = next(x for x in range(4) if C4.element_order(x) == 4)
+    values = [None] * 4
+    for t in range(4):
+        values[C4.class_of[C4.power(g, t)]] = Cyclotomic.zeta(8, 2 * t)
+    chi = ClassFunction(C4, tuple(values))
+    assert chi.values[C4.class_of[g]].conductor == 8
+    assert chi.int_view[0] == 8
+    mults = table.decompose(chi)
+    assert mults == oracle_decompose(table, chi)
+    assert sorted(mults) == [0, 0, 0, 1]
+    for H in normal_subgroups(C4):
+        assert invariant_dimension(chi, H) == oracle_invariant_dimension(chi, H)
+        assert invariant_character(chi, H) == oracle_invariant_character(chi, H)
+
+
+def test_coprime_conductors_go_value_by_value():
+    # n = lcm(8, 7, 9, 11, 13, 15) = 360360: Phi_n alone would take hours
+    C8 = cyclic_group(8)
+    values = [Cyclotomic.rational(1)] * 8
+    for k, n in zip((2, 3, 4, 5, 6), (7, 9, 11, 13, 15)):
+        values[k] = Cyclotomic.zeta(n)
+    chi = ClassFunction(C8, tuple(values))
+    assert chi.int_view is None
+    involution = next(x for x in range(8) if C8.element_order(x) == 2)
+    for H in (C8.trivial_subgroup(), generated_subgroup(C8, [involution])):
+        assert outcome(invariant_dimension, chi, H) == outcome(
+            oracle_invariant_dimension, chi, H)
+        assert invariant_character(chi, H) == oracle_invariant_character(chi, H)
