@@ -333,13 +333,6 @@ class TestInputBoundary:
                   "character": {"values": [{"conductor": 3,
                                             "coefficients": ["0", "1"]}, "1"]}},
          "$.character"),
-        # values at coprime conductors 7, 9, 11, 13, 15 on C8 need Q(zeta_n)
-        # with n = 360360, but the chain only reaches classes 0 and 4
-        ("swan", {"group": {"permutation_generators": [list(range(2, 9)) + [1]]},
-                  "breaks": ["1"], "subgroups": [[0, 4]],
-                  "character": {"values": ["1", "1"] + [
-                      {"conductor": n, "coefficients": ["0", "1"]}
-                      for n in (7, 9, 11, 13, 15)] + ["1"]}}, "$.character"),
         # exponents, "_" and decimals are not rationals of the wire format
         ("np", {"slopes": [["1e4000", 1]]}, "$.slopes[0][0]"),
         ("np", {"slopes": [["1e10000000", 1]]}, "$.slopes[0][0]"),
@@ -347,6 +340,13 @@ class TestInputBoundary:
         ("np", {"slopes": [["0.5", 1]]}, "$.slopes[0][0]"),
         # a negative slope refused below the parser, shown in bounded form
         ("np", {"slopes": [["-" + "9" * 4000, 1]]}, "$.slopes"),
+        # values at coprime conductors 7, 9, 11, 13, 15 on C8 need Q(zeta_n)
+        # with n = 360360, but the chain only reaches classes 0 and 4
+        ("swan", {"group": {"permutation_generators": [list(range(2, 9)) + [1]]},
+                  "breaks": ["1"], "subgroups": [[0, 4]],
+                  "character": {"values": ["1", "1"] + [
+                      {"conductor": n, "coefficients": ["0", "1"]}
+                      for n in (7, 9, 11, 13, 15)] + ["1"]}}, "$.character"),
     ])
     def test_exit_2_names_path(self, capsys, tmp_path, command, payload, path):
         code, out, err = run_cli([command], capsys, payload, tmp_path=tmp_path)
