@@ -4,13 +4,16 @@
 --input PATH or stdin ("-"), calls ``cmd_<name>(payload, args)`` for the
 report and writes the report to --output PATH or stdout.  Exit codes: 0
 success, 1 a report with "pass": false (a verification failure), 2 an input
-error.  Subcommands only compute.
+error.  Subcommands only compute.  `main` may be called many times in one
+process: the argument parser is built once, and ``cmd_<name>`` is looked up
+in this module at each call.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -293,7 +296,12 @@ def cmd_classify(payload, args) -> dict:
 
 def cmd_table(payload, args) -> dict:
     G = jsonio.parse_group(payload.get("group"), max_order=args.max_order)
-    table = character_table(G, max_order=args.max_order)
+    return table_report(G, args.max_order, args.gcd)
+
+
+def table_report(G, max_order: int = DEFAULT_TABLE_BOUND, gcd: bool = False) -> dict:
+    """The report of `table` on the group G."""
+    table = character_table(G, max_order=max_order)
     out = {
         "order": G.order,
         "class_representatives": list(G.class_representatives),
@@ -302,7 +310,7 @@ def cmd_table(payload, args) -> dict:
         "irreducibles": [jsonio.class_function_json(chi)
                          for chi in table.irreducibles],
     }
-    if args.gcd:
+    if gcd:
         out["nontrivial_dims_gcd"] = irreducible_dims_gcd(G)
     return out
 
@@ -379,7 +387,10 @@ def cmd_verify(payload, args) -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process; it holds no
+    command function, so `main` dispatches on the module's current cmd_*."""
     parser = argparse.ArgumentParser(
         prog="slopeforge",
         description="Exact computations with slope data on finite groups, "
@@ -387,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def io_command(name, help, func, max_order=DEFAULT_MAX_ORDER):
+    def io_command(name, help, max_order=DEFAULT_MAX_ORDER):
         """A JSON-in, JSON-out subcommand; max_order=None: no group is parsed."""
         p = sub.add_parser(name, help=help)
         p.add_argument("--input", default="-", help="input JSON path or - for stdin")
@@ -395,22 +406,21 @@ def build_parser() -> argparse.ArgumentParser:
         if max_order is not None:
             p.add_argument("--max-order", type=int, default=max_order,
                            help=f"group enumeration bound (default {max_order})")
-        p.set_defaults(func=func)
         return p
 
-    io_command("np", "slope multiset -> Newton polygon", cmd_np, max_order=None
+    io_command("np", "slope multiset -> Newton polygon", max_order=None
                ).add_argument("--svg", default=None, help="also render an SVG here")
-    io_command("swan", "break chain + character -> Swan data", cmd_swan)
-    io_command("herbrand", "lower chain -> transition + upper chain", cmd_herbrand)
-    io_command("induce", "induced character", cmd_induce)
-    io_command("tind", "tensor-induced character", cmd_tind)
-    io_command("mackey", "product-of-inductions identity check", cmd_mackey)
-    io_command("wreath", "cyclic wreath product summary", cmd_wreath)
-    io_command("classify", "classify a subgroup of a cyclic wreath", cmd_classify)
-    io_command("table", "character table", cmd_table, max_order=DEFAULT_TABLE_BOUND
+    io_command("swan", "break chain + character -> Swan data")
+    io_command("herbrand", "lower chain -> transition + upper chain")
+    io_command("induce", "induced character")
+    io_command("tind", "tensor-induced character")
+    io_command("mackey", "product-of-inductions identity check")
+    io_command("wreath", "cyclic wreath product summary")
+    io_command("classify", "classify a subgroup of a cyclic wreath")
+    io_command("table", "character table", max_order=DEFAULT_TABLE_BOUND
                ).add_argument("--gcd", action="store_true",
                               help="append the gcd of non-trivial degrees")
-    io_command("robba", "rank-one operator analysis", cmd_robba, max_order=None)
+    io_command("robba", "rank-one operator analysis", max_order=None)
 
     wd = sub.add_parser("weyl-dim", help="Weyl dimension of a highest weight")
     wd.add_argument("--family", required=True, choices=list("ABCDEFG"))
@@ -418,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     wd.add_argument("--weight", required=True,
                     help="'2rho' style multiples of rho, or coordinates 'a,b,c'")
     wd.add_argument("--output", default="-")
-    wd.set_defaults(func=cmd_weyl_dim)
 
     vf = sub.add_parser("verify", help="run named acceptance suites")
     vf.add_argument("--suite", action="append", default=None,
@@ -427,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--seed", type=int, default=None,
                     help="reseed every corpus (default: built-in seeds)")
     vf.add_argument("--output", default="-")
-    vf.set_defaults(func=cmd_verify)
     return parser
 
 
@@ -435,7 +443,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload = _read_payload(args) if "input" in args else None
-        report = args.func(payload, args)
+        command = globals()["cmd_" + args.command.replace("-", "_")]
+        report = command(payload, args)
         _write_payload(args, report)
     except ValueError as exc:  # InputError, GroupError, RepTheoryError, ...
         print(f"input error: {exc}", file=sys.stderr)

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as iter_product
+from math import gcd, lcm
 
 from .exactnum import is_prime
 
@@ -203,13 +204,25 @@ class FiniteGroup:
         return n
 
     @cached_property
-    def exponent(self) -> int:
-        from math import lcm
+    def element_orders(self) -> tuple[int, ...]:
+        """The order of every element.  Each cyclic subgroup <g> not met
+        before is walked once, and g^k gets the order m / gcd(k, m), m = ord(g)."""
+        orders = [0] * self.order
+        orders[0] = 1
+        for g in range(1, self.order):
+            if orders[g]:
+                continue
+            powers = [g]
+            while powers[-1] != 0:
+                powers.append(self.mul(powers[-1], g))
+            m = len(powers)
+            for k, x in enumerate(powers, 1):
+                orders[x] = m // gcd(k, m)
+        return tuple(orders)
 
-        e = 1
-        for i in range(self.order):
-            e = lcm(e, self.element_order(i))
-        return e
+    @cached_property
+    def exponent(self) -> int:
+        return lcm(*set(self.element_orders))
 
     @cached_property
     def generators(self) -> list[int]:
@@ -344,7 +357,8 @@ class Subgroup:
     def __contains__(self, i: int) -> bool:
         return i in self._set
 
-    def is_normal(self) -> bool:
+    @cached_property
+    def _normal(self) -> bool:
         G = self.parent
         gens = G.generators or range(G.order)
         for g in gens:
@@ -353,6 +367,10 @@ class Subgroup:
                 if G.mul(ginv, G.mul(x, g)) not in self._set:
                     return False
         return True
+
+    def is_normal(self) -> bool:
+        """Normality in the parent, tested once per subgroup object."""
+        return self._normal
 
     @cached_property
     def as_group(self) -> FiniteGroup:
@@ -1007,7 +1025,7 @@ def automorphism_count(G: FiniteGroup, search_bound=2_000_000) -> int:
     gens = _greedy_generating_sequence(G)
     class_sizes = {i: len(G.conjugacy_classes[G.class_of[i]])
                    for i in range(G.order)}
-    orders = [G.element_order(i) for i in range(G.order)]
+    orders = G.element_orders
     candidate_lists = []
     space = 1
     for g in gens:

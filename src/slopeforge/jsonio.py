@@ -8,6 +8,7 @@ precisely; emitted documents carry a top-level "format": 1 field.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .exactnum import Cyclotomic, rational_from_str, rational_to_str
 from .filtered import BreakChain, LowerChain
@@ -117,15 +118,22 @@ def cyclotomic_json(v: Cyclotomic):
 def parse_class_function(obj, G: FiniteGroup, path: str) -> ClassFunction:
     """Values on the classes of G.  Every character value of G lies in
     Q(zeta_n) with n dividing lcm(2, exponent of G), so a conductor above
-    2|G| is refused."""
+    2|G| is refused, and so are values whose conductors have an lcm above
+    2|G|: sums over several classes would be computed in Q(zeta_lcm)."""
     _expect(isinstance(obj, dict), path, "expected an object")
     vals = obj.get("values")
     _expect(isinstance(vals, list), f"{path}.values", "expected a list")
     r = len(G.conjugacy_classes)
     _expect(len(vals) == r, f"{path}.values",
             f"expected {r} values (one per conjugacy class)")
-    parsed = tuple(parse_cyclotomic(v, f"{path}.values[{i}]", 2 * G.order)
+    bound = 2 * G.order
+    parsed = tuple(parse_cyclotomic(v, f"{path}.values[{i}]", bound)
                    for i, v in enumerate(vals))
+    n = 1
+    for v in parsed:
+        n = lcm(n, v.conductor)
+        _expect(n <= bound, path,
+                f"the values' conductors have an lcm above 2|G| = {bound}")
     return ClassFunction(G, parsed)
 
 

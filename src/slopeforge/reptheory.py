@@ -4,15 +4,18 @@ Class functions are value vectors indexed by the conjugacy classes of their
 group.  Complete character tables are computed with the Dixon-Schneider
 modular method: the class-sum matrices, stored as sparse rows, are
 simultaneously diagonalized over a prime field F_ell with ell = 1 mod
-exponent(G) (in `modp`, on lists of Python ints), degrees and values are read
-off mod ell, and the values are lifted to exact cyclotomic numbers through
-the discrete Fourier coefficients of the power map, once per Galois orbit of
+exponent(G) (in `modp`, on lists of Python ints).  Each class matrix is
+built on demand, in class order, and only until every common eigenspace is a
+line, so a table often reads a few of them.  Degrees and values are read off
+mod ell, and the values are lifted to exact cyclotomic numbers through the
+discrete Fourier coefficients of the power map, once per Galois orbit of
 classes: the class of g^a with a prime to ord(g) gets the coefficients at g
-permuted, since chi(g^a) = sigma_a(chi(g)).  Restriction and
-induction go through the class fusion of a subgroup into its parent
-(`Subgroup.class_fusion`), never through the elements of the parent.  Matrix
-representations over cyclotomics exist as oracles for induction and tensor
-induction.
+permuted, since chi(g^a) = sigma_a(chi(g)).  The lifted multiplicity vectors
+are reduced mod Phi_m over Z, and each value is made a `Cyclotomic` once.
+Restriction and induction go through the class fusion of a subgroup into its
+parent (`Subgroup.class_fusion`), never through the elements of the parent.
+Matrix representations over cyclotomics exist as oracles for induction and
+tensor induction.
 
 Conjugation of character values is realized by evaluating at inverse
 elements, so no complex-conjugation operation on scalars is needed.
@@ -324,18 +327,18 @@ class CharacterTable:
         return tuple(inner_product_int(chi, irr) for irr in self.irreducibles)
 
 
-def _class_matrices(G: FiniteGroup) -> list[list[dict[int, int]]]:
-    """The class-sum matrices M_i, M_i[j][k] = #{x in C_i : x^-1 z_k in C_j},
-    each stored as sparse rows: row j maps k to its non-zero entry."""
-    r = len(G.conjugacy_classes)
+def _class_matrix(G: FiniteGroup, i: int) -> list[dict[int, int]]:
+    """The class-sum matrix M_i, M_i[j][k] = #{x in C_i : x^-1 z_k in C_j},
+    stored as sparse rows: row j maps k to its non-zero entry.  It costs
+    r |C_i| products, and is built only when the split reads it."""
     class_of = G.class_of
-    reps = G.class_representatives
-    mats = [[{} for _ in range(r)] for _ in range(r)]
-    for k, z in enumerate(reps):
-        for x in range(G.order):
-            row = mats[class_of[x]][class_of[G.mul(G.inv(x), z)]]
+    rows = [{} for _ in G.conjugacy_classes]
+    xs = [G.inv(x) for x in G.conjugacy_classes[i]]
+    for k, z in enumerate(G.class_representatives):
+        for x_inv in xs:
+            row = rows[class_of[G.mul(x_inv, z)]]
             row[k] = row.get(k, 0) + 1
-    return mats
+    return rows
 
 
 def _find_modulus(G: FiniteGroup) -> int:
@@ -375,15 +378,16 @@ def _prime_factors(n: int) -> set[int]:
     return out
 
 
-def _split_eigenvectors(mats: list[list[dict[int, int]]], ell: int) -> list[list[int]]:
-    """Common eigenvectors (one per character) of the commuting class matrices."""
-    r = len(mats[0])
+def _split_eigenvectors(G: FiniteGroup, ell: int) -> list[list[int]]:
+    """Common eigenvectors (one per character) of the commuting class
+    matrices, taken in class order until every common eigenspace is a line."""
+    r = len(G.conjugacy_classes)
     identity = [[int(i == j) for j in range(r)] for i in range(r)]
     spaces = [(identity, list(range(r)))]
     for idx in range(1, r):
         if all(len(basis) == 1 for basis, _ in spaces):
             break
-        M = mats[idx]
+        M = _class_matrix(G, idx)
         new_spaces = []
         for basis, pivots in spaces:
             d = len(basis)
@@ -434,8 +438,7 @@ def _dixon_schneider(G: FiniteGroup) -> CharacterTable:
     e = G.exponent
     ell = _find_modulus(G)
     omega = _primitive_root_of_unity(ell, e)
-    mats = _class_matrices(G)
-    vectors = _split_eigenvectors(mats, ell)
+    vectors = _split_eigenvectors(G, ell)
 
     order_mod = G.order % ell
     size_inv = [modp.inv_mod(s, ell) for s in sizes]
@@ -457,36 +460,30 @@ def _dixon_schneider(G: FiniteGroup) -> CharacterTable:
     if sum(d * d for d in degrees) != G.order:
         raise AssertionError("sum of squared degrees must equal the group order")
 
-    # power maps: class of rep^t for each class
-    power_classes = []
-    orders = []
-    for k, g in enumerate(reps):
-        m = G.element_order(g)
-        orders.append(m)
-        row = [0] * m
-        x = 0
-        for t in range(m):
-            row[t] = G.class_of[x]
-            x = G.mul(x, g)
-        power_classes.append(row)
-
     # lift all characters at once per Galois orbit of classes: the vector of
     # root-of-unity multiplicities at g is the inverse DFT of the power-map
     # values mod ell, and since chi(g^a) = sigma_a(chi(g)) for a prime to
     # m = ord(g), the class of g^a gets it permuted by u -> u * a^-1 mod m
+    orders = [G.element_orders[g] for g in reps]
     value_coeffs: list[list[list[int]]] = [[None] * r for _ in chars_mod]
-    for k in range(r):
+    for k, g in enumerate(reps):
         if value_coeffs[0][k] is not None:
             continue
         m = orders[k]
+        # the power map: the class of g^t for t = 0 .. m-1
+        power_classes = [0] * m
+        x = 0
+        for t in range(m):
+            power_classes[t] = G.class_of[x]
+            x = G.mul(x, g)
         wm_inv = modp.inv_mod(pow(omega, e // m, ell), ell)
         m_inv = modp.inv_mod(m, ell)
         powers = [pow(wm_inv, t, ell) for t in range(m)]
         dft = [[powers[(u * t) % m] for t in range(m)] for u in range(m)]
-        conjugates = [(power_classes[k][a], pow(a, -1, m))
+        conjugates = [(power_classes[a], pow(a, -1, m))
                       for a in range(2, m) if gcd(a, m) == 1]
         for i, d in enumerate(degrees):
-            pow_vals = [chars_mod[i][c] for c in power_classes[k]]
+            pow_vals = [chars_mod[i][c] for c in power_classes]
             col = [(m_inv * sum(map(mul, row, pow_vals))) % ell for row in dft]
             if any(c > d for c in col):
                 raise AssertionError("eigenvalue multiplicity lift out of range")
@@ -495,11 +492,11 @@ def _dixon_schneider(G: FiniteGroup) -> CharacterTable:
                 if value_coeffs[i][ka] is None:
                     value_coeffs[i][ka] = [col[(w * a_inv) % m] for w in range(m)]
 
+    # reduced mod Phi_m over Z first, so the reduction makes no Fraction
     irreducibles = []
     for i, d in enumerate(degrees):
-        values = []
-        for k in range(r):
-            values.append(Cyclotomic(orders[k], value_coeffs[i][k]))
+        values = [Cyclotomic(m, reduce_mod_cyclotomic(col, m), _reduced=True)
+                  for m, col in zip(orders, value_coeffs[i])]
         if values[0] != Cyclotomic.rational(d):
             raise AssertionError("lifted degree mismatch")
         irreducibles.append(ClassFunction(G, tuple(values)))

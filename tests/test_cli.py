@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from slopeforge import cli, verify
+from slopeforge.corpus import abelian_groups_up_to_64, group_zoo_up_to_100
 from slopeforge.cli import main
 from slopeforge.groups import DEFAULT_MAX_ORDER
 from slopeforge.reptheory import DEFAULT_TABLE_BOUND
@@ -347,6 +350,14 @@ class TestInputBoundary:
                   "character": {"values": ["1", "1"] + [
                       {"conductor": n, "coefficients": ["0", "1"]}
                       for n in (7, 9, 11, 13, 15)] + ["1"]}}, "$.character"),
+        # the same values on the chain [C8], which reaches every class: the
+        # lcm 360360 of their conductors is above 2|G| = 16, so they are
+        # refused before any sum in Q(zeta_360360)
+        ("swan", {"group": {"permutation_generators": [list(range(2, 9)) + [1]]},
+                  "breaks": ["1"], "subgroups": [list(range(8))],
+                  "character": {"values": ["1", "1"] + [
+                      {"conductor": n, "coefficients": ["0", "1"]}
+                      for n in (7, 9, 11, 13, 15)] + ["1"]}}, "$.character"),
     ])
     def test_exit_2_names_path(self, capsys, tmp_path, command, payload, path):
         code, out, err = run_cli([command], capsys, payload, tmp_path=tmp_path)
@@ -468,6 +479,37 @@ class TestInputBoundary:
 class TestDriver:
     """main alone reads the payload, writes the report and picks the exit
     code; options that no subcommand reads do not exist."""
+
+    def test_successive_calls_share_no_state(self, capsys, tmp_path, monkeypatch):
+        # one parser serves every call in a process: options and command
+        # functions are read afresh at each call
+        s3 = {"group": {"permutation_generators": S3_GENS}}
+        code, out, _ = run_cli(["table", "--gcd"], capsys, s3, tmp_path=tmp_path)
+        assert code == 0 and out["nontrivial_dims_gcd"] == 1
+        code, out, _ = run_cli(["table"], capsys, s3, tmp_path=tmp_path)
+        assert code == 0 and "nontrivial_dims_gcd" not in out
+        code, out, err = run_cli(["table", "--max-order", "5"], capsys, s3,
+                                 tmp_path=tmp_path)
+        assert code == 2 and err.startswith("input error: $.group:")
+        code, out, _ = run_cli(["table"], capsys, s3, tmp_path=tmp_path)
+        assert code == 0 and out["order"] == 6
+
+        slopes = {"slopes": [["1/2", 2]]}
+        assert run_cli(["np"], capsys, slopes, tmp_path=tmp_path)[0] == 0
+        monkeypatch.setattr(cli, "cmd_np", lambda payload, args: {"pass": False})
+        code, out, _ = run_cli(["np"], capsys, slopes, tmp_path=tmp_path)
+        assert code == 1 and out == {"format": 1, "pass": False}
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_table_wire_format_is_pinned(self, capsys):
+        # sha256 of the `table` output, byte for byte, on the 49 groups of
+        # the two corpora, recorded before class matrices were built on demand
+        digest = hashlib.sha256()
+        for G in abelian_groups_up_to_64() + group_zoo_up_to_100():
+            cli._write_payload(argparse.Namespace(output="-"), cli.table_report(G))
+            digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == (
+            "11ff9f6dd5b4626c3a828b5f6304b1543ec3dcaf4a0750b932844e1bffe9c8c2")
 
     def test_report_that_fails_exits_1(self, capsys, tmp_path, monkeypatch):
         seen = []

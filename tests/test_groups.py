@@ -4,6 +4,7 @@ from itertools import product as iter_product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slopeforge.corpus import abelian_groups_up_to_64, group_zoo_up_to_100
 from slopeforge.groups import (BASE_TABLE_MAX_ORDER, GoursatDichotomyError,
                                GroupError, Subgroup, WreathProduct,
                                alternating_group,
@@ -371,3 +372,26 @@ class TestSubgroups:
             S3.subgroup([0, three])  # missing the inverse of the 3-cycle
         with pytest.raises(GroupError):
             S3.subgroup([1, 2])  # missing identity
+
+
+class TestElementOrders:
+    def test_cyclic_walks_agree_with_element_order(self):
+        for G in abelian_groups_up_to_64() + group_zoo_up_to_100():
+            assert G.element_orders == tuple(
+                G.element_order(i) for i in range(G.order)), G.name
+
+
+class TestNormalityMemo:
+    def test_checked_once_per_subgroup_object(self):
+        S3 = symmetric_group(3)
+        calls = []
+        mul = S3.mul
+        S3.mul = lambda i, j: calls.append(1) or mul(i, j)
+        A3 = S3.subgroup([x for x in range(6) if S3.element_order(x) != 2])
+        transp = next(i for i in range(6) if S3.element_order(i) == 2)
+        H = S3.subgroup([0, transp])
+        before = len(calls)
+        assert A3.is_normal() and not H.is_normal()
+        checked = len(calls)
+        assert checked > before
+        assert A3.is_normal() and not H.is_normal() and len(calls) == checked

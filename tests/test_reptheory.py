@@ -23,6 +23,7 @@ from slopeforge.reptheory import (RepTheoryError, character_table,
                                   rep_from_generator_images, restrict, tensor,
                                   tensor_induce, tensor_induced_matrix_rep,
                                   tind_summand_check, trivial_character)
+from slopeforge.reptheory import _class_matrix
 
 
 def a3_of_s3():
@@ -156,6 +157,17 @@ class TestCharacterTables:
         assert SL23.order == 24
         table = character_table(SL23)
         assert sorted(table.degrees) == [1, 1, 1, 2, 2, 2, 3]
+
+    def test_class_matrix_counts(self):
+        # M_i[j][k] = #{x in C_i : x^-1 z_k in C_j}, built on demand per class
+        for G in group_zoo_up_to_100():
+            classes = G.conjugacy_classes
+            for i, cls in enumerate(classes):
+                rows = _class_matrix(G, i)
+                for j, target in enumerate(classes):
+                    for k, z in enumerate(G.class_representatives):
+                        count = sum(G.mul(G.inv(x), z) in target for x in cls)
+                        assert rows[j].get(k, 0) == count, (G.name, i, j, k)
 
     def test_galois_conjugate_classes(self):
         # chi(g^a) = sigma_a(chi(g)) for a prime to m = ord(g): the stored
