@@ -15,8 +15,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from slopeforge import cli, verify
-from slopeforge.corpus import abelian_groups_up_to_64, group_zoo_up_to_100
 from slopeforge.cli import main
+from slopeforge.corpus import abelian_groups_up_to_64, group_zoo_up_to_100
 from slopeforge.groups import DEFAULT_MAX_ORDER
 from slopeforge.reptheory import DEFAULT_TABLE_BOUND
 from slopeforge.verify import run_suites
@@ -503,7 +503,8 @@ class TestDriver:
 
     def test_table_wire_format_is_pinned(self, capsys):
         # sha256 of the `table` output, byte for byte, on the 49 groups of
-        # the two corpora, recorded before class matrices were built on demand
+        # the two corpora, as the build that made every class matrix wrote
+        # it: the split order and the lift must not change a byte
         digest = hashlib.sha256()
         for G in abelian_groups_up_to_64() + group_zoo_up_to_100():
             cli._write_payload(argparse.Namespace(output="-"), cli.table_report(G))
