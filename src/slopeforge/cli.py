@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import jsonio
-from .exactnum import is_prime, rational_from_str
+from .exactnum import is_prime, rational_from_str, shown
 from .filtered import herbrand_phi, slope_decomposition, upper_from_lower
 from .groups import (DEFAULT_MAX_ORDER, GroupError, classify_wreath_subgroup,
                      is_simple, rotation, wreath_cyclic)
@@ -31,7 +31,8 @@ from .reptheory import (DEFAULT_TABLE_BOUND, RepTheoryError, character_table,
 from .robba import (character_order, is_tame, p_power_reduce,
                     reduce as robba_reduce, residue, slope as robba_slope)
 from .verify import SUITES, run_suites
-from .weyl import build_root_system, weyl_dim
+from .weyl import (_POSITIVE_ROOT_COUNTS, _VALID_RANKS, build_root_system,
+                   weyl_dim)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -68,7 +69,7 @@ def _read_payload(args) -> dict:
         raise InputError("$", "top-level JSON must be an object")
     fmt = payload.get("format", jsonio.FORMAT_VERSION)
     if not jsonio.is_int(fmt) or fmt != jsonio.FORMAT_VERSION:
-        raise InputError("$.format", f"unsupported format {fmt}")
+        raise InputError("$.format", f"unsupported format {shown(fmt)}")
     return payload
 
 
@@ -311,7 +312,7 @@ def table_report(G, max_order: int = DEFAULT_TABLE_BOUND, gcd: bool = False) -> 
                          for chi in table.irreducibles],
     }
     if gcd:
-        out["nontrivial_dims_gcd"] = irreducible_dims_gcd(G)
+        out["nontrivial_dims_gcd"] = irreducible_dims_gcd(G, max_order)
     return out
 
 
@@ -346,6 +347,13 @@ def _parse_weight(text: str, rs):
 
 
 def cmd_weyl_dim(payload, args) -> dict:
+    # closing the roots costs time polynomial in their number, so a system
+    # with more positive roots than E8 is refused before any root is built
+    family, rank = args.family, args.rank
+    if (_VALID_RANKS[family](rank)
+            and _POSITIVE_ROOT_COUNTS[family](rank) > _POSITIVE_ROOT_COUNTS["E"](8)):
+        raise InputError("--rank",
+                         f"{family}{shown(rank)} has more positive roots than E8")
     try:
         rs = build_root_system(args.family, args.rank)
     except ValueError as exc:

@@ -88,7 +88,7 @@ PLUS_INFINITY = _PlusInfinity()
 def padic_valuation(q: Fraction | int, p: int):
     """p-adic valuation of a rational; the valuation of 0 is PLUS_INFINITY."""
     if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+        raise ValueError(f"p = {shown(p)} is not prime")
     q = Fraction(q)
     if q == 0:
         return PLUS_INFINITY

@@ -20,6 +20,10 @@ from .robba import RankOneOperator
 
 FORMAT_VERSION = 1
 
+# The largest p a rank-one operator request may name: primality and every
+# p-adic valuation are tested by trial division, in time that grows as sqrt(p).
+MAX_PRIME = 2**31 - 1
+
 
 class InputError(ValueError):
     def __init__(self, path: str, message: str):
@@ -247,6 +251,8 @@ def parse_rank_one_operator(obj, path: str = "$") -> RankOneOperator:
     _expect(isinstance(obj, dict), path, "expected an object")
     p = obj.get("p")
     _expect(is_int(p) and p >= 2, f"{path}.p", "expected a prime")
+    _expect(p <= MAX_PRIME, f"{path}.p",
+            f"expected a prime of at most {MAX_PRIME}")
     coeffs = obj.get("coefficients")
     _expect(isinstance(coeffs, list), f"{path}.coefficients", "expected a list")
     vals = [parse_rational(c, f"{path}.coefficients[{i}]")

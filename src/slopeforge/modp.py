@@ -1,15 +1,13 @@
-"""Linear algebra and polynomial root extraction over F_p (internal).
+"""Linear algebra and polynomial roots over F_p (internal).
 
 Vectors are lists of Python ints, matrices lists of such rows, and
 polynomials int lists in ascending degree; every entry is reduced mod p, so
 no product can overflow.  Only what the character-table splitting needs:
-rref/kernel, a division-free Hessenberg characteristic polynomial, and root
-extraction for polynomials that split into linear factors.
+rref/kernel, a division-free Hessenberg characteristic polynomial, and the
+roots of a polynomial, found by evaluating it at every element of F_p.
 """
 
 from __future__ import annotations
-
-import random
 
 
 def inv_mod(a: int, p: int) -> int:
@@ -124,102 +122,11 @@ def charpoly(A: list[list[int]], p: int) -> list[int]:
     return polys[n]
 
 
-def _poly_trim(f: list[int]) -> list[int]:
-    while len(f) > 1 and f[-1] == 0:
-        f = f[:-1]
-    return f
-
-
-def poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    prod[i + j] = (prod[i + j] + x * y) % p
-    return poly_rem(prod, mod, p)
-
-
-def poly_rem(a: list[int], mod: list[int], p: int) -> list[int]:
-    return poly_divmod(a, mod, p)[1]
-
-
-def poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _poly_trim([x % p for x in a]), _poly_trim([x % p for x in b])
-    while b != [0]:
-        a, b = b, poly_rem(a, b, p)
-        b = _poly_trim(b)
-    inv = inv_mod(a[-1], p)
-    return [(x * inv) % p for x in a]
-
-
-def poly_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = poly_rem(base, mod, p)
-    while e:
-        if e & 1:
-            result = poly_mulmod(result, base, mod, p)
-        base = poly_mulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def distinct_roots(f: list[int], p: int, seed: int = 0) -> list[int]:
-    """All roots in F_p of a polynomial that splits into linear factors.
-
-    Uses gcd with x^p - x to isolate the squarefree part, then the usual
-    quadratic-residue splitting with a deterministic seeded shift sequence.
-    """
-    f = _poly_trim([c % p for c in f])
-    if len(f) == 1:
-        return []
-    xp = poly_powmod([0, 1], p, f, p)
-    xp_minus_x = list(xp) + [0] * max(0, 2 - len(xp))
-    xp_minus_x[1] = (xp_minus_x[1] - 1) % p
-    xp_minus_x = _poly_trim(xp_minus_x)
-    if xp_minus_x == [0]:
-        g = f
-    else:
-        g = poly_gcd(f, xp_minus_x, p)
-    rng = random.Random(seed * 1000003 + p)
-    roots: list[int] = []
-
-    def split(h: list[int]):
-        h = _poly_trim(h)
-        if len(h) == 2:
-            roots.append((-h[0] * inv_mod(h[1], p)) % p)
-            return
-        if len(h) == 1:
-            return
-        if h[0] == 0:
-            roots.append(0)
-            split(_poly_trim(h[1:]))
-            return
-        while True:
-            a = rng.randrange(p)
-            w = poly_powmod([a, 1], (p - 1) // 2, h, p)
-            w = _poly_trim([(c - (1 if i == 0 else 0)) % p for i, c in enumerate(w)])
-            d = poly_gcd(h, w, p)
-            if 0 < len(d) - 1 < len(h) - 1:
-                split(d)
-                q, _ = poly_divmod(h, d, p)
-                split(q)
-                return
-
-    split(g)
-    return sorted(roots)
-
-
-def poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    a = [x % p for x in a]
-    b = _poly_trim([x % p for x in b])
-    d = len(b) - 1
-    q = [0] * max(len(a) - d, 1)
-    lead_inv = inv_mod(b[-1], p)
-    for i in range(len(a) - 1, d - 1, -1):
-        c = (a[i] * lead_inv) % p
-        q[i - d] = c
-        if c:
-            for j in range(d + 1):
-                a[i - d + j] = (a[i - d + j] - c * b[j]) % p
-    return q, _poly_trim(a[:d] or [0])
+def roots(f: list[int], p: int) -> list[int]:
+    """The distinct roots in F_p of a non-zero f, in increasing order: f is
+    evaluated at every x in F_p at once, one Horner step per coefficient."""
+    xs = range(p)
+    vals = [0] * p
+    for c in reversed(f):
+        vals = [(v * x + c) % p for v, x in zip(vals, xs)]
+    return [x for x, v in zip(xs, vals) if v == 0]

@@ -6,7 +6,10 @@ modular method: the class-sum matrices, stored as sparse rows, are
 simultaneously diagonalized over a prime field F_ell with ell = 1 mod
 exponent(G) (in `modp`, on lists of Python ints).  Each class matrix is
 built on demand, in class order, and only until every common eigenspace is a
-line, so a table often reads a few of them.  Degrees and values are read off
+line, so a table often reads a few of them.  The eigenvalues on a common
+eigenspace are the roots of its characteristic polynomial, read by
+evaluating it on all of F_ell, so a table build uses no randomness and every
+group, the trivial one too, takes one path.  Degrees and values are read off
 mod ell, and the values are lifted to exact cyclotomic numbers through the
 discrete Fourier coefficients of the power map, once per Galois orbit of
 classes: the class of g^a with a prime to ord(g) gets the coefficients at g
@@ -352,30 +355,15 @@ def _find_modulus(G: FiniteGroup) -> int:
 
 
 def _primitive_root_of_unity(ell: int, e: int) -> int:
+    """The first g^((ell-1)/e), g = 2, 3, ..., of multiplicative order e."""
     for g in range(2, ell):
         w = pow(g, (ell - 1) // e, ell)
-        ok = w != 1 or e == 1
-        for q in _prime_factors(e):
-            if pow(w, e // q, ell) == 1:
-                ok = False
-                break
-        if ok:
+        x, order = w, 1
+        while x != 1:
+            x, order = (x * w) % ell, order + 1
+        if order == e:
             return w
     raise AssertionError("no primitive root found")
-
-
-def _prime_factors(n: int) -> set[int]:
-    out = set()
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
 
 
 def _split_eigenvectors(G: FiniteGroup, ell: int) -> list[list[int]]:
@@ -400,7 +388,7 @@ def _split_eigenvectors(G: FiniteGroup, ell: int) -> list[list[int]]:
                 action.append(modp.coords_in_rref_basis(img, basis, pivots, ell))
             # in row coordinates c the action is c -> c @ action
             cp = modp.charpoly(action, ell)
-            for root in modp.distinct_roots(cp, ell, seed=idx):
+            for root in modp.roots(cp, ell):
                 # the left kernel of action - root: the kernel of its transpose
                 shifted = [[(action[b][a] - root * (a == b)) % ell for b in range(d)]
                            for a in range(d)]
@@ -431,10 +419,6 @@ def _dixon_schneider(G: FiniteGroup) -> CharacterTable:
     reps = G.class_representatives
     sizes = [len(c) for c in classes]
     inv_class = G.inverse_class
-    if r == 1:
-        table = CharacterTable(G, (trivial_character(G),))
-        _verify_table_degrees(table)
-        return table
     e = G.exponent
     ell = _find_modulus(G)
     omega = _primitive_root_of_unity(ell, e)
@@ -542,11 +526,12 @@ def _verify_orthogonality_mod(table, chars_mod, degrees, ell):
                 raise AssertionError("modular orthogonality check failed")
 
 
-def irreducible_dims_gcd(G: FiniteGroup) -> int:
+def irreducible_dims_gcd(G: FiniteGroup,
+                         max_order: int = DEFAULT_TABLE_BOUND) -> int:
     """gcd of the degrees of the non-trivial irreducibles."""
     if G.order == 1:
         raise RepTheoryError("the trivial group has no non-trivial irreducible")
-    table = character_table(G)
+    table = character_table(G, max_order=max_order)
     degs = [int(chi.degree) for chi in table.irreducibles[1:]]
     return reduce(gcd, degs)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import is_prime, padic_valuation
+from .exactnum import is_prime, padic_valuation, shown
 
 _removal_threshold = lambda p: Fraction(1, p - 1)
 
@@ -26,12 +26,13 @@ class RankOneOperator:
 
     def __post_init__(self):
         if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
+            raise ValueError(f"p = {shown(self.p)} is not prime")
         for i, a in enumerate(self.coeffs, start=1):
             if not isinstance(a, Fraction):
                 raise ValueError("coefficients must be Fractions")
             if a != 0 and padic_valuation(a, self.p) < 0:
-                raise ValueError(f"coefficient a_{i} = {a} has negative valuation")
+                raise ValueError(
+                    f"coefficient a_{i} = {shown(a)} has negative valuation")
 
     @staticmethod
     def make(p: int, coeffs) -> RankOneOperator:

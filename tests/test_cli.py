@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from slopeforge import cli, verify
 from slopeforge.cli import main
 from slopeforge.corpus import abelian_groups_up_to_64, group_zoo_up_to_100
-from slopeforge.groups import DEFAULT_MAX_ORDER
+from slopeforge.groups import DEFAULT_MAX_ORDER, group_from_permutations
 from slopeforge.reptheory import DEFAULT_TABLE_BOUND
 from slopeforge.verify import run_suites
 
@@ -215,6 +215,15 @@ class TestGroupCommands:
                                tmp_path=tmp_path)
         assert code == 2 and "bound" in err
 
+    def test_gcd_reads_the_max_order_bound(self, capsys, tmp_path):
+        # A7, of order 2520, is past the default table bound 2000
+        payload = {"group": {"permutation_generators": [[2, 3, 1, 4, 5, 6, 7],
+                                                        [2, 3, 4, 5, 6, 7, 1]]}}
+        code, out, err = run_cli(["table", "--gcd", "--max-order", "3000"], capsys,
+                                 payload, tmp_path=tmp_path)
+        assert code == 0, err
+        assert out["order"] == 2520 and out["nontrivial_dims_gcd"] == 1
+
 
 class TestRobbaCommand:
     def test_wild_operator(self, capsys, tmp_path):
@@ -235,6 +244,20 @@ class TestRobbaCommand:
         assert out["character_order"] == 2
         assert out["reduced"]["coefficients"] == ["1/2"]
 
+    def test_large_prime_is_refused_before_any_primality_test(self, capsys, tmp_path):
+        # 10^18 + 3 is prime: trial division up to its square root never ends
+        payload = {"p": 1_000_000_000_000_000_003, "coefficients": ["1/2"]}
+        start = time.perf_counter()
+        code, out, err = run_cli(["robba"], capsys, payload, tmp_path=tmp_path)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out is None
+        assert err.startswith("input error: $.p:") and len(err.encode()) < 200
+
+    def test_prime_at_the_bound_is_accepted(self, capsys, tmp_path):
+        payload = {"p": 2**31 - 1, "coefficients": ["1/2", "1"]}
+        code, out, _ = run_cli(["robba"], capsys, payload, tmp_path=tmp_path)
+        assert code == 0 and out["reduced"]["p"] == 2**31 - 1
+
 
 class TestWeylCommand:
     def test_two_rho(self, capsys):
@@ -252,6 +275,24 @@ class TestWeylCommand:
         code = main(["weyl-dim", "--family", "D", "--rank", "2",
                      "--weight", "2rho"])
         assert code == 2
+
+    @pytest.mark.parametrize("family, rank", [("A", 16), ("B", 11), ("A", 10**9)])
+    def test_more_positive_roots_than_e8_are_refused(self, capsys, family, rank):
+        # A16 has 136 positive roots, B11 121 and E8 120
+        start = time.perf_counter()
+        code = main(["weyl-dim", "--family", family, "--rank", str(rank),
+                     "--weight", "2rho"])
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("input error: --rank:")
+        assert len(captured.err.encode()) < 200
+
+    def test_rank_at_the_bound_is_accepted(self, capsys):
+        # B10 has 100 positive roots; dim V(2 rho) = 3^100
+        code = main(["weyl-dim", "--family", "B", "--rank", "10", "--weight", "2rho"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0 and out["dimension"] == 3**100
 
 
 class TestVerifyCommand:
@@ -358,6 +399,12 @@ class TestInputBoundary:
                   "character": {"values": ["1", "1"] + [
                       {"conductor": n, "coefficients": ["0", "1"]}
                       for n in (7, 9, 11, 13, 15)] + ["1"]}}, "$.character"),
+        # refusals that echo an input value show it in bounded form
+        ("np", {"format": "x" * 400, "slopes": [["1/2", 2]]}, "$.format"),
+        ("np", {"format": list(range(200)), "slopes": [["1/2", 2]]}, "$.format"),
+        ("robba", {"p": 3, "coefficients": ["1/" + "9" * 300]}, "$"),
+        ("robba", {"p": 10**3000, "coefficients": ["1"]}, "$.p"),
+        ("robba", {"p": 1_000_000_000_000_000_003, "coefficients": ["1/2"]}, "$.p"),
     ])
     def test_exit_2_names_path(self, capsys, tmp_path, command, payload, path):
         code, out, err = run_cli([command], capsys, payload, tmp_path=tmp_path)
@@ -511,6 +558,19 @@ class TestDriver:
             digest.update(capsys.readouterr().out.encode())
         assert digest.hexdigest() == (
             "11ff9f6dd5b4626c3a828b5f6304b1543ec3dcaf4a0750b932844e1bffe9c8c2")
+
+    def test_table_wire_format_is_pinned_for_large_moduli(self, capsys):
+        # C29:C28, C31:C30 and C47:C23 split over F_ell with ell = 2437, 1861
+        # and 12973, far above their 29, 31 and 25 classes; sha256 of their
+        # `table` output as the seeded root finder of earlier builds wrote it
+        digest = hashlib.sha256()
+        for p, a in ((29, 2), (31, 3), (47, 25)):
+            G = group_from_permutations([tuple((x + 1) % p for x in range(p)),
+                                        tuple(a * x % p for x in range(p))])
+            cli._write_payload(argparse.Namespace(output="-"), cli.table_report(G))
+            digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == (
+            "c8ba535cfe339a02d64672210ef9cbe50b2854982f497038f3c46edf8e58dbe6")
 
     def test_report_that_fails_exits_1(self, capsys, tmp_path, monkeypatch):
         seen = []
@@ -677,6 +737,7 @@ def mutated_requests(draw):
 # a long string whose repr escapes every character
 @example(("np", {"slopes": [["\U000c7cd6" * 40, 1]]}))
 @example(("np", {"slopes": [["1e10000000", LongInteger(5000)]]}))
+@example(("np", {"format": "9" * 260 + "/7", "slopes": [["1/2", 2]]}))
 def test_fuzzed_requests_keep_the_exit_code_contract(request):
     command, payload = request
     argv = [command] + (["--max-order", "64"] if command in BOUNDED else [])
