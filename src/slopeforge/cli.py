@@ -51,6 +51,26 @@ def _int_or_float(literal: str):
         return float(literal)
 
 
+def _integer_option(text: str) -> int:
+    """The `type=` of every integer option: argparse's own refusal of a
+    value past `int`'s digit limit would echo the whole value."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {shown(text)!r}") from None
+
+
+def _family_option(text: str) -> str:
+    """The `type=` of --family, refusing what `choices` would refuse, with
+    the value shown bounded."""
+    if text not in _VALID_RANKS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {shown(text)!r} "
+            f"(choose from {', '.join(map(repr, _VALID_RANKS))})")
+    return text
+
+
 def _read_payload(args) -> dict:
     source = args.input or "-"
     try:
@@ -333,17 +353,16 @@ def cmd_robba(payload, args) -> dict:
 
 def _parse_weight(text: str, rs):
     text = text.strip()
-    if text.endswith("rho"):
-        head = text[:-3]
-        mult = rational_from_str(head) if head else Fraction(1)
-        if mult.denominator != 1:
-            raise InputError("$.weight", "rho multiples must be integers")
-        return rs.rho_multiple(mult.numerator)
     try:
-        return tuple(rational_from_str(c) for c in text.split(","))
+        if not text.endswith("rho"):
+            return tuple(rational_from_str(c) for c in text.split(","))
+        mult = rational_from_str(text[:-3]) if text[:-3] else Fraction(1)
     except ValueError:
         raise InputError("$.weight",
                          "expected 'Nrho' or comma-separated coordinates") from None
+    if mult.denominator != 1:
+        raise InputError("$.weight", "rho multiples must be integers")
+    return rs.rho_multiple(mult.numerator)
 
 
 def cmd_weyl_dim(payload, args) -> dict:
@@ -412,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", default="-", help="input JSON path or - for stdin")
         p.add_argument("--output", default="-", help="output JSON path or - for stdout")
         if max_order is not None:
-            p.add_argument("--max-order", type=int, default=max_order,
+            p.add_argument("--max-order", type=_integer_option, default=max_order,
                            help=f"group enumeration bound (default {max_order})")
         return p
 
@@ -431,8 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
     io_command("robba", "rank-one operator analysis", max_order=None)
 
     wd = sub.add_parser("weyl-dim", help="Weyl dimension of a highest weight")
-    wd.add_argument("--family", required=True, choices=list("ABCDEFG"))
-    wd.add_argument("--rank", required=True, type=int)
+    wd.add_argument("--family", required=True, type=_family_option,
+                    choices=list(_VALID_RANKS))
+    wd.add_argument("--rank", required=True, type=_integer_option)
     wd.add_argument("--weight", required=True,
                     help="'2rho' style multiples of rho, or coordinates 'a,b,c'")
     wd.add_argument("--output", default="-")
@@ -440,8 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
     vf = sub.add_parser("verify", help="run named acceptance suites")
     vf.add_argument("--suite", action="append", default=None,
                     help="suite name (repeatable); default: all")
-    vf.add_argument("--jobs", type=int, default=1, help="parallel suite workers")
-    vf.add_argument("--seed", type=int, default=None,
+    vf.add_argument("--jobs", type=_integer_option, default=1,
+                    help="parallel suite workers")
+    vf.add_argument("--seed", type=_integer_option, default=None,
                     help="reseed every corpus (default: built-in seeds)")
     vf.add_argument("--output", default="-")
     return parser

@@ -8,15 +8,18 @@ and groups up to the configured order bound (default 10000) can be enumerated
 in full.  Wreath products compose lazily and never require enumerating the
 ambient product, only the subgroups actually built inside it.
 
-The closure and action routines are these four and no others:
+The package's closure and action routines are these four and no others:
 `_extend_closed` grows a subgroup coset by coset (group and subgroup
-generation, normal closures, lattice joins, wreath tops); `orbit` closes a set
-under an action that is not right multiplication (conjugacy classes, the
-lattice of normal subgroups under joins); `CosetAction` is left translation on
-the cosets G/H (the wreath embedding, tensor induction, induced matrices); and
-`extend_from_generators` extends a homomorphism given on generators.
-Subgroups built by these closures are trusted (`Subgroup._from_closure`); a
-subgroup given from outside is validated.
+generation and validation, normal closures, lattice joins, wreath tops);
+`orbit` closes a set under any other action (conjugacy classes, joins of
+normal subgroups, a Cayley table not yet known to be a group, the roots of
+`weyl` under simple reflections); `CosetAction` is left translation on the
+cosets G/H (the wreath embedding, tensor induction, induced matrices); and
+`extend_from_generators` extends a homomorphism given on generators.  Every
+group and subgroup keeps the generators of the closure that built or
+validated it, and readers use those, never a recount.  Subgroups built by
+these closures are trusted (`Subgroup._from_closure`); a subgroup given from
+outside is validated by closing it from its own elements.
 """
 
 from __future__ import annotations
@@ -135,10 +138,12 @@ class FiniteGroup:
 
     compose/inverse operate on raw values; public mul/inv operate on indices.
     The identity always has index 0 and elements are kept in a deterministic
-    order, so derived data (classes, subgroups) is reproducible.
+    order, so derived data (classes, subgroups) is reproducible.  `generators`
+    (raw values) is required: each constructor passes the generating set that
+    its closure or validation found, or that the construction gives.
     """
 
-    def __init__(self, elements, compose, inverse, identity, generators=None,
+    def __init__(self, elements, compose, inverse, identity, generators,
                  name="group"):
         elements = list(elements)
         if identity not in elements:
@@ -153,10 +158,8 @@ class FiniteGroup:
         self.name = name
         # set by reptheory.character_table, and released with the group
         self._character_table = None
-        if generators is None:
-            self._generators_raw = None
-        else:
-            self._generators_raw = [g for g in generators if g != identity]
+        self.generators = sorted(self.index[g] for g in generators
+                                 if g != identity)
 
     @property
     def order(self) -> int:
@@ -224,13 +227,6 @@ class FiniteGroup:
     def exponent(self) -> int:
         return lcm(*set(self.element_orders))
 
-    @cached_property
-    def generators(self) -> list[int]:
-        """Generator indices; computed greedily when not supplied."""
-        if self._generators_raw is not None:
-            return sorted(self.index[g] for g in self._generators_raw)
-        return _greedy_generators(range(self.order), 0, self.mul)[0]
-
     def is_abelian(self) -> bool:
         gens = self.generators
         return all(
@@ -245,8 +241,7 @@ class FiniteGroup:
 
         The identity class {0} always comes first.
         """
-        gens = self.generators or list(range(1, self.order))
-        gen_pairs = [(g, self.inv(g)) for g in gens]
+        gen_pairs = [(g, self.inv(g)) for g in self.generators]
         mul = self.mul
 
         def conjugate(x, pair):
@@ -297,10 +292,9 @@ class FiniteGroup:
 
     @cached_property
     def center(self) -> tuple[int, ...]:
-        gens = self.generators or list(range(self.order))
         return tuple(
             x for x in range(self.order)
-            if all(self.mul(x, g) == self.mul(g, x) for g in gens)
+            if all(self.mul(x, g) == self.mul(g, x) for g in self.generators)
         )
 
     def __repr__(self):
@@ -327,11 +321,14 @@ class Subgroup:
         for x in self.elements:
             if G.inv(x) not in eset:
                 raise GroupError("subgroup not closed under inversion")
-        gens = self.generators or self.elements
-        for x in gens:
-            for y in self.elements:
-                if G.mul(y, x) not in eset:
-                    raise GroupError("subgroup not closed under products")
+        # what the greedy generators generate contains the given generators
+        # and elements, so it is the set exactly when no closure grows past it
+        try:
+            gens = _greedy_generators((*self.generators, *self.elements), 0,
+                                      G.mul, len(eset))[0]
+        except GroupError:
+            raise GroupError("subgroup not closed under products") from None
+        object.__setattr__(self, "generators", tuple(gens))
 
     @classmethod
     def _from_closure(cls, parent: FiniteGroup, elements: tuple[int, ...],
@@ -360,10 +357,9 @@ class Subgroup:
     @cached_property
     def _normal(self) -> bool:
         G = self.parent
-        gens = G.generators or range(G.order)
-        for g in gens:
+        for g in G.generators:
             ginv = G.inv(g)
-            for x in (self.generators or self.elements):
+            for x in self.generators:
                 if G.mul(ginv, G.mul(x, g)) not in self._set:
                     return False
         return True
@@ -381,7 +377,7 @@ class Subgroup:
             compose=G.mul,
             inverse=G.inv,
             identity=0,
-            generators=list(self.generators) or None,
+            generators=self.generators,
             name=f"{G.name}-sub{self.order}",
         )
 
@@ -467,7 +463,12 @@ def group_from_permutations(generators, name="permgroup",
 
 
 def group_from_cayley_table(table, name="tablegroup") -> FiniteGroup:
-    """Group from an n x n table of indices; the identity is located and checked."""
+    """Group from an n x n table of indices; the identity is located, and
+    associativity is checked exactly by Light's test: the z with (xy)z = x(yz)
+    for all x, y are closed under products, so it suffices that each greedy
+    generator s passes (ab)s = a(bs) for all a, b (n^2 lookups).  A generator
+    is checked before it is used, so the elements reached stay a group that at
+    least doubles with each one: at most log2(n) + 1 checks."""
     n = len(table)
     for row in table:
         if len(row) != n or sorted(row) != list(range(n)):
@@ -483,25 +484,25 @@ def group_from_cayley_table(table, name="tablegroup") -> FiniteGroup:
     )
     if identity is None:
         raise GroupError("table has no identity")
-    if n <= 64:
-        triples = iter_product(range(n), repeat=3)
-    else:
-        import random
-
-        rng = random.Random(0xC0FFEE)
-        triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                   for _ in range(4096))
-    for a, b, c in triples:
-        if table[table[a][b]][c] != table[a][table[b][c]]:
+    gens: list[int] = []
+    reached = {identity}
+    for s in range(n):
+        if s in reached:
+            continue
+        column = [row[s] for row in table]  # column[b] = bs
+        # row a: [(ab)s for each b] against [a(bs) for each b]
+        if any([column[x] for x in row] != [row[y] for y in column]
+               for row in table):
             raise GroupError("table is not associative")
-    inv = [0] * n
-    for i in range(n):
-        inv[i] = next(j for j in range(n) if table[i][j] == identity)
+        gens.append(s)
+        reached = orbit(reached, gens, lambda x, g: table[x][g])
+    inv = [row.index(identity) for row in table]
     return FiniteGroup(
         range(n),
         compose=lambda a, b: table[a][b],
         inverse=lambda a: inv[a],
         identity=identity,
+        generators=gens,
         name=name,
     )
 
@@ -965,7 +966,7 @@ def classify_wreath_subgroup(W: WreathProduct,
     if case == "semidirect":
         direct_product = False
         kernel_idx = [gbar.index[r] for r in kernel_raws]
-        kgens = generated_subgroup(gbar, kernel_idx).generators or tuple(kernel_idx)
+        kgens = generated_subgroup(gbar, kernel_idx).generators
         for t in range(1, gbar.order):
             if gbar.elements[t][0] == W.top_identity:
                 continue

@@ -11,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exactnum import shown
+from .groups import orbit
+
 Vector = tuple[Fraction, ...]
 
 _POSITIVE_ROOT_COUNTS = {
@@ -140,19 +143,14 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     """Exact positive roots in the standard coordinates for the given family."""
     family = family.upper()
     if family not in _VALID_RANKS or not _VALID_RANKS[family](rank):
-        raise ValueError(f"invalid root system {family}{rank}")
+        raise ValueError(f"invalid root system {family}{shown(rank)}")
     simple = _simple_roots(family, rank)
-    # close the simple roots under the simple reflections
-    roots = set(simple)
-    frontier = list(simple)
-    while frontier:
-        beta = frontier.pop()
-        for alpha in simple:
-            coeff = 2 * dot(beta, alpha) / dot(alpha, alpha)
-            new = tuple(b - coeff * a for b, a in zip(beta, alpha))
-            if new not in roots:
-                roots.add(new)
-                frontier.append(new)
+
+    def reflect(beta: Vector, alpha: Vector) -> Vector:
+        coeff = 2 * dot(beta, alpha) / dot(alpha, alpha)
+        return tuple(b - coeff * a for b, a in zip(beta, alpha))
+    # the roots are the closure of the simple roots under the simple reflections
+    roots = orbit(simple, simple, reflect)
     positive = []
     for beta in sorted(roots):
         coords = _solve_coordinates(simple, beta)
@@ -183,7 +181,8 @@ def weyl_dim(rs: RootSystem, weight: Vector) -> int:
             f"weight has {len(weight)} coordinates, expected {len(rs.rho)}"
         )
     if not rs.is_dominant(weight):
-        raise ValueError(f"weight {weight} is not dominant for {rs.family}{rs.rank}")
+        coords = shown(",".join(map(str, weight)))
+        raise ValueError(f"weight {coords} is not dominant for {rs.family}{rs.rank}")
     shifted = tuple(w + r for w, r in zip(weight, rs.rho))
     result = Fraction(1)
     for alpha in rs.positive_roots:

@@ -17,7 +17,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from slopeforge import cli, verify
 from slopeforge.cli import main
 from slopeforge.corpus import abelian_groups_up_to_64, group_zoo_up_to_100
-from slopeforge.groups import DEFAULT_MAX_ORDER, group_from_permutations
+from slopeforge.groups import (DEFAULT_MAX_ORDER, alternating_group,
+                               cyclic_group, dihedral_group, direct_product,
+                               elementary_abelian_group, group_from_permutations,
+                               heisenberg_group, quaternion_group, symmetric_group)
 from slopeforge.reptheory import DEFAULT_TABLE_BOUND
 from slopeforge.verify import run_suites
 
@@ -182,7 +185,33 @@ class TestInductionCommands:
         assert out["pass"] is True
 
 
+def broken_c400_table():
+    """C400's table with one intercalate swapped: still a Latin square with
+    an identity, but not associative."""
+    table = [[(a + b) % 400 for b in range(400)] for a in range(400)]
+    # rows and columns 1 and 201 meet in 2 and 202, crosswise
+    table[1][1] = table[201][201] = 202
+    table[1][201] = table[201][1] = 2
+    return table
+
+
 class TestGroupCommands:
+    def test_index_two_chain_of_a_large_elementary_abelian_group(self, capsys,
+                                                                 tmp_path):
+        # E2^12 on 24 points; checking the index-2 subgroup on all |H|^2
+        # products made this request take over a minute
+        gens = [[j ^ 1 if j // 2 == i else j for j in range(24)] for i in range(12)]
+        G = group_from_permutations([tuple(g) for g in gens])
+        half = [i for i, p in enumerate(G.elements) if p[0] == 0]
+        payload = {"group": {"permutation_generators": [[x + 1 for x in g]
+                                                        for g in gens]},
+                   "lower": [list(range(G.order)), half]}
+        start = time.perf_counter()
+        code, out, _ = run_cli(["herbrand"], capsys, payload, tmp_path=tmp_path)
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        assert out["upper"] == {"breaks": ["1/2"], "subgroups": [half]}
+
     def test_wreath_summary(self, capsys, tmp_path):
         payload = {"base": {"permutation_generators": [[2, 3, 1]]}, "ell": 2}
         code, out, _ = run_cli(["wreath"], capsys, payload, tmp_path=tmp_path)
@@ -294,6 +323,45 @@ class TestWeylCommand:
         out = json.loads(capsys.readouterr().out)
         assert code == 0 and out["dimension"] == 3**100
 
+    @pytest.mark.parametrize("weight", ["-" + "9" * 400 + ",1", "-1,1"],
+                             ids=["400-digits", "short"])
+    def test_weight_that_is_not_dominant_is_shown_bounded(self, capsys, weight):
+        code = main(["weyl-dim", "--family", "A", "--rank", "1", f"--weight={weight}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("input error: $.weight: weight ")
+        assert captured.err.count("\n") == 1 and len(captured.err.encode()) <= 300
+        assert "Fraction(" not in captured.err
+
+    def test_unparsed_rho_multiple_names_the_weight(self, capsys):
+        code = main(["weyl-dim", "--family", "A", "--rank", "1", "--weight", "xrho"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("input error: $.weight:")
+
+    @pytest.mark.parametrize("argv", [
+        ["weyl-dim", "--family", "A", "--weight", "2rho", "--rank"],
+        ["table", "--max-order"],
+        ["verify", "--suite", "weyl-dimension", "--jobs"],
+        ["verify", "--suite", "weyl-dimension", "--seed"],
+        ["weyl-dim", "--rank", "1", "--weight", "2rho", "--family"],
+    ], ids=["rank", "max-order", "jobs", "seed", "family"])
+    def test_option_past_the_digit_limit_is_shown_bounded(self, capsys, argv):
+        # argparse echoes a refused value whole: 5000 digits made 5197 bytes
+        value = "9" * 5000
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [value])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith("usage: slopeforge ") and f"{argv[-1]}: invalid " in err
+        assert len(err.encode()) < 300
+
+    def test_rank_below_the_digit_limit_gets_the_rank_refusal(self, capsys):
+        code = main(["weyl-dim", "--family", "A", "--rank", "9" * 4000,
+                     "--weight", "2rho"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("input error: --rank:")
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+
 
 class TestVerifyCommand:
     def test_single_suite(self, capsys):
@@ -404,6 +472,12 @@ class TestInputBoundary:
         ("np", {"format": list(range(200)), "slopes": [["1/2", 2]]}, "$.format"),
         ("robba", {"p": 3, "coefficients": ["1/" + "9" * 300]}, "$"),
         ("robba", {"p": 10**3000, "coefficients": ["1"]}, "$.p"),
+        # a Latin square with an identity that is not associative: sampling
+        # 4096 triples above order 64 took it for a group of order 400
+        ("wreath", {"base": {"cayley_table": broken_c400_table()}, "ell": 1},
+         "$.base.cayley_table"),
+        ("table", {"group": {"cayley_table": broken_c400_table()}},
+         "$.group.cayley_table"),
     ])
     def test_exit_2_names_path(self, capsys, tmp_path, command, payload, path):
         code, out, err = run_cli([command], capsys, payload, tmp_path=tmp_path)
@@ -570,6 +644,22 @@ class TestDriver:
             digest.update(capsys.readouterr().out.encode())
         assert digest.hexdigest() == (
             "c8ba535cfe339a02d64672210ef9cbe50b2854982f497038f3c46edf8e58dbe6")
+
+    def test_table_wire_format_is_pinned_for_cayley_tables(self, capsys, tmp_path):
+        # sha256 of the `table` output on the Cayley tables of eight groups,
+        # as the build that checked associativity on all n^3 triples wrote it
+        digest = hashlib.sha256()
+        for G in (cyclic_group(12), symmetric_group(4), quaternion_group(),
+                  elementary_abelian_group(2, 4), dihedral_group(6),
+                  alternating_group(5), heisenberg_group(3),
+                  direct_product(cyclic_group(2), symmetric_group(3))):
+            path = tmp_path / "table.json"
+            table = [[G.mul(i, j) for j in range(G.order)] for i in range(G.order)]
+            path.write_text(json.dumps({"group": {"cayley_table": table}}))
+            assert main(["table", "--input", str(path)]) == 0
+            digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == (
+            "f64c871fb6b9a0081a2504c512d6b518f7c28ea6ad3cf4d0283f3a734ada0112")
 
     def test_report_that_fails_exits_1(self, capsys, tmp_path, monkeypatch):
         seen = []
@@ -752,3 +842,38 @@ def test_fuzzed_requests_keep_the_exit_code_contract(request):
     text = err.getvalue()
     assert text.count("\n") <= 1 and len(text.encode()) <= 300, text
     assert (code == 2) == bool(text)
+
+
+# --family, --rank and --weight as a shell would pass them: valid values, digit
+# runs on both sides of the int-conversion limit, and arbitrary text
+weyl_families = st.one_of(st.sampled_from("ABCDEFG"), st.text(max_size=3),
+                          st.integers(1, 600).map(lambda n: "A" * n))
+weyl_ranks = st.one_of(st.integers(-2, 17).map(str), st.text(max_size=4),
+                       st.integers(1, 6000).map(lambda n: "9" * n))
+weyl_weights = st.one_of(
+    st.builds(lambda k, tail: f"{k}{tail}", st.integers(-3, 9),
+              st.sampled_from(["rho", "/2rho", "", ",1"])),
+    st.lists(rational_strings, min_size=1, max_size=9).map(",".join),
+    st.text(max_size=12))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(weyl_families, weyl_ranks, weyl_weights)
+# a non-dominant weight of 400 digits; a rank past the digit limit
+@example("A", "1", "-" + "9" * 400 + ",1")
+@example("A", "9" * 5000, "2rho")
+def test_fuzzed_weyl_dim_keeps_the_exit_code_contract(family, rank, weight):
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["weyl-dim", f"--family={family}", f"--rank={rank}", f"--weight={weight}"]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, usage = main(argv), False
+        except SystemExit as exc:  # argparse refuses an option
+            code, usage = exc.code, True
+    text = err.getvalue()
+    assert code in (0, 2)
+    assert len(text.encode()) <= 300, text
+    if not usage:
+        assert text.count("\n") <= 1 and (code == 2) == bool(text)
+

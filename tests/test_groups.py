@@ -18,6 +18,7 @@ from slopeforge.groups import (BASE_TABLE_MAX_ORDER, GoursatDichotomyError,
                                normal_subgroups, orbit, outer_automorphism_order,
                                quaternion_group, select_prime, subgroup_closure,
                                symmetric_group, wreath_cyclic)
+from slopeforge.jsonio import parse_subgroup
 
 
 class TestConstruction:
@@ -52,6 +53,29 @@ class TestConstruction:
     def test_cayley_table_rejects_broken(self):
         with pytest.raises(GroupError):
             group_from_cayley_table([[0, 1], [0, 1]])
+
+    def test_cayley_table_rejects_the_smallest_non_associative_loop(self):
+        # a Latin square of order 5 with identity 0: (1*1)*2 = 2, 1*(1*2) = 4
+        loop = [[0, 1, 2, 3, 4],
+                [1, 0, 3, 4, 2],
+                [2, 4, 0, 1, 3],
+                [3, 2, 4, 0, 1],
+                [4, 3, 1, 2, 0]]
+        with pytest.raises(GroupError, match="^table is not associative$"):
+            group_from_cayley_table(loop)
+
+    def test_cayley_table_keeps_the_generators_of_its_check(self):
+        # S3 relabelled so that the identity is 3: greedy generators 0 and 1
+        S3 = symmetric_group(3)
+        label = [3, 0, 1, 2, 4, 5]
+        table = [[0] * 6 for _ in range(6)]
+        for i in range(6):
+            for j in range(6):
+                table[label[i]][label[j]] = label[S3.mul(i, j)]
+        G = group_from_cayley_table(table)
+        assert G.elements[0] == 3 and not G.is_abelian()
+        assert [G.elements[g] for g in G.generators] == [0, 1]
+        assert sorted(len(c) for c in G.conjugacy_classes) == [1, 2, 3]
 
     def test_named_groups(self):
         assert symmetric_group(4).order == 24
@@ -372,6 +396,24 @@ class TestSubgroups:
             S3.subgroup([0, three])  # missing the inverse of the 3-cycle
         with pytest.raises(GroupError):
             S3.subgroup([1, 2])  # missing identity
+        two = [i for i in range(6) if S3.element_order(i) == 2][:2]
+        with pytest.raises(GroupError, match="^subgroup not closed under products$"):
+            S3.subgroup([0] + two)  # closed under inverses only
+
+    def test_supplied_generator_outside_the_set_is_refused(self):
+        C4 = cyclic_group(4)
+        square = C4.power(1, 2)
+        assert Subgroup(C4, (0, square), (square,)).generators == (square,)
+        with pytest.raises(GroupError, match="^subgroup not closed under products$"):
+            Subgroup(C4, (0, square), (1,))
+
+    def test_validated_subgroup_keeps_its_greedy_generators(self):
+        # {0000, 0011, 1100, 1111} in E2^4 has indices 0, 3, 12, 15
+        E = elementary_abelian_group(2, 4)
+        H = parse_subgroup([0, 3, 12, 15], E, "$.subgroup")
+        assert H.generators == (3, 12)
+        assert H.as_group.generators == [1, 2]
+        assert [H.as_group.elements[g] for g in H.as_group.generators] == [3, 12]
 
 
 class TestElementOrders:
