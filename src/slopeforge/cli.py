@@ -104,7 +104,8 @@ def _write_payload(args, payload: dict):
         with open(target, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise InputError("--output", f"cannot write {target}: {exc.strerror}") from None
+        raise InputError("--output",
+                         f"cannot write {shown(target)}: {exc.strerror}") from None
 
 
 # -- SVG rendering of Newton polygons ---------------------------------------------
@@ -167,7 +168,7 @@ def _write_svg(path: str, text: str):
         if not in_place:
             with contextlib.suppress(OSError):
                 os.remove(tmp)
-        raise InputError("--svg", f"cannot write {path}: {exc.strerror}") from None
+        raise InputError("--svg", f"cannot write {shown(path)}: {exc.strerror}") from None
 
 
 # -- subcommands: each turns the payload and options into a report ------------------
@@ -379,7 +380,7 @@ def cmd_weyl_dim(payload, args) -> dict:
         raise InputError("$.family", str(exc)) from None
     weight = _parse_weight(args.weight, rs)
     try:
-        dim = weyl_dim(rs, weight)
+        dim = weyl_dim(rs, weight, max_digits=sys.get_int_max_str_digits() or None)
     except ValueError as exc:
         raise InputError("$.weight", str(exc)) from None
     return {
@@ -396,7 +397,7 @@ def cmd_verify(payload, args) -> dict:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]
     if unknown:
-        raise InputError("$.suite", f"unknown suites: {', '.join(unknown)}; "
+        raise InputError("$.suite", f"unknown suites: {shown(', '.join(unknown))}; "
                          f"known: {', '.join(SUITES)}")
     if args.jobs < 1:
         raise InputError("--jobs", f"expected a positive integer, got {args.jobs}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 
 def is_prime(n: int) -> bool:
@@ -136,10 +136,10 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def reduce_mod_cyclotomic(coeffs: list, n: int) -> list:
+def reduce_mod_cyclotomic(coeffs: list[int], n: int) -> list[int]:
     """Remainder mod the n-th cyclotomic polynomial: at most phi(n) leading
-    coefficients, the caller pads.  Phi_n is monic over Z, so int vectors
-    stay int vectors and one routine serves Fraction and int coefficients."""
+    coefficients, the caller pads.  Phi_n is monic over Z, so an integer
+    vector stays an integer vector."""
     d = euler_phi(n)
     work = list(coeffs)
     if len(work) > d:
@@ -153,41 +153,50 @@ def reduce_mod_cyclotomic(coeffs: list, n: int) -> list:
     return work[:d]
 
 
-def lift_coeffs(coeffs: list, m: int, n: int) -> list:
-    """Coefficients over Q(zeta_m) rewritten over Q(zeta_n), n a multiple of
-    m, with zeta_m = zeta_n^(n/m): length phi(n), of the coefficients' type."""
+def lift_coeffs(coeffs: list[int], m: int, n: int) -> list[int]:
+    """Integer coefficients over Q(zeta_m) rewritten over Q(zeta_n), n a
+    multiple of m, with zeta_m = zeta_n^(n/m): length phi(n)."""
     if n % m:
         raise ValueError("can only lift to a multiple of the conductor")
-    step, zero = n // m, coeffs[0] * 0
-    raw = [zero] * ((len(coeffs) - 1) * step + 1)
+    step = n // m
+    raw = [0] * ((len(coeffs) - 1) * step + 1)
     for j, c in enumerate(coeffs):
         raw[j * step] = c
     out = reduce_mod_cyclotomic(raw, n)
-    return out + [zero] * (euler_phi(n) - len(out))
+    return out + [0] * (euler_phi(n) - len(out))
 
 
 class Cyclotomic:
-    """An element of the cyclotomic field Q(zeta_n), stored reduced mod Phi_n.
+    """An element of the cyclotomic field Q(zeta_n), stored reduced mod Phi_n
+    as integer numerators over one denominator.
 
-    The coefficient vector has length phi(n) over the power basis
-    1, zeta_n, ..., zeta_n^(phi(n)-1).  A value that is rational is always
+    `nums` holds phi(n) ints over the power basis 1, zeta_n, ...,
+    zeta_n^(phi(n)-1), `den` is a positive int and gcd(den, *nums) == 1, so
+    zero is all-zero `nums` over 1.  A value that is rational is always
     stored with conductor 1.  Instances are immutable.
     """
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "nums", "den")
     __hash__ = None  # cross-conductor equality makes hashing a trap
 
-    def __init__(self, conductor: int, coeffs, _reduced: bool = False):
-        coeffs = [Fraction(c) for c in coeffs]
+    def __init__(self, conductor: int, nums, den: int = 1, _reduced: bool = False):
+        if den < 1:
+            raise ValueError("a cyclotomic denominator must be positive")
         if not _reduced:
-            coeffs = reduce_mod_cyclotomic(coeffs, conductor)
+            nums = reduce_mod_cyclotomic(nums, conductor)
         d = euler_phi(conductor)
-        if len(coeffs) != d:
-            coeffs = coeffs[:d] + [Fraction(0)] * (d - len(coeffs))
-        if conductor > 1 and not any(coeffs[1:]):
-            conductor, coeffs = 1, [coeffs[0]]
+        if len(nums) != d:
+            nums = list(nums[:d]) + [0] * (d - len(nums))
+        if conductor > 1 and not any(nums[1:]):
+            conductor, nums = 1, nums[:1]
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                den //= g
+                nums = [x // g for x in nums]
         object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("Cyclotomic values are immutable")
@@ -195,17 +204,15 @@ class Cyclotomic:
     # -- constructors --
 
     @staticmethod
-    def rational(q) -> Cyclotomic:
-        return Cyclotomic(1, [Fraction(q)], _reduced=True)
+    def rational(q: Fraction | int) -> Cyclotomic:
+        return Cyclotomic(1, (q.numerator,), q.denominator, _reduced=True)
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> Cyclotomic:
         """The root of unity zeta_n^k."""
         if n < 1:
             raise ValueError("order must be positive")
-        k %= n
-        coeffs = [Fraction(0)] * k + [Fraction(1)]
-        return Cyclotomic(n, coeffs)
+        return Cyclotomic(n, [0] * (k % n) + [1])
 
     @staticmethod
     def coerce(x) -> Cyclotomic:
@@ -224,7 +231,7 @@ class Cyclotomic:
     def rational_value(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"a value of conductor {self.conductor} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def integer_value(self) -> int:
         q = self.rational_value()
@@ -232,30 +239,39 @@ class Cyclotomic:
             raise ValueError("a rational value is not an integer")
         return q.numerator
 
-    def _lift_coeffs(self, n: int) -> list[Fraction]:
-        """Coefficient vector in Q(zeta_n), length phi(n); n a conductor multiple."""
+    def rational_coefficients(self) -> list[Fraction]:
+        """The coefficients over the power basis, as rationals."""
+        return [Fraction(x, self.den) for x in self.nums]
+
+    def _lift_coeffs(self, n: int) -> list[int]:
+        """The numerators over Q(zeta_n), length phi(n); n a conductor multiple."""
         if n == self.conductor:
-            return list(self.coeffs)
-        return lift_coeffs(self.coeffs, self.conductor, n)
+            return list(self.nums)
+        return lift_coeffs(self.nums, self.conductor, n)
 
     # -- arithmetic --
 
     def _pair(self, other):
         other = Cyclotomic.coerce(other)
         n = lcm(self.conductor, other.conductor)
-        return self._lift_coeffs(n), other._lift_coeffs(n), n
+        return self._lift_coeffs(n), other._lift_coeffs(n), n, other.den
 
     def __add__(self, other):
         try:
-            a, b, n = self._pair(other)
+            a, b, n, db = self._pair(other)
         except TypeError:
             return NotImplemented
-        return Cyclotomic(n, [x + y for x, y in zip(a, b)], _reduced=True)
+        da = self.den
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        return Cyclotomic(n, [x * fa + y * fb for x, y in zip(a, b)], den,
+                          _reduced=True)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.conductor, [-c for c in self.coeffs], _reduced=True)
+        return Cyclotomic(self.conductor, [-x for x in self.nums], self.den,
+                          _reduced=True)
 
     def __sub__(self, other):
         try:
@@ -268,44 +284,16 @@ class Cyclotomic:
 
     def __mul__(self, other):
         try:
-            a, b, n = self._pair(other)
+            a, b, n, db = self._pair(other)
         except TypeError:
             return NotImplemented
-        return Cyclotomic(n, _poly_mul(a, b))
+        return Cyclotomic(n, _poly_mul(a, b), self.den * db)
 
     __rmul__ = __mul__
 
-    def inverse(self) -> Cyclotomic:
-        """Multiplicative inverse; raises ZeroDivisionError on zero."""
-        if not self:
-            raise ZeroDivisionError("inversion of zero cyclotomic")
-        if self.is_rational:
-            return Cyclotomic.rational(1 / self.coeffs[0])
-        n = self.conductor
-        phi = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        # extended Euclid in Q[x]: u*self + v*Phi_n = 1
-        r0, r1 = phi, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while r1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                c = r1[0]
-                return Cyclotomic(n, [x / c for x in s1])
-            q, rem = _poly_divmod_frac(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-            s1 = reduce_mod_cyclotomic(s1, n)
-
-    def __truediv__(self, other):
-        return self * Cyclotomic.coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return Cyclotomic.coerce(other) * self.inverse()
-
     def __pow__(self, k: int):
         if k < 0:
-            return self.inverse() ** (-k)
+            raise ValueError("a cyclotomic power needs a non-negative exponent")
         out = Cyclotomic.rational(1)
         base = self
         while k:
@@ -316,53 +304,32 @@ class Cyclotomic:
         return out
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.nums)
 
     def __eq__(self, other):
+        # Z[zeta_n] meets Q(zeta_m) in Z[zeta_m], whose power basis is integral,
+        # so a lift keeps gcd(den, *nums) == 1: equal values store equal ints
         try:
-            a, b, _ = self._pair(other)
+            a, b, _, db = self._pair(other)
         except TypeError:
             return NotImplemented
-        return a == b
+        return self.den == db and a == b
 
     def __repr__(self):
         if self.is_rational:
-            return f"Cyclotomic({self.coeffs[0]})"
-        terms = ", ".join(str(c) for c in self.coeffs)
+            return f"Cyclotomic({self.rational_value()})"
+        terms = ", ".join(map(str, self.rational_coefficients()))
         return f"Cyclotomic(z{self.conductor}; [{terms}])"
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 if y:
                     out[i + j] += x * y
     return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _poly_divmod_frac(num, den):
-    num = list(num)
-    while den and not den[-1]:
-        den = den[:-1]
-    dn = len(den) - 1
-    lead = den[-1]
-    q = [Fraction(0)] * max(1, len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i] / lead
-        q[i - dn] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i - dn + j] -= c * d
-    return q, num[:dn]
 
 
 # -- string forms used by the JSON wire formats ------------------------------

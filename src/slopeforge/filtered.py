@@ -242,8 +242,9 @@ def invariant_dimension(chi: ClassFunction, H: Subgroup) -> int:
     if H.parent is not G:
         raise FilteredError("subgroup must live in the character's group")
     if chi.int_view is None:
-        total, *rest = _cyclotomic_sum(chi, H.elements).coeffs
-        scale = H.order
+        value = _cyclotomic_sum(chi, H.elements)
+        total, *rest = value.nums
+        scale = value.den * H.order
     else:
         _, D, rows = chi.int_view
         class_of = G.class_of
@@ -330,7 +331,7 @@ def invariant_character(chi: ClassFunction, H: Subgroup) -> ClassFunction:
     class_of, scale = G.class_of, D * H.order
     for g in G.class_representatives:
         total = _summed_rows(rows, (class_of[mul(g, h)] for h in H.elements))
-        vals.append(Cyclotomic(n, [Fraction(x, scale) for x in total], _reduced=True))
+        vals.append(Cyclotomic(n, total, scale, _reduced=True))
     return ClassFunction(G, tuple(vals))
 
 

@@ -825,9 +825,6 @@ class WreathEmbedding:
     transversal: tuple[int, ...]
     subgroup: Subgroup
 
-    def image_of(self, g: int):
-        return self.images[g]
-
 
 def embed_in_wreath(G: FiniteGroup, H: Subgroup,
                     transversal=None) -> WreathEmbedding:

@@ -107,7 +107,8 @@ def parse_cyclotomic(obj, path: str, max_conductor: int) -> Cyclotomic:
     _expect(isinstance(coeffs, list), f"{path}.coefficients", "expected a list")
     vals = [parse_rational(c, f"{path}.coefficients[{i}]")
             for i, c in enumerate(coeffs)]
-    return Cyclotomic(n, vals)
+    den = lcm(*(q.denominator for q in vals))
+    return Cyclotomic(n, [q.numerator * (den // q.denominator) for q in vals], den)
 
 
 def cyclotomic_json(v: Cyclotomic):
@@ -115,7 +116,7 @@ def cyclotomic_json(v: Cyclotomic):
         return rational_json(v.rational_value())
     return {
         "conductor": v.conductor,
-        "coefficients": [rational_json(c) for c in v.coeffs],
+        "coefficients": [rational_json(c) for c in v.rational_coefficients()],
     }
 
 

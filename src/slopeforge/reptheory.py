@@ -85,9 +85,9 @@ class ClassFunction:
         n = reduce(lcm, (v.conductor for v in self.values), self.group.exponent)
         if n > 2 * self.group.order:
             return None
-        D = reduce(lcm, (c.denominator for v in self.values for c in v.coeffs), 1)
-        rows = tuple(tuple(lift_coeffs([c.numerator * (D // c.denominator)
-                                        for c in v.coeffs], v.conductor, n))
+        D = lcm(*(v.den for v in self.values))
+        rows = tuple(tuple(lift_coeffs([x * (D // v.den) for x in v.nums],
+                                       v.conductor, n))
                      for v in self.values)
         return n, D, rows
 
@@ -270,7 +270,8 @@ def str_of_cyclotomic(v: Cyclotomic) -> str:
 
     if v.is_rational:
         return rational_to_str(v.rational_value())
-    return "z%d:[%s]" % (v.conductor, ",".join(rational_to_str(c) for c in v.coeffs))
+    return "z%d:[%s]" % (v.conductor,
+                         ",".join(map(rational_to_str, v.rational_coefficients())))
 
 
 # -- character tables (Dixon-Schneider) ---------------------------------------
@@ -476,19 +477,18 @@ def _dixon_schneider(G: FiniteGroup) -> CharacterTable:
                 if value_coeffs[i][ka] is None:
                     value_coeffs[i][ka] = [col[(w * a_inv) % m] for w in range(m)]
 
-    # reduced mod Phi_m over Z first, so the reduction makes no Fraction
     irreducibles = []
     for i, d in enumerate(degrees):
-        values = [Cyclotomic(m, reduce_mod_cyclotomic(col, m), _reduced=True)
-                  for m, col in zip(orders, value_coeffs[i])]
+        values = [Cyclotomic(m, col) for m, col in zip(orders, value_coeffs[i])]
         if values[0] != Cyclotomic.rational(d):
             raise AssertionError("lifted degree mismatch")
         irreducibles.append(ClassFunction(G, tuple(values)))
 
-    # deterministic order: trivial character first, then by degree and values
+    # deterministic order: trivial character first, then by degree and values;
+    # character values are algebraic integers, so every den is 1
     def sort_key(chi: ClassFunction):
         return (int(chi.degree),
-                [(v.conductor, v.coeffs) for v in chi.values])
+                [(v.conductor, v.nums) for v in chi.values])
 
     triv = trivial_character(G)
     rest = sorted((c for c in irreducibles if c != triv), key=sort_key)

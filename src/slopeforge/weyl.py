@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .exactnum import shown
 from .groups import orbit
@@ -91,30 +92,6 @@ def _simple_roots(family: str, rank: int) -> list[Vector]:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _solve_coordinates(basis: list[Vector], target: Vector) -> list[Fraction] | None:
-    """Coordinates of target in the given independent basis, or None."""
-    m = [[basis[j][i] for j in range(len(basis))] + [target[i]] for i in range(len(target))]
-    ncols = len(basis)
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pr is None:
-            return None
-        m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-    coords = [m[i][ncols] for i in range(ncols)]
-    for i in range(r, len(m)):
-        if m[i][ncols] != 0:
-            return None
-    return coords
-
-
 @dataclass(frozen=True)
 class RootSystem:
     family: str
@@ -127,54 +104,64 @@ class RootSystem:
     def num_positive_roots(self) -> int:
         return len(self.positive_roots)
 
+    def dynkin_labels(self, weight: Vector) -> list[Fraction]:
+        """The pairings 2<w, a>/<a, a> of the weight with the simple roots."""
+        return [2 * dot(weight, alpha) / dot(alpha, alpha) for alpha in self.simple_roots]
+
     def is_dominant(self, weight: Vector) -> bool:
-        """All pairings 2<w, a>/<a, a> with simple roots are non-negative integers."""
-        for alpha in self.simple_roots:
-            pairing = 2 * dot(weight, alpha) / dot(alpha, alpha)
-            if pairing < 0 or pairing.denominator != 1:
-                return False
-        return True
+        """All Dynkin labels are non-negative integers."""
+        return all(x >= 0 and x.denominator == 1 for x in self.dynkin_labels(weight))
 
     def rho_multiple(self, k: int) -> Vector:
         return tuple(k * c for c in self.rho)
 
 
 def build_root_system(family: str, rank: int) -> RootSystem:
-    """Exact positive roots in the standard coordinates for the given family."""
+    """Exact positive roots in the standard coordinates for the given family.
+
+    The roots are closed in simple-root coordinates on Python ints: the
+    reflection s_i(beta) = beta - <beta, alpha_i^v> alpha_i changes only
+    coordinate i, by sum_j c_j <alpha_j, alpha_i^v>, an integer Cartan entry.
+    A root is positive when all its coordinates are >= 0."""
     family = family.upper()
     if family not in _VALID_RANKS or not _VALID_RANKS[family](rank):
         raise ValueError(f"invalid root system {family}{shown(rank)}")
     simple = _simple_roots(family, rank)
+    cartan = [[int(2 * dot(a, b) / dot(b, b)) for b in simple] for a in simple]
 
-    def reflect(beta: Vector, alpha: Vector) -> Vector:
-        coeff = 2 * dot(beta, alpha) / dot(alpha, alpha)
-        return tuple(b - coeff * a for b, a in zip(beta, alpha))
-    # the roots are the closure of the simple roots under the simple reflections
-    roots = orbit(simple, simple, reflect)
-    positive = []
-    for beta in sorted(roots):
-        coords = _solve_coordinates(simple, beta)
-        if coords is None:
-            raise AssertionError("root outside simple-root span")
-        if all(c >= 0 for c in coords) and any(c > 0 for c in coords):
-            positive.append(beta)
+    def reflect(coords: tuple[int, ...], i: int) -> tuple[int, ...]:
+        out = list(coords)
+        out[i] -= sum(c * row[i] for c, row in zip(coords, cartan) if c)
+        return tuple(out)
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    roots = orbit(units, range(rank), reflect)
+    positive_coords = [c for c in roots if min(c) >= 0]
     expected = _POSITIVE_ROOT_COUNTS[family](rank)
-    if len(positive) != expected:
+    if len(positive_coords) != expected:
         raise AssertionError(
-            f"{family}{rank}: found {len(positive)} positive roots, expected {expected}"
+            f"{family}{rank}: found {len(positive_coords)} positive roots, expected {expected}"
         )
-    dim = len(simple[0])
-    rho = tuple(
-        sum((beta[i] for beta in positive), Fraction(0)) / 2 for i in range(dim)
-    )
+    # the ambient roots are integer vectors over the simple roots' denominators
+    scale = lcm(*(x.denominator for alpha in simple for x in alpha))
+    columns = [[int(x * scale) for x in column] for column in zip(*simple)]
+    ambient = sorted(tuple(sum(c * x for c, x in zip(coords, column))
+                           for column in columns)
+                     for coords in positive_coords)
+    positive = [tuple(Fraction(x, scale) for x in beta) for beta in ambient]
+    rho = tuple(Fraction(sum(column), 2 * scale) for column in zip(*ambient))
     for alpha in positive:
         if dot(rho, alpha) <= 0:
             raise AssertionError("rho must pair positively with every positive root")
     return RootSystem(family, rank, tuple(simple), tuple(positive), rho)
 
 
-def weyl_dim(rs: RootSystem, weight: Vector) -> int:
-    """Dimension of the irreducible with the given dominant highest weight."""
+def weyl_dim(rs: RootSystem, weight: Vector, max_digits: int | None = None) -> int:
+    """Dimension of the irreducible with the given dominant highest weight.
+
+    With max_digits, a weight whose dimension may reach 10^max_digits is
+    refused before any product: each factor <lambda + rho, alpha^v> /
+    <rho, alpha^v> is at most M + 1, M the largest Dynkin label of lambda,
+    so the dimension is at most (M + 1)^N."""
     weight = tuple(Fraction(c) for c in weight)
     if len(weight) != len(rs.rho):
         raise ValueError(
@@ -183,6 +170,13 @@ def weyl_dim(rs: RootSystem, weight: Vector) -> int:
     if not rs.is_dominant(weight):
         coords = shown(",".join(map(str, weight)))
         raise ValueError(f"weight {coords} is not dominant for {rs.family}{rs.rank}")
+    if max_digits is not None:
+        base, n = int(max(rs.dynkin_labels(weight))) + 1, rs.num_positive_roots
+        # base^n >= 2^(4 max_digits) > 10^max_digits needs no power formed
+        if (base.bit_length() - 1) * n >= 4 * max_digits or base**n >= 10**max_digits:
+            coords = shown(",".join(map(str, weight)))
+            raise ValueError(f"the dimension at weight {coords} may pass "
+                             f"{max_digits} digits")
     shifted = tuple(w + r for w, r in zip(weight, rs.rho))
     result = Fraction(1)
     for alpha in rs.positive_roots:

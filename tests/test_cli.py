@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from slopeforge import cli, verify
 from slopeforge.cli import main
 from slopeforge.corpus import abelian_groups_up_to_64, group_zoo_up_to_100
+from slopeforge.exactnum import shown
 from slopeforge.groups import (DEFAULT_MAX_ORDER, alternating_group,
                                cyclic_group, dihedral_group, direct_product,
                                elementary_abelian_group, group_from_permutations,
@@ -84,7 +85,7 @@ class TestNewtonCommand:
         code, out, err = run_cli(["np", option, target], capsys,
                                  {"slopes": [["1/2", 2]]}, tmp_path=tmp_path)
         assert code == 2 and out is None
-        assert err.startswith(f"input error: {option}: cannot write {target}")
+        assert err.startswith(f"input error: {option}: cannot write {shown(target)}:")
 
     def test_malformed_input_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(["np"], capsys, {"slopes": [["x", 2]]},
@@ -183,6 +184,41 @@ class TestInductionCommands:
         code, out, _ = run_cli(["mackey"], capsys, payload, tmp_path=tmp_path)
         assert code == 0
         assert out["pass"] is True
+
+    def test_induce_wire_format_of_non_integral_values_is_pinned(self, capsys,
+                                                                 tmp_path):
+        payload = self._s3_payload()
+        payload["character"] = {"values": [
+            "1",
+            {"conductor": 3, "coefficients": ["1/2", "-2/3"]},
+            {"conductor": 3, "coefficients": ["-1", "-1"]},
+        ]}
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        assert main(["induce", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            '{\n  "format": 1,\n  "character": {\n    "values": [\n'
+            '      "2",\n      "0",\n      {\n        "conductor": 3,\n'
+            '        "coefficients": [\n          "-1/2",\n          "-5/3"\n'
+            '        ]\n      }\n    ]\n  },\n  "degree": "2"\n}\n')
+
+    def test_mackey_witness_of_non_integral_values_is_pinned(self, capsys,
+                                                             tmp_path):
+        payload = self._s3_payload()
+        payload["left"] = {"values": [
+            "1",
+            {"conductor": 3, "coefficients": ["1/2", "-2/3"]},
+            {"conductor": 3, "coefficients": ["-1", "-1"]},
+        ]}
+        payload["right"] = {"values": [
+            "1",
+            {"conductor": 3, "coefficients": ["0", "1"]},
+            {"conductor": 3, "coefficients": ["-1", "-1"]},
+        ]}
+        code, out, _ = run_cli(["mackey"], capsys, payload, tmp_path=tmp_path)
+        assert code == 0
+        assert out["witness"] == {"lhs": ["4", "0", "z3:[1/2,5/3]"],
+                                  "rhs": ["4", "0", "z3:[1/2,5/3]"]}
 
 
 def broken_c400_table():
@@ -355,6 +391,23 @@ class TestWeylCommand:
         assert err.startswith("usage: slopeforge ") and f"{argv[-1]}: invalid " in err
         assert len(err.encode()) < 300
 
+    @pytest.mark.parametrize("digits, code", [(35, 0), (36, 2)])
+    def test_dimension_past_the_digit_limit_is_refused_at_the_weight(self, capsys,
+                                                                     digits, code):
+        # dim V(k rho) = (k + 1)^120 on E8: 10^35 rho has 4201 digits,
+        # 10^36 rho would have 4321, past the 4300 that str(int) allows
+        start = time.perf_counter()
+        got = main(["weyl-dim", "--family", "E", "--rank", "8",
+                    "--weight", f"1{'0' * digits}rho"])
+        captured = capsys.readouterr()
+        assert got == code and time.perf_counter() - start < 0.5
+        if code == 0:
+            assert json.loads(captured.out)["dimension"] == (10**digits + 1) ** 120
+        else:
+            assert captured.out == ""
+            assert captured.err.startswith("input error: $.weight: the dimension ")
+            assert captured.err.count("\n") == 1 and len(captured.err.encode()) <= 300
+
     def test_rank_below_the_digit_limit_gets_the_rank_refusal(self, capsys):
         code = main(["weyl-dim", "--family", "A", "--rank", "9" * 4000,
                      "--weight", "2rho"])
@@ -376,6 +429,23 @@ class TestVerifyCommand:
     def test_unknown_suite(self, capsys):
         code = main(["verify", "--suite", "nonsense"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv, prefix", [
+        (["verify", "--suite", "x" * 1000], "input error: $.suite: unknown suites: "),
+        (["np", "--output", "/nonexistent/" + "y" * 1000],
+         "input error: --output: cannot write "),
+    ], ids=["suite", "output"])
+    def test_long_echo_is_shown_bounded(self, capsys, tmp_path, argv, prefix):
+        # the whole value was echoed: 1285 bytes for the suite, 1077 for the path
+        if argv[0] == "np":
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps({"slopes": [["1/2", 2]]}))
+            argv = argv + ["--input", str(path)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(prefix)
+        assert captured.err.count("\n") == 1 and len(captured.err.encode()) <= 300
 
 
 S3_GENS = [[2, 1, 3], [2, 3, 1]]
@@ -863,6 +933,8 @@ weyl_weights = st.one_of(
 # a non-dominant weight of 400 digits; a rank past the digit limit
 @example("A", "1", "-" + "9" * 400 + ",1")
 @example("A", "9" * 5000, "2rho")
+# a dimension past the digit limit, refused at $.weight before any product
+@example("E", "8", "9" * 300 + "rho")
 def test_fuzzed_weyl_dim_keeps_the_exit_code_contract(family, rank, weight):
     out, err = io.StringIO(), io.StringIO()
     argv = ["weyl-dim", f"--family={family}", f"--rank={rank}", f"--weight={weight}"]

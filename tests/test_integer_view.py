@@ -25,7 +25,7 @@ def oracle_invariant_dimension(chi, H):
     for h in H.elements:
         total = total + chi.value_at(h)
     value = total * Fraction(1, H.order)
-    dim = value.coeffs[0]
+    dim = value.rational_coefficients()[0]
     if not value.is_rational or dim.denominator != 1 or dim < 0:
         raise FilteredError(
             f"not a character: invariant dimension under a subgroup of order "

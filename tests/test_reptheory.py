@@ -189,8 +189,8 @@ class TestCharacterTables:
                             assert chi.values[ka] == v, (G.name, k, a)
                             continue
                         n = v.conductor
-                        image = [0] * len(v.coeffs)
-                        for u, c in enumerate(v.coeffs):
+                        image = [0] * len(v.nums)
+                        for u, c in enumerate(v.nums):
                             if c:
                                 image = [x + int(c) * y for x, y in
                                          zip(image, zeta_coeffs(n, a * u % n))]
@@ -319,8 +319,8 @@ class TestInduction:
                 for psi in (chi, chi * irr[(i + 1) % len(irr)]):
                     expected = self.element_wise_induce(psi, H)
                     got = induce(psi, H).values
-                    assert [(v.conductor, v.coeffs) for v in got] == [
-                        (v.conductor, v.coeffs) for v in expected]
+                    assert [(v.conductor, v.rational_coefficients()) for v in got] == [
+                        (v.conductor, v.rational_coefficients()) for v in expected]
                     cases += 1
         assert cases == 252
 
@@ -432,6 +432,23 @@ class TestMackey:
             restrict(table.irreducibles[1], S3.full_subgroup()),
             S3.full_subgroup())
         assert ok
+
+    def test_failing_witness_is_pinned(self, monkeypatch):
+        # conjugation replaced by duality makes the identity fail on C3 < C6,
+        # and the witness shows both sides as they differ
+        import slopeforge.reptheory as rt
+
+        C6 = cyclic_group(6)
+        H = generated_subgroup(C6, [C6.power(1, 2)])
+        omega = nontrivial_linear(character_table(H.as_group))
+        V = omega * Fraction(1, 8) + omega * omega
+        monkeypatch.setattr(rt, "conjugate_character",
+                            lambda chi, H, gamma: chi.dual())
+        ok, witness = mackey_check(V, omega, H)
+        assert not ok
+        assert witness == {
+            "lhs": ["9/2", "0", "z3:[4,1/2]", "0", "z3:[7/2,-1/2]", "0"],
+            "rhs": ["9/2", "0", "z3:[1/2,4]", "0", "z3:[-7/2,-4]", "0"]}
 
     def test_requires_normal(self):
         S3 = symmetric_group(3)
