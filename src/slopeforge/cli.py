@@ -41,6 +41,17 @@ EXIT_INPUT_ERROR = 2
 # Lattice dots an SVG draws at most; a larger polygon is drawn without them.
 SVG_MAX_LATTICE_DOTS = 10_000
 
+# Bytes an "input error:" line takes at most, its newline included.
+MAX_ERROR_LINE = 300
+
+
+def _echo_error(path: str, before: str, value, after: str) -> InputError:
+    """The refusal `before + value + after` at `path`, echoing `value` whole
+    when the printed line fits in MAX_ERROR_LINE bytes and cut past that."""
+    line = f"input error: {path}: {before}...{after}\n"
+    return InputError(path, before + shown(value, MAX_ERROR_LINE - len(line.encode()))
+                      + after)
+
 
 def _int_or_float(literal: str):
     """A JSON integer literal; past `int`'s digit limit it is read as a float,
@@ -104,8 +115,8 @@ def _write_payload(args, payload: dict):
         with open(target, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise InputError("--output",
-                         f"cannot write {shown(target)}: {exc.strerror}") from None
+        raise _echo_error("--output", "cannot write ", target,
+                          f": {exc.strerror}") from None
 
 
 # -- SVG rendering of Newton polygons ---------------------------------------------
@@ -168,7 +179,7 @@ def _write_svg(path: str, text: str):
         if not in_place:
             with contextlib.suppress(OSError):
                 os.remove(tmp)
-        raise InputError("--svg", f"cannot write {shown(path)}: {exc.strerror}") from None
+        raise _echo_error("--svg", "cannot write ", path, f": {exc.strerror}") from None
 
 
 # -- subcommands: each turns the payload and options into a report ------------------
@@ -380,7 +391,7 @@ def cmd_weyl_dim(payload, args) -> dict:
         raise InputError("$.family", str(exc)) from None
     weight = _parse_weight(args.weight, rs)
     try:
-        dim = weyl_dim(rs, weight, max_digits=sys.get_int_max_str_digits() or None)
+        dim = weyl_dim(rs, weight)
     except ValueError as exc:
         raise InputError("$.weight", str(exc)) from None
     return {
@@ -397,8 +408,8 @@ def cmd_verify(payload, args) -> dict:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]
     if unknown:
-        raise InputError("$.suite", f"unknown suites: {shown(', '.join(unknown))}; "
-                         f"known: {', '.join(SUITES)}")
+        raise _echo_error("$.suite", "unknown suites: ", ", ".join(unknown),
+                          f"; known: {', '.join(SUITES)}")
     if args.jobs < 1:
         raise InputError("--jobs", f"expected a positive integer, got {args.jobs}")
     results = run_suites(names, jobs=args.jobs, seed=args.seed)

@@ -342,10 +342,12 @@ def rational_to_str(q: Fraction | int) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def shown(x) -> str:
-    """str(x) cut to 12 characters and "...", for bounded error messages."""
+def shown(x, width: int = 12) -> str:
+    """str(x), cut to `width` bytes of UTF-8 and "..." when longer, for
+    bounded error messages."""
     s = str(x)
-    return s if len(s) <= 12 else s[:12] + "..."
+    raw = s.encode("utf-8", "backslashreplace")
+    return s if len(raw) <= width else raw[:width].decode("utf-8", "ignore") + "..."
 
 
 def rational_from_str(s: str) -> Fraction:

@@ -8,9 +8,10 @@ verifies that identity by computing both sides independently.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, log2
 
 from .exactnum import shown
 from .groups import orbit
@@ -155,13 +156,13 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     return RootSystem(family, rank, tuple(simple), tuple(positive), rho)
 
 
-def weyl_dim(rs: RootSystem, weight: Vector, max_digits: int | None = None) -> int:
+def weyl_dim(rs: RootSystem, weight: Vector) -> int:
     """Dimension of the irreducible with the given dominant highest weight.
 
-    With max_digits, a weight whose dimension may reach 10^max_digits is
-    refused before any product: each factor <lambda + rho, alpha^v> /
-    <rho, alpha^v> is at most M + 1, M the largest Dynkin label of lambda,
-    so the dimension is at most (M + 1)^N."""
+    A weight whose dimension may pass the interpreter's digit limit for
+    str(int) is refused before any product: each factor <lambda + rho, alpha>
+    / <rho, alpha> is at most its numerator, so 2 to the sum of their bit
+    lengths bounds the dimension."""
     weight = tuple(Fraction(c) for c in weight)
     if len(weight) != len(rs.rho):
         raise ValueError(
@@ -170,17 +171,16 @@ def weyl_dim(rs: RootSystem, weight: Vector, max_digits: int | None = None) -> i
     if not rs.is_dominant(weight):
         coords = shown(",".join(map(str, weight)))
         raise ValueError(f"weight {coords} is not dominant for {rs.family}{rs.rank}")
-    if max_digits is not None:
-        base, n = int(max(rs.dynkin_labels(weight))) + 1, rs.num_positive_roots
-        # base^n >= 2^(4 max_digits) > 10^max_digits needs no power formed
-        if (base.bit_length() - 1) * n >= 4 * max_digits or base**n >= 10**max_digits:
-            coords = shown(",".join(map(str, weight)))
-            raise ValueError(f"the dimension at weight {coords} may pass "
-                             f"{max_digits} digits")
     shifted = tuple(w + r for w, r in zip(weight, rs.rho))
+    factors = [dot(shifted, alpha) / dot(rs.rho, alpha) for alpha in rs.positive_roots]
+    # 0 means no limit, as on interpreters without one
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and sum(f.numerator.bit_length() for f in factors) > limit * log2(10):
+        coords = shown(",".join(map(str, weight)))
+        raise ValueError(f"the dimension at weight {coords} may pass {limit} digits")
     result = Fraction(1)
-    for alpha in rs.positive_roots:
-        result *= dot(shifted, alpha) / dot(rs.rho, alpha)
+    for f in factors:
+        result *= f
     if result.denominator != 1 or result < 1:
         raise AssertionError("Weyl dimension must be a positive integer")
     return result.numerator

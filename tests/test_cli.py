@@ -4,6 +4,7 @@ import copy
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -17,7 +18,6 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from slopeforge import cli, verify
 from slopeforge.cli import main
 from slopeforge.corpus import abelian_groups_up_to_64, group_zoo_up_to_100
-from slopeforge.exactnum import shown
 from slopeforge.groups import (DEFAULT_MAX_ORDER, alternating_group,
                                cyclic_group, dihedral_group, direct_product,
                                elementary_abelian_group, group_from_permutations,
@@ -85,7 +85,7 @@ class TestNewtonCommand:
         code, out, err = run_cli(["np", option, target], capsys,
                                  {"slopes": [["1/2", 2]]}, tmp_path=tmp_path)
         assert code == 2 and out is None
-        assert err.startswith(f"input error: {option}: cannot write {shown(target)}:")
+        assert err.startswith(f"input error: {option}: cannot write {target}:")
 
     def test_malformed_input_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(["np"], capsys, {"slopes": [["x", 2]]},
@@ -408,6 +408,15 @@ class TestWeylCommand:
             assert captured.err.startswith("input error: $.weight: the dimension ")
             assert captured.err.count("\n") == 1 and len(captured.err.encode()) <= 300
 
+    def test_large_label_on_few_roots_is_accepted(self, capsys):
+        # 10^36 omega_1 pairs with 15 of A15's 120 coroots: the dimension
+        # C(10^36 + 15, 15) has 530 digits, though (10^36 + 1)^120 has 4321
+        k = 10**36
+        code = main(["weyl-dim", "--family", "A", "--rank", "15",
+                     "--weight", ",".join([str(k)] + ["0"] * 15)])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["dimension"] == math.comb(k + 15, 15)
+
     def test_rank_below_the_digit_limit_gets_the_rank_refusal(self, capsys):
         code = main(["weyl-dim", "--family", "A", "--rank", "9" * 4000,
                      "--weight", "2rho"])
@@ -446,6 +455,20 @@ class TestVerifyCommand:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith(prefix)
         assert captured.err.count("\n") == 1 and len(captured.err.encode()) <= 300
+
+    @pytest.mark.parametrize("argv, value", [
+        (["verify", "--suite", "weyl", "--suite", "xyz"], "weyl, xyz"),
+        (["np", "--output", "/nonexistent/" + "y" * 180], "/nonexistent/" + "y" * 180),
+    ], ids=["suite", "output"])
+    def test_echo_that_fits_the_line_is_whole(self, capsys, tmp_path, argv, value):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"slopes": [["1/2", 2]]}))
+        if argv[0] == "np":
+            argv = argv + ["--input", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f" {value}:" in err or f" {value};" in err
+        assert "..." not in err and len(err.encode()) <= 300
 
 
 S3_GENS = [[2, 1, 3], [2, 3, 1]]
