@@ -33,11 +33,11 @@ print()
 print("== the order-7200 wreath product of the icosahedral group ==")
 A5 = alternating_group(5)
 W = wreath_cyclic(A5, 2)
-t0 = time.time()
+t0 = time.perf_counter()
 G = W.group()
 report = classify_wreath_subgroup(W, G)
 print(f"order {G.order}, {len(G.conjugacy_classes)} classes"
-      f" (built in {time.time() - t0:.1f}s)")
+      f" (built in {time.perf_counter() - t0:.1f}s)")
 print("case:", report.case)
 print("normal subgroup orders:", report.normal_subgroup_orders)
 print("longest normal chain:", report.max_normal_chain_length, "(bound 3)")

@@ -8,6 +8,7 @@ are exact.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -243,6 +244,13 @@ class Cyclotomic:
         """The coefficients over the power basis, as rationals."""
         return [Fraction(x, self.den) for x in self.nums]
 
+    def coefficient_strs(self) -> list[str]:
+        """The coefficients over the power basis as rational_to_str writes
+        them; over den 1 (every character value) from the ints alone."""
+        if self.den == 1:
+            return [str(x) for x in self.nums]
+        return [rational_to_str(q) for q in self.rational_coefficients()]
+
     def _lift_coeffs(self, n: int) -> list[int]:
         """The numerators over Q(zeta_n), length phi(n); n a conductor multiple."""
         if n == self.conductor:
@@ -316,10 +324,10 @@ class Cyclotomic:
         return self.den == db and a == b
 
     def __repr__(self):
+        terms = self.coefficient_strs()
         if self.is_rational:
-            return f"Cyclotomic({self.rational_value()})"
-        terms = ", ".join(map(str, self.rational_coefficients()))
-        return f"Cyclotomic(z{self.conductor}; [{terms}])"
+            return f"Cyclotomic({terms[0]})"
+        return f"Cyclotomic(z{self.conductor}; [{', '.join(terms)}])"
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -336,10 +344,21 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
 
 
 def rational_to_str(q: Fraction | int) -> str:
-    q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def past_digit_limit(x: int) -> int:
+    """The interpreter's limit on the digits of str(int) when |x| has more
+    digits than it allows, else 0.  The limit is read at each call; there is
+    none before Python 3.10.7 or after sys.set_int_max_str_digits(0)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    x = abs(x)
+    # 10**limit has more than 3 * limit bits, so short ints are settled by length
+    if limit and x.bit_length() > 3 * limit and x >= 10 ** limit:
+        return limit
+    return 0
 
 
 def shown(x, width: int = 12) -> str:

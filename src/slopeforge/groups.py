@@ -76,14 +76,15 @@ def orbit(seeds, gens, act) -> set:
     return members
 
 
-def _extend_closed(closed, gens, act, identity, bound=None) -> set:
+def _extend_closed(closed, gens, act, identity, bound=None, stop=None) -> set:
     """closed . <gens> for a set `closed` that is a group under act (right
     multiplication), as a union of right cosets closed . r (Dimino's step).
 
     The result is a group when `closed` lies in <gens> or gens normalize it.
     A coset is added whole for each r . g outside the union, with r running
     over the coset representatives found so far; GroupError is raised before
-    a coset would take the union past `bound` elements.
+    a coset would take the union past `bound` elements, and the union is
+    returned unfinished as soon as it has more than `stop` elements.
     """
     coset = list(closed)
     members = set(coset)
@@ -95,6 +96,8 @@ def _extend_closed(closed, gens, act, identity, bound=None) -> set:
                 if bound is not None and len(members) + len(coset) > bound:
                     raise GroupError(f"closure exceeds order bound {bound}")
                 members.update([act(h, y) for h in coset])
+                if stop is not None and len(members) > stop:
+                    return members
                 reps.append(y)
     return members
 
@@ -661,16 +664,75 @@ def extraspecial_exponent_p2_group(p: int) -> FiniteGroup:
 # -- normal subgroup lattice ---------------------------------------------------
 
 
-def _closure_of_class_union(G: FiniteGroup, class_elems) -> Subgroup:
-    """Subgroup generated by a conjugation-closed element set (hence normal)."""
-    gens, members = _greedy_generators(class_elems, 0, G.mul)
-    return Subgroup._from_closure(G, tuple(sorted(members)), tuple(sorted(gens)))
+def _class_closure(G: FiniteGroup, cls, N: Subgroup, M: Subgroup) -> Subgroup:
+    """<cls> for a class lying in the normal subgroup M and outside the
+    normal subgroup N <= <cls>: grown from N by whole cosets N.y, and M as
+    soon as it has more than half of M's elements."""
+    half = M.order // 2
+    members = N.element_set
+    gens = []
+    for x in cls:
+        if x not in members:
+            gens.append(x)
+            members = _extend_closed(members, gens, G.mul, 0, stop=half)
+            if len(members) > half:
+                return M
+    return Subgroup._from_closure(G, tuple(sorted(members)),
+                                  tuple(sorted({*N.generators, *gens})))
 
 
 def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    """All normal subgroups, as joins of normal closures of conjugacy classes."""
-    base = list(dict.fromkeys(_closure_of_class_union(G, cls)
-                              for cls in G.conjugacy_classes[1:]))
+    """All normal subgroups, as joins of the normal closures <C> of the
+    non-trivial conjugacy classes C.
+
+    The classes are visited by increasing order m of their representative
+    g, and each <C> is bounded by normal subgroups already known (the
+    Lagrange and power-map arguments for normal-closure lattices; Holt,
+    Eick and O'Brien, Handbook of Computational Group Theory, 2005):
+    - N, the largest closure of a class of g^p (p a prime dividing m), lies
+      in <C>, so <C> = N when g is in N;
+    - M, the smallest closure found so far that contains g (or G), contains
+      <C>, so <C> = M when [M : N] is prime, and a closure grown from N is M
+      once it has more than |M|/2 elements;
+    - the class of g^a for a prime to m has the same closure, as
+      <g^a> = <g>.
+    """
+    classes = G.conjugacy_classes
+    class_of = G.class_of
+    visits = []
+    for ci in range(1, len(classes)):
+        g = classes[ci][0]
+        powers = [g]  # g^k at k - 1, walked up to g^m = 1
+        while powers[-1] != 0:
+            powers.append(G.mul(powers[-1], g))
+        m = len(powers)
+        below = [class_of[powers[p - 1]] for p in range(2, m + 1)
+                 if m % p == 0 and is_prime(p)]
+        galois = [class_of[powers[a - 1]] for a in range(2, m) if gcd(a, m) == 1]
+        visits.append((m, ci, below, galois))
+    visits.sort(key=lambda v: v[0])
+
+    # built here, not cached on G like full_subgroup(), so that it lives
+    # only as long as the list returned
+    top = Subgroup._from_closure(G, tuple(range(G.order)), tuple(G.generators))
+    closure = {0: G.trivial_subgroup()}
+    base = []  # the distinct closures, in the order they were found
+    for _, ci, below, galois in visits:
+        if ci in closure:
+            continue
+        g = classes[ci][0]
+        N = max((closure[b] for b in below), key=lambda S: S.order)
+        if g in N:
+            C = N
+        else:
+            M = min((S for S in base if g in S), key=lambda S: S.order,
+                    default=top)
+            C = M if is_prime(M.order // N.order) else _class_closure(
+                G, classes[ci], N, M)
+        if C not in base:
+            base.append(C)
+        for c in (ci, *galois):
+            closure[c] = C
 
     def join(A: Subgroup, B: Subgroup) -> Subgroup:
         if B.element_set <= A.element_set:

@@ -10,7 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .exactnum import Cyclotomic, rational_from_str, rational_to_str
+from .exactnum import (Cyclotomic, past_digit_limit, rational_from_str,
+                       rational_to_str)
 from .filtered import BreakChain, LowerChain
 from .groups import (DEFAULT_MAX_ORDER, FiniteGroup, Subgroup,
                      group_from_cayley_table, group_from_permutations)
@@ -60,7 +61,12 @@ def parse_slope_multiset(obj, path: str = "$") -> SlopeMultiset:
     _expect(isinstance(obj, dict), path, "expected an object")
     slopes = obj.get("slopes")
     _expect(isinstance(slopes, list), f"{path}.slopes", "expected a list")
+    # a coordinate of the polygon is a sum of at most len(slopes) terms mult
+    # or slope * mult, each below 2 ** top over a divisor of den, the lcm of
+    # the slopes' denominators; so 2 ** (bits of den + top + bits of the
+    # length) bounds its numerator and denominator, checked before any sum
     pairs = []
+    den, top, terms = 1, 0, len(slopes).bit_length()
     for i, entry in enumerate(slopes):
         epath = f"{path}.slopes[{i}]"
         _expect(isinstance(entry, list) and len(entry) == 2, epath,
@@ -69,6 +75,11 @@ def parse_slope_multiset(obj, path: str = "$") -> SlopeMultiset:
         _expect(is_int(entry[1]) and entry[1] >= 1, f"{epath}[1]",
                 "expected a positive integer multiplicity")
         pairs.append((slope, entry[1]))
+        den = lcm(den, slope.denominator)
+        top = max(top, slope.numerator.bit_length() + entry[1].bit_length())
+        limit = past_digit_limit((1 << (den.bit_length() + top + terms)) - 1)
+        _expect(not limit, f"{path}.slopes",
+                f"the polygon's coordinates may pass {limit} digits")
     try:
         return SlopeMultiset.from_pairs(pairs)
     except ValueError as exc:
@@ -105,19 +116,22 @@ def parse_cyclotomic(obj, path: str, max_conductor: int) -> Cyclotomic:
             f"expected a conductor of at most {max_conductor}")
     coeffs = obj["coefficients"]
     _expect(isinstance(coeffs, list), f"{path}.coefficients", "expected a list")
-    vals = [parse_rational(c, f"{path}.coefficients[{i}]")
-            for i, c in enumerate(coeffs)]
-    den = lcm(*(q.denominator for q in vals))
+    vals = []
+    den = 1
+    for i, c in enumerate(coeffs):
+        vals.append(parse_rational(c, f"{path}.coefficients[{i}]"))
+        den = lcm(den, vals[-1].denominator)
+        limit = past_digit_limit(den)
+        _expect(not limit, f"{path}.coefficients",
+                f"the denominators' lcm passes {limit} digits")
     return Cyclotomic(n, [q.numerator * (den // q.denominator) for q in vals], den)
 
 
 def cyclotomic_json(v: Cyclotomic):
+    coeffs = v.coefficient_strs()
     if v.is_rational:
-        return rational_json(v.rational_value())
-    return {
-        "conductor": v.conductor,
-        "coefficients": [rational_json(c) for c in v.rational_coefficients()],
-    }
+        return coeffs[0]
+    return {"conductor": v.conductor, "coefficients": coeffs}
 
 
 def parse_class_function(obj, G: FiniteGroup, path: str) -> ClassFunction:

@@ -266,12 +266,10 @@ def mackey_check(V: ClassFunction, W: ClassFunction,
 
 
 def str_of_cyclotomic(v: Cyclotomic) -> str:
-    from .exactnum import rational_to_str
-
+    coeffs = v.coefficient_strs()
     if v.is_rational:
-        return rational_to_str(v.rational_value())
-    return "z%d:[%s]" % (v.conductor,
-                         ",".join(map(rational_to_str, v.rational_coefficients())))
+        return coeffs[0]
+    return "z%d:[%s]" % (v.conductor, ",".join(coeffs))
 
 
 # -- character tables (Dixon-Schneider) ---------------------------------------
@@ -496,7 +494,7 @@ def _dixon_schneider(G: FiniteGroup) -> CharacterTable:
     if len(table.irreducibles) != r:
         raise AssertionError("table must have one irreducible per class")
     _verify_table_degrees(table)
-    _verify_orthogonality_mod(table, chars_mod, degrees, ell)
+    _verify_orthogonality_mod(table, chars_mod, ell)
     return table
 
 
@@ -511,18 +509,18 @@ def _verify_table_degrees(table: CharacterTable):
         raise AssertionError("sum of squared degrees must equal the group order")
 
 
-def _verify_orthogonality_mod(table, chars_mod, degrees, ell):
+def _verify_orthogonality_mod(table, chars_mod, ell):
+    """sum_k |C_k| chi_i(C_k) chi_j(C_k^-1) = |G| [i = j] mod ell, for i <= j:
+    k -> k^-1 turns the sum for (i, j) into the one for (j, i), as
+    |C_k^-1| = |C_k|, so these are all the relations."""
     G = table.group
-    r = len(chars_mod)
     sizes = [len(c) for c in G.conjugacy_classes]
     inv_class = G.inverse_class
-    for i in range(r):
-        for j in range(r):
-            s = 0
-            for k in range(r):
-                s = (s + sizes[k] * chars_mod[i][k] * chars_mod[j][inv_class[k]]) % ell
+    weighted = [[n * row[c] for n, c in zip(sizes, inv_class)] for row in chars_mod]
+    for i, row in enumerate(chars_mod):
+        for j in range(i, len(chars_mod)):
             expected = G.order % ell if i == j else 0
-            if s != expected:
+            if sum(map(mul, row, weighted[j])) % ell != expected:
                 raise AssertionError("modular orthogonality check failed")
 
 

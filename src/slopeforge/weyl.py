@@ -8,12 +8,11 @@ verifies that identity by computing both sides independently.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, log2
+from math import lcm
 
-from .exactnum import shown
+from .exactnum import past_digit_limit, shown
 from .groups import orbit
 
 Vector = tuple[Fraction, ...]
@@ -173,9 +172,8 @@ def weyl_dim(rs: RootSystem, weight: Vector) -> int:
         raise ValueError(f"weight {coords} is not dominant for {rs.family}{rs.rank}")
     shifted = tuple(w + r for w, r in zip(weight, rs.rho))
     factors = [dot(shifted, alpha) / dot(rs.rho, alpha) for alpha in rs.positive_roots]
-    # 0 means no limit, as on interpreters without one
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and sum(f.numerator.bit_length() for f in factors) > limit * log2(10):
+    limit = past_digit_limit((1 << sum(f.numerator.bit_length() for f in factors)) - 1)
+    if limit:
         coords = shown(",".join(map(str, weight)))
         raise ValueError(f"the dimension at weight {coords} may pass {limit} digits")
     result = Fraction(1)

@@ -22,6 +22,7 @@ from slopeforge.groups import (DEFAULT_MAX_ORDER, alternating_group,
                                cyclic_group, dihedral_group, direct_product,
                                elementary_abelian_group, group_from_permutations,
                                heisenberg_group, quaternion_group, symmetric_group)
+from slopeforge.jsonio import InputError, parse_cyclotomic
 from slopeforge.reptheory import DEFAULT_TABLE_BOUND
 from slopeforge.verify import run_suites
 
@@ -78,6 +79,23 @@ class TestNewtonCommand:
                                  {"slopes": [["1" + "0" * 400, 1]]}, tmp_path=tmp_path)
         assert code == 2 and out is None and not svg_path.exists()
         assert err.startswith("input error: $.slopes: polygon too large to draw")
+
+    # the height 9...9 * 10^k has 2k digits: 4000 are written, 8000 would
+    # pass the 4300 that str(int) allows
+    @pytest.mark.parametrize("k", [2000, 4000])
+    def test_height_past_the_digit_limit_is_refused_at_the_slopes(
+            self, capsys, tmp_path, k):
+        start = time.perf_counter()
+        code, out, err = run_cli(["np"], capsys, {"slopes": [["9" * k, 10**k]]},
+                                 tmp_path=tmp_path)
+        assert time.perf_counter() - start < 0.5
+        if k == 2000:
+            assert code == 0 and out["height"] == "9" * k + "0" * k
+            assert out["vertices"][1] == [str(10**k), "9" * k + "0" * k]
+        else:
+            assert code == 2 and out is None
+            assert err == ("input error: $.slopes: the polygon's coordinates "
+                           "may pass 4300 digits\n")
 
     @pytest.mark.parametrize("option", ["--output", "--svg"])
     def test_unwritable_path_exits_2(self, capsys, tmp_path, option):
@@ -580,6 +598,32 @@ class TestInputBoundary:
         assert code == 2 and out is None
         assert err.startswith("input error: $.character.values[1].conductor:")
         assert len(err.encode()) < 200
+
+    def test_denominators_past_the_digit_limit_are_refused(self, capsys, tmp_path):
+        # 200 coprime 2000-digit denominators: their lcm took 10 s to build
+        coeffs = [f"1/{10**1999 + 2 * k + 1}" for k in range(200)]
+        payload = {"group": {"permutation_generators": [[2, 3, 1]]}, "breaks": ["1"],
+                   "subgroups": [[0, 1, 2]],
+                   "character": {"values": ["1", {"conductor": 3,
+                                                  "coefficients": coeffs}, "1"]}}
+        start = time.perf_counter()
+        code, out, err = run_cli(["swan"], capsys, payload, tmp_path=tmp_path)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out is None
+        assert err == ("input error: $.character.values[1].coefficients: "
+                       "the denominators' lcm passes 4300 digits\n")
+
+    @pytest.mark.parametrize("coeffs, den", [
+        (["1/" + "9" * 4300, "0"], 10**4300 - 1),
+        (["1/" + "9" * 4300, "1/2"], None),
+    ], ids=["4300-digits", "4301-digits"])
+    def test_denominator_lcm_at_the_digit_limit(self, coeffs, den):
+        value = {"conductor": 3, "coefficients": coeffs}
+        if den is None:
+            with pytest.raises(InputError, match=r"^\$\.v\.coefficients: the "):
+                parse_cyclotomic(value, "$.v", 3)
+        else:
+            assert parse_cyclotomic(value, "$.v", 3).den == den
 
     @pytest.mark.parametrize("ell, code", [(101, 2), (100, 0)])
     def test_wreath_over_the_trivial_group(self, capsys, tmp_path, ell, code):

@@ -120,6 +120,11 @@ class TestFieldAxioms:
 
 
 class TestSerialization:
+    @given(cyclotomics())
+    def test_coefficient_strings_are_the_rational_strings(self, x):
+        assert x.coefficient_strs() == [rational_to_str(q)
+                                        for q in x.rational_coefficients()]
+
     def test_rational_strings(self):
         assert rational_to_str(F(3, 4)) == "3/4"
         assert rational_to_str(F(5)) == "5"

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from slopeforge.corpus import abelian_groups_up_to_64, group_zoo_up_to_100
 from slopeforge.groups import (BASE_TABLE_MAX_ORDER, GoursatDichotomyError,
                                GroupError, Subgroup, WreathProduct,
+                               _extend_closed, _greedy_generators,
                                alternating_group,
                                classify_wreath_subgroup,
                                cyclic_group, dihedral_group, direct_power,
@@ -168,6 +169,86 @@ class TestNormalSubgroups:
             checked = Subgroup(G, S.elements, S.generators)
             assert checked == S and checked.is_normal()
             assert subgroup_closure(G, S.generators) == S.elements
+
+
+def normal_subgroups_closing_every_class(G):
+    """The lattice as it was built before the Lagrange shortcuts: the normal
+    closure of every non-trivial class from scratch, then the join orbit."""
+    def closure(cls):
+        gens, members = _greedy_generators(cls, 0, G.mul)
+        return Subgroup._from_closure(G, tuple(sorted(members)), tuple(sorted(gens)))
+
+    base = list(dict.fromkeys(closure(cls) for cls in G.conjugacy_classes[1:]))
+
+    def join(A, B):
+        if B.element_set <= A.element_set:
+            return A
+        if A.element_set <= B.element_set:
+            return B
+        members = _extend_closed(A.elements, B.generators, G.mul, 0)
+        gens = tuple(sorted(set(A.generators) | set(B.generators)))
+        return Subgroup._from_closure(G, tuple(sorted(members)), gens)
+
+    found = orbit([G.trivial_subgroup()] + base, base, join)
+    return sorted(found, key=lambda S: (S.order, S.elements))
+
+
+def psl27():
+    """PSL(2,7) on the projective line over F_7 (point 7 is infinity)."""
+    s = [7] + [(-pow(x, -1, 7)) % 7 for x in range(1, 7)] + [0]
+    return group_from_permutations([tuple([*range(1, 7), 0, 7]), tuple(s)],
+                                   name="PSL27")
+
+
+# the groups of the wreath-lattice benchmark, and small wreath products,
+# powers and products where many classes share a closure
+LATTICE_GROUPS = {
+    "A5wrC2": lambda: wreath_cyclic(alternating_group(5), 2).group(),
+    "A4wrC2": lambda: wreath_cyclic(alternating_group(4), 2).group(),
+    "S4wrC2": lambda: wreath_cyclic(symmetric_group(4), 2).group(),
+    "S3wrC3": lambda: wreath_cyclic(symmetric_group(3), 3).group(),
+    "C5wrC3": lambda: wreath_cyclic(cyclic_group(5), 3).group(),
+    "C11wrC2": lambda: wreath_cyclic(cyclic_group(11), 2).group(),
+    "C13wrC2": lambda: wreath_cyclic(cyclic_group(13), 2).group(),
+    "S5": lambda: symmetric_group(5),
+    "A6": lambda: alternating_group(6),
+    "S6": lambda: symmetric_group(6),
+    "PSL27": psl27,
+    "C4wrC2": lambda: wreath_cyclic(cyclic_group(4), 2).group(),
+    "E4wrC2": lambda: wreath_cyclic(elementary_abelian_group(2, 2), 2).group(),
+    "C2^5": lambda: elementary_abelian_group(2, 5),
+    "S3^3": lambda: direct_power(symmetric_group(3), 3),
+    "C9xC3": lambda: direct_product(cyclic_group(9), cyclic_group(3)),
+}
+
+
+class TestNormalSubgroupsAgainstEveryClassClosure:
+    def test_corpora(self):
+        for G in abelian_groups_up_to_64() + group_zoo_up_to_100():
+            assert ([S.elements for S in normal_subgroups(G)]
+                    == [S.elements for S in normal_subgroups_closing_every_class(G)]), G
+
+    @pytest.mark.parametrize("name", sorted(LATTICE_GROUPS))
+    def test_lattice_groups(self, name):
+        G = LATTICE_GROUPS[name]()
+        assert ([S.elements for S in normal_subgroups(G)]
+                == [S.elements for S in normal_subgroups_closing_every_class(G)])
+
+    def test_a5_wr_c2_products(self):
+        # 92,385 products when every one of the 19 classes was closed
+        G = wreath_cyclic(alternating_group(5), 2).group()
+        G.conjugacy_classes
+        count = 0
+        mul = G.mul
+
+        def counted(i, j):
+            nonlocal count
+            count += 1
+            return mul(i, j)
+
+        G.mul = counted
+        assert [S.order for S in normal_subgroups(G)] == [1, 3600, 7200]
+        assert count <= 40_000
 
 
 class TestWreath:

@@ -133,6 +133,28 @@ class TestCharacterTables:
                         expected = 0
                     assert total == Cyclotomic.rational(expected)
 
+    # one wrong entry mod ell in S4's table breaks a relation with i <= j,
+    # and a row times 2 breaks only its own relation, the one with i = j
+    @pytest.mark.parametrize("row, cols, factor", [
+        (0, [0], None), (1, [2], None), (4, [3], None), (2, range(5), 2),
+    ], ids=["entry-0-0", "entry-1-2", "entry-4-3", "row-2-doubled"])
+    def test_corrupted_modular_character_fails_orthogonality(
+            self, monkeypatch, row, cols, factor):
+        import slopeforge.reptheory as rt
+
+        check = rt._verify_orthogonality_mod
+
+        def corrupted(table, chars_mod, ell):
+            for col in cols:
+                x = chars_mod[row][col]
+                chars_mod[row][col] = (x * factor if factor else x + 1) % ell
+            check(table, chars_mod, ell)
+
+        monkeypatch.setattr(rt, "_verify_orthogonality_mod", corrupted)
+        with pytest.raises(AssertionError,
+                           match="^modular orthogonality check failed$"):
+            character_table(symmetric_group(4))
+
     def test_frobenius_21_irrational_values(self):
         table = character_table(frobenius_21())
         assert sorted(table.degrees) == [1, 1, 1, 3, 3]
