@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import lcm
 
 from . import jsonio
 from .exactnum import is_prime, rational_from_str, shown
@@ -253,6 +254,11 @@ def cmd_mackey(payload, args) -> dict:
     H = jsonio.parse_subgroup(payload.get("subgroup"), G, "$.subgroup")
     V = jsonio.parse_class_function(payload.get("left"), H.as_group, "$.left")
     W = jsonio.parse_class_function(payload.get("right"), H.as_group, "$.right")
+    # each side is bounded alone, but conj(V) * W is computed in Q(zeta_lcm)
+    bound = 2 * H.order
+    if lcm(*(v.conductor for v in V.values + W.values)) > bound:
+        raise InputError("$.right", "the left and right conductors have an lcm "
+                         f"above 2|H| = {bound}")
     try:
         ok, witness = mackey_check(V, W, H)
     except RepTheoryError as exc:

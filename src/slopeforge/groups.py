@@ -2,8 +2,9 @@
 
 Groups are stored as an ordered element list (identity first) plus a
 composition rule on the raw element values; everything else (inverses,
-conjugacy classes, subgroup closures, normal subgroups) is derived and cached
-on the group object.  Raw values are hashable, so closures are dict-driven,
+conjugacy classes, one power map per Galois orbit of classes and the element
+orders read off it, subgroup closures) is derived and cached on the group
+object.  Raw values are hashable, so closures are dict-driven,
 and groups up to the configured order bound (default 10000) can be enumerated
 in full.  Wreath products compose lazily and never require enumerating the
 ambient product, only the subgroups actually built inside it.
@@ -136,6 +137,14 @@ def extend_from_generators(G, gens, images, mul, one) -> dict | None:
     return f
 
 
+def galois_orbit(row) -> dict[int, int]:
+    """{row[a]: a} over the a prime to m = len(row), for the power map row
+    of a class of g: the classes of the generators g^a of <g>, which share
+    its order and normal closure, and where chi(g^a) = sigma_a(chi(g))."""
+    m = len(row)
+    return {row[a]: a for a in range(m) if gcd(a, m) == 1}
+
+
 class FiniteGroup:
     """A finite group over an ordered list of raw element values.
 
@@ -211,24 +220,18 @@ class FiniteGroup:
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
-        """The order of every element.  Each cyclic subgroup <g> not met
-        before is walked once, and g^k gets the order m / gcd(k, m), m = ord(g)."""
+        """The order of every element: the classes of a power map's Galois
+        orbit have the length of its row as order."""
         orders = [0] * self.order
-        orders[0] = 1
-        for g in range(1, self.order):
-            if orders[g]:
-                continue
-            powers = [g]
-            while powers[-1] != 0:
-                powers.append(self.mul(powers[-1], g))
-            m = len(powers)
-            for k, x in enumerate(powers, 1):
-                orders[x] = m // gcd(k, m)
+        for row in self.power_maps:
+            for c in galois_orbit(row):
+                for x in self.conjugacy_classes[c]:
+                    orders[x] = len(row)
         return tuple(orders)
 
     @cached_property
     def exponent(self) -> int:
-        return lcm(*set(self.element_orders))
+        return lcm(*map(len, self.power_maps))
 
     def is_abelian(self) -> bool:
         gens = self.generators
@@ -271,6 +274,25 @@ class FiniteGroup:
     @property
     def class_representatives(self) -> list[int]:
         return [cls[0] for cls in self.conjugacy_classes]
+
+    @cached_property
+    def power_maps(self) -> tuple[tuple[int, ...], ...]:
+        """One power map per Galois orbit of classes, taken at the orbit's
+        first class in class order: for its representative g of order m,
+        row[t] is the class of g^t, t = 0..m-1.  The orbit is the classes
+        row[a] with a prime to m (`galois_orbit`); the identity's row is
+        (0,) and comes first."""
+        covered = set()
+        rows = []
+        for ci, g in enumerate(self.class_representatives):
+            if ci not in covered:
+                row, x = [0], g
+                while x != 0:
+                    row.append(self.class_of[x])
+                    x = self.mul(x, g)
+                rows.append(tuple(row))
+                covered.update(galois_orbit(row))
+        return tuple(rows)
 
     @cached_property
     def inverse_class(self) -> list[int]:
@@ -316,12 +338,15 @@ class Subgroup:
     generators: tuple[int, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
-        if not self.elements or self.elements[0] != 0:
+        els, G = self.elements, self.parent
+        if not els or els[0] != 0:
             raise GroupError("a subgroup must contain the identity")
-        eset = frozenset(self.elements)
+        if any(a >= b for a, b in zip(els, els[1:])) or els[-1] >= G.order:
+            raise GroupError("subgroup elements must be strictly increasing "
+                             f"indices in 0..{G.order - 1}")
+        eset = frozenset(els)
         object.__setattr__(self, "_set", eset)
-        G = self.parent
-        for x in self.elements:
+        for x in els:
             if G.inv(x) not in eset:
                 raise GroupError("subgroup not closed under inversion")
         # what the greedy generators generate contains the given generators
@@ -685,53 +710,40 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """All normal subgroups, as joins of the normal closures <C> of the
     non-trivial conjugacy classes C.
 
-    The classes are visited by increasing order m of their representative
-    g, and each <C> is bounded by normal subgroups already known (the
-    Lagrange and power-map arguments for normal-closure lattices; Holt,
-    Eick and O'Brien, Handbook of Computational Group Theory, 2005):
+    The Galois orbits of classes (the rows of G.power_maps) are visited
+    once each, by increasing order m of the representative g of their first
+    class, since the classes of g^a for a prime to m share <g^a> = <g>.
+    Each <C> is bounded by normal subgroups already known (the Lagrange and
+    power-map arguments for normal-closure lattices; Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005):
     - N, the largest closure of a class of g^p (p a prime dividing m), lies
       in <C>, so <C> = N when g is in N;
     - M, the smallest closure found so far that contains g (or G), contains
       <C>, so <C> = M when [M : N] is prime, and a closure grown from N is M
-      once it has more than |M|/2 elements;
-    - the class of g^a for a prime to m has the same closure, as
-      <g^a> = <g>.
+      once it has more than |M|/2 elements.
     """
     classes = G.conjugacy_classes
-    class_of = G.class_of
-    visits = []
-    for ci in range(1, len(classes)):
-        g = classes[ci][0]
-        powers = [g]  # g^k at k - 1, walked up to g^m = 1
-        while powers[-1] != 0:
-            powers.append(G.mul(powers[-1], g))
-        m = len(powers)
-        below = [class_of[powers[p - 1]] for p in range(2, m + 1)
-                 if m % p == 0 and is_prime(p)]
-        galois = [class_of[powers[a - 1]] for a in range(2, m) if gcd(a, m) == 1]
-        visits.append((m, ci, below, galois))
-    visits.sort(key=lambda v: v[0])
-
     # built here, not cached on G like full_subgroup(), so that it lives
     # only as long as the list returned
     top = Subgroup._from_closure(G, tuple(range(G.order)), tuple(G.generators))
     closure = {0: G.trivial_subgroup()}
     base = []  # the distinct closures, in the order they were found
-    for _, ci, below, galois in visits:
-        if ci in closure:
-            continue
-        g = classes[ci][0]
-        N = max((closure[b] for b in below), key=lambda S: S.order)
+    for row in sorted(G.power_maps[1:], key=len):
+        m = len(row)
+        g = classes[row[1]][0]
+        # row[p % m] is the class of g^p, the identity's when p = m
+        N = max((closure[row[p % m]] for p in range(2, m + 1)
+                 if m % p == 0 and is_prime(p)), key=lambda S: S.order)
         if g in N:
             C = N
         else:
             M = min((S for S in base if g in S), key=lambda S: S.order,
                     default=top)
             C = M if is_prime(M.order // N.order) else _class_closure(
-                G, classes[ci], N, M)
+                G, classes[row[1]], N, M)
         if C not in base:
             base.append(C)
-        for c in (ci, *galois):
+        for c in galois_orbit(row):
             closure[c] = C
 
     def join(A: Subgroup, B: Subgroup) -> Subgroup:
@@ -920,10 +932,6 @@ class GoursatResult:
     automorphisms: tuple[tuple[int, ...], ...] = ()
 
 
-def _rotate(t: tuple, k: int = 1) -> tuple:
-    return t[k:] + t[:k]
-
-
 def goursat_classify(Hp, H: FiniteGroup, ell: int) -> GoursatResult:
     """Classify a shift-stable subgroup of H^ell surjecting onto the first
     factor, for simple H and prime ell: it is full or a twisted diagonal."""
@@ -938,7 +946,7 @@ def goursat_classify(Hp, H: FiniteGroup, ell: int) -> GoursatResult:
         if len(t) != ell:
             raise GroupError("elements must be ell-tuples")
     for t in elems:
-        if _rotate(t) not in eset:
+        if t[1:] + t[:1] not in eset:
             raise GroupError("subgroup is not stable under the coordinate shift")
     first = {t[0] for t in elems}
     if len(first) != H.order:
@@ -960,9 +968,11 @@ def goursat_classify(Hp, H: FiniteGroup, ell: int) -> GoursatResult:
         phi = tuple(by_first[h][j] for h in range(H.order))
         if sorted(phi) != list(range(H.order)):
             raise GroupError("coordinate map is not a bijection")
+        # phi(a s) = phi(a) phi(s) for generators s gives it for words s in
+        # them by induction, and phi(1) = 1 at a = 1
         for a in range(H.order):
-            for b in range(H.order):
-                if phi[H.mul(a, b)] != H.mul(phi[a], phi[b]):
+            for s in H.generators:
+                if phi[H.mul(a, s)] != H.mul(phi[a], phi[s]):
                     raise GroupError("coordinate map is not an automorphism")
         phis.append(phi)
     rebuilt = {tuple([h] + [phi[h] for phi in phis]) for h in range(H.order)}
@@ -1029,7 +1039,7 @@ def classify_wreath_subgroup(W: WreathProduct,
         for t in range(1, gbar.order):
             if gbar.elements[t][0] == W.top_identity:
                 continue
-            if gbar.element_order(t) != ell:
+            if gbar.element_orders[t] != ell:
                 continue
             if all(gbar.mul(t, k) == gbar.mul(k, t) for k in kgens):
                 direct_product = True

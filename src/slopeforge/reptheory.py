@@ -11,10 +11,11 @@ eigenspace are the roots of its characteristic polynomial, read by
 evaluating it on all of F_ell, so a table build uses no randomness and every
 group, the trivial one too, takes one path.  Degrees and values are read off
 mod ell, and the values are lifted to exact cyclotomic numbers through the
-discrete Fourier coefficients of the power map, once per Galois orbit of
-classes: the class of g^a with a prime to ord(g) gets the coefficients at g
-permuted, since chi(g^a) = sigma_a(chi(g)).  The lifted multiplicity vectors
-are reduced mod Phi_m over Z, and each value is made a `Cyclotomic` once.
+discrete Fourier coefficients of the group's power maps, once per row of
+`FiniteGroup.power_maps`, one per Galois orbit of classes: the class of g^a
+with a prime to ord(g) gets the coefficients at g permuted, since chi(g^a) =
+sigma_a(chi(g)).  The lifted multiplicity vectors are reduced mod Phi_m
+over Z, and each value is made a `Cyclotomic` once.
 Restriction and induction go through the class fusion of a subgroup into its
 parent (`Subgroup.class_fusion`), never through the elements of the parent.
 Matrix representations over cyclotomics exist as oracles for induction and
@@ -42,7 +43,7 @@ from operator import mul
 
 from .exactnum import Cyclotomic, is_prime, lift_coeffs, reduce_mod_cyclotomic
 from .groups import (CosetAction, FiniteGroup, GroupError, Subgroup,
-                     extend_from_generators, left_cosets)
+                     extend_from_generators, galois_orbit, left_cosets)
 from . import modp
 
 DEFAULT_TABLE_BOUND = 2000
@@ -415,7 +416,6 @@ def character_table(G: FiniteGroup,
 def _dixon_schneider(G: FiniteGroup) -> CharacterTable:
     classes = G.conjugacy_classes
     r = len(classes)
-    reps = G.class_representatives
     sizes = [len(c) for c in classes]
     inv_class = G.inverse_class
     e = G.exponent
@@ -443,41 +443,29 @@ def _dixon_schneider(G: FiniteGroup) -> CharacterTable:
     if sum(d * d for d in degrees) != G.order:
         raise AssertionError("sum of squared degrees must equal the group order")
 
-    # lift all characters at once per Galois orbit of classes: the vector of
+    # lift per row of G.power_maps, a Galois orbit of classes: the vector of
     # root-of-unity multiplicities at g is the inverse DFT of the power-map
     # values mod ell, and since chi(g^a) = sigma_a(chi(g)) for a prime to
     # m = ord(g), the class of g^a gets it permuted by u -> u * a^-1 mod m
-    orders = [G.element_orders[g] for g in reps]
     value_coeffs: list[list[list[int]]] = [[None] * r for _ in chars_mod]
-    for k, g in enumerate(reps):
-        if value_coeffs[0][k] is not None:
-            continue
-        m = orders[k]
-        # the power map: the class of g^t for t = 0 .. m-1
-        power_classes = [0] * m
-        x = 0
-        for t in range(m):
-            power_classes[t] = G.class_of[x]
-            x = G.mul(x, g)
+    for row in G.power_maps:
+        m = len(row)
         wm_inv = modp.inv_mod(pow(omega, e // m, ell), ell)
         m_inv = modp.inv_mod(m, ell)
         powers = [pow(wm_inv, t, ell) for t in range(m)]
         dft = [[powers[(u * t) % m] for t in range(m)] for u in range(m)]
-        conjugates = [(power_classes[a], pow(a, -1, m))
-                      for a in range(2, m) if gcd(a, m) == 1]
+        orbit = [(c, pow(a, -1, m)) for c, a in galois_orbit(row).items()]
         for i, d in enumerate(degrees):
-            pow_vals = [chars_mod[i][c] for c in power_classes]
-            col = [(m_inv * sum(map(mul, row, pow_vals))) % ell for row in dft]
+            pow_vals = [chars_mod[i][c] for c in row]
+            col = [(m_inv * sum(map(mul, f, pow_vals))) % ell for f in dft]
             if any(c > d for c in col):
                 raise AssertionError("eigenvalue multiplicity lift out of range")
-            value_coeffs[i][k] = col
-            for ka, a_inv in conjugates:
-                if value_coeffs[i][ka] is None:
-                    value_coeffs[i][ka] = [col[(w * a_inv) % m] for w in range(m)]
+            for c, a_inv in orbit:
+                value_coeffs[i][c] = [col[(w * a_inv) % m] for w in range(m)]
 
     irreducibles = []
     for i, d in enumerate(degrees):
-        values = [Cyclotomic(m, col) for m, col in zip(orders, value_coeffs[i])]
+        values = [Cyclotomic(len(col), col) for col in value_coeffs[i]]
         if values[0] != Cyclotomic.rational(d):
             raise AssertionError("lifted degree mismatch")
         irreducibles.append(ClassFunction(G, tuple(values)))

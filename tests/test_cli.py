@@ -613,6 +613,40 @@ class TestInputBoundary:
         assert err == ("input error: $.character.values[1].coefficients: "
                        "the denominators' lcm passes 4300 digits\n")
 
+    @staticmethod
+    def _cyclic_mackey(n, left, right):
+        """mackey on H = G = C_n, each side zeta at its conductor on one class."""
+        def side(conductor):
+            zeta = {"conductor": conductor, "coefficients": ["0", "1"]}
+            return {"values": ["1", zeta] + ["0"] * (n - 2)}
+        cycle = list(range(2, n + 1)) + [1]
+        return {"group": {"permutation_generators": [cycle]},
+                "subgroup": list(range(n)), "left": side(left), "right": side(right)}
+
+    @pytest.mark.parametrize("n, left, right", [(10, 4, 7), (150, 293, 283)])
+    def test_mackey_conductors_are_bounded_together(self, capsys, tmp_path,
+                                                    n, left, right):
+        # each side alone is within 2|H|, but conj(V) * W is computed in
+        # Q(zeta_lcm): C150 at 293 and 283 was computed in Q(zeta_82919)
+        start = time.perf_counter()
+        code, out, err = run_cli(["mackey"], capsys,
+                                 self._cyclic_mackey(n, left, right),
+                                 tmp_path=tmp_path)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out is None
+        assert err == ("input error: $.right: the left and right conductors "
+                       f"have an lcm above 2|H| = {2 * n}\n")
+
+    @pytest.mark.parametrize("n, left, right", [(10, 4, 5), (10, 11, 11)])
+    def test_mackey_conductors_within_the_bound_are_accepted(self, capsys,
+                                                             tmp_path, n, left,
+                                                             right):
+        # lcm 20 = 2|H| exactly, and a conductor the two sides share
+        code, out, _ = run_cli(["mackey"], capsys,
+                               self._cyclic_mackey(n, left, right),
+                               tmp_path=tmp_path)
+        assert code == 0 and out["pass"] is True
+
     @pytest.mark.parametrize("coeffs, den", [
         (["1/" + "9" * 4300, "0"], 10**4300 - 1),
         (["1/" + "9" * 4300, "1/2"], None),

@@ -1,5 +1,6 @@
 import random
 from itertools import product as iter_product
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,8 @@ from slopeforge.groups import (BASE_TABLE_MAX_ORDER, GoursatDichotomyError,
                                classify_wreath_subgroup,
                                cyclic_group, dihedral_group, direct_power,
                                direct_product, elementary_abelian_group,
-                               embed_in_wreath, generated_subgroup,
+                               embed_in_wreath, galois_orbit,
+                               generated_subgroup,
                                goursat_classify, group_from_cayley_table,
                                group_from_permutations, heisenberg_group,
                                is_simple, left_cosets, longest_normal_chain,
@@ -171,6 +173,23 @@ class TestNormalSubgroups:
             assert subgroup_closure(G, S.generators) == S.elements
 
 
+def count_products(G, call):
+    """call() and the number of products G.mul made during it."""
+    count = 0
+    mul = G.mul
+
+    def counted(i, j):
+        nonlocal count
+        count += 1
+        return mul(i, j)
+
+    G.mul = counted
+    try:
+        return call(), count
+    finally:
+        del G.mul
+
+
 def normal_subgroups_closing_every_class(G):
     """The lattice as it was built before the Lagrange shortcuts: the normal
     closure of every non-trivial class from scratch, then the join orbit."""
@@ -238,16 +257,8 @@ class TestNormalSubgroupsAgainstEveryClassClosure:
         # 92,385 products when every one of the 19 classes was closed
         G = wreath_cyclic(alternating_group(5), 2).group()
         G.conjugacy_classes
-        count = 0
-        mul = G.mul
-
-        def counted(i, j):
-            nonlocal count
-            count += 1
-            return mul(i, j)
-
-        G.mul = counted
-        assert [S.order for S in normal_subgroups(G)] == [1, 3600, 7200]
+        normals, count = count_products(G, lambda: normal_subgroups(G))
+        assert [S.order for S in normals] == [1, 3600, 7200]
         assert count <= 40_000
 
 
@@ -382,6 +393,24 @@ class TestGoursat:
         with pytest.raises(GroupError, match="prime"):
             goursat_classify([(h, h, h, h) for h in range(3)], C3, 4)
 
+    def test_non_homomorphism_is_refused(self):
+        # swapping 1 and 2 in C5 is shift-stable, surjective and bijective,
+        # but fixes 3 and is not the identity, so it is no automorphism
+        C5 = cyclic_group(5)
+        phi = (0, 2, 1, 3, 4)
+        with pytest.raises(GroupError, match="^coordinate map is not an automorphism$"):
+            goursat_classify([(h, phi[h]) for h in range(5)], C5, 2)
+
+    def test_homomorphism_checked_on_generators(self):
+        # the inverse diagonal of C101: 2 products per element and generator,
+        # where checking all pairs took 2 * 101^2
+        C101 = cyclic_group(101)
+        assert is_simple(C101)  # its classes and power maps are cached
+        diagonal = [(h, C101.inv(h)) for h in range(101)]
+        res, count = count_products(C101, lambda: goursat_classify(diagonal, C101, 2))
+        assert res.automorphisms == (tuple(C101.inv(h) for h in range(101)),)
+        assert count <= 2 * 101 * len(C101.generators)
+
     def test_dichotomy_failure_detected(self):
         # the sum-zero plane of (C_3)^3 is shift-stable, surjective, neither
         C3 = cyclic_group(3)
@@ -488,6 +517,19 @@ class TestSubgroups:
         with pytest.raises(GroupError, match="^subgroup not closed under products$"):
             Subgroup(C4, (0, square), (1,))
 
+    @pytest.mark.parametrize("elements", [(0, 2, 2), (0, 3, 1, 2), (0, 7),
+                                          (0, 2, 2, 2)])
+    def test_bad_element_tuples_are_refused(self, elements):
+        # these made a subgroup of order 3, one unequal to its sorted copy,
+        # an IndexError, and a padded {0, 2} that passed for the whole group
+        C4 = cyclic_group(4)
+        assert C4.power(1, 2) == 2
+        with pytest.raises(GroupError, match=r"^subgroup elements must be "
+                           r"strictly increasing indices in 0\.\.3$"):
+            Subgroup(C4, elements)
+        assert C4.subgroup([2, 0, 2]).elements == (0, 2)
+        assert Subgroup(C4, (0, 1, 2, 3)) == C4.full_subgroup()
+
     def test_validated_subgroup_keeps_its_greedy_generators(self):
         # {0000, 0011, 1100, 1111} in E2^4 has indices 0, 3, 12, 15
         E = elementary_abelian_group(2, 4)
@@ -502,6 +544,55 @@ class TestElementOrders:
         for G in abelian_groups_up_to_64() + group_zoo_up_to_100():
             assert G.element_orders == tuple(
                 G.element_order(i) for i in range(G.order)), G.name
+
+    @pytest.mark.parametrize("name", sorted(LATTICE_GROUPS))
+    def test_lattice_groups_agree_with_element_order(self, name):
+        G = LATTICE_GROUPS[name]()
+        orders = tuple(G.element_order(i) for i in range(G.order))
+        assert G.element_orders == orders
+        assert G.exponent == lcm(*orders)
+
+
+def check_power_maps(G):
+    """Each class in the Galois orbit of a row, the class of g^a, has
+    powers h^t in the class of g^(a t), read off the row at a t mod m; the
+    orbits cover every class once, each taken at its first class."""
+    classes, class_of = G.conjugacy_classes, G.class_of
+    seen = []
+    for row in G.power_maps:
+        m = len(row)
+        orbit = galois_orbit(row)
+        assert set(orbit) == {row[a] for a in range(m) if gcd(a, m) == 1}
+        assert row[1 % m] == min(orbit) and set(orbit).isdisjoint(seen)
+        for c, a in orbit.items():
+            h = classes[c][0]
+            assert row[a] == c
+            assert [class_of[G.power(h, t)] for t in range(m)] == [
+                row[a * t % m] for t in range(m)], (G.name, c)
+        seen += sorted(orbit)
+    assert sorted(seen) == list(range(len(classes)))
+    assert [row[1 % len(row)] for row in G.power_maps] == sorted(
+        row[1 % len(row)] for row in G.power_maps)
+
+
+class TestPowerMaps:
+    def test_corpora(self):
+        assert cyclic_group(1).power_maps == ((0,),)
+        for G in abelian_groups_up_to_64() + group_zoo_up_to_100():
+            check_power_maps(G)
+
+    @pytest.mark.parametrize("name", sorted(LATTICE_GROUPS))
+    def test_lattice_groups(self, name):
+        check_power_maps(LATTICE_GROUPS[name]())
+
+    def test_c101_normal_subgroups_walk_one_row(self):
+        # one row of 101 classes: 100 products, where walking the powers of
+        # each of the 100 non-trivial classes took 10,000
+        G = cyclic_group(101)
+        G.conjugacy_classes
+        normals, count = count_products(G, lambda: normal_subgroups(G))
+        assert [S.order for S in normals] == [1, 101]
+        assert count <= 2 * 101
 
 
 class TestNormalityMemo:
