@@ -16,11 +16,14 @@ generation and validation, normal closures, lattice joins, wreath tops);
 normal subgroups, a Cayley table not yet known to be a group, the roots of
 `weyl` under simple reflections); `CosetAction` is left translation on the
 cosets G/H (the wreath embedding, tensor induction, induced matrices); and
-`extend_from_generators` extends a homomorphism given on generators.  Every
-group and subgroup keeps the generators of the closure that built or
-validated it, and readers use those, never a recount.  Subgroups built by
-these closures are trusted (`Subgroup._from_closure`); a subgroup given from
-outside is validated by closing it from its own elements.
+`extend_from_generators` extends a map given on generators along their
+right-multiplication rows (`FiniteGroup.right_rows`, the Cayley graph):
+homomorphisms, candidate automorphisms, and the left multiplications whose
+composites with the rows give the conjugations.  Every group and subgroup
+keeps the generators of the closure that built or validated it, and readers
+use those, never a recount.  Subgroups built by these closures are trusted
+(`Subgroup._from_closure`); a subgroup given from outside is validated by
+closing it from its own elements.
 """
 
 from __future__ import annotations
@@ -115,18 +118,20 @@ def _greedy_generators(elements, identity, act, bound=None) -> tuple[list, set]:
     return gens, reached
 
 
-def extend_from_generators(G, gens, images, mul, one) -> dict | None:
-    """The map f on the elements of G reached from the identity with f(0) = one
-    and f(x g) = mul(f(x), image of g), or None at the first element given
-    two different values (the images are then not multiplicative)."""
+def extend_from_generators(rows, images, mul, one) -> dict | None:
+    """The map f on the elements reached from the identity 0 with f(0) = one
+    and f(row[x]) = mul(f(x), image) for each right-multiplication row of a
+    generator (`FiniteGroup.right_rows`) and its image, or None at the first
+    element given two different values (the images are then not
+    multiplicative)."""
     f = {0: one}
     frontier = [0]
-    pairs = list(zip(gens, images))
+    pairs = list(zip(rows, images))
     while frontier:
         x = frontier.pop()
         fx = f[x]
-        for g, img in pairs:
-            y = G.mul(x, g)
+        for row, img in pairs:
+            y = row[x]
             fy = mul(fx, img)
             if y in f:
                 if f[y] != fy:
@@ -135,6 +140,11 @@ def extend_from_generators(G, gens, images, mul, one) -> dict | None:
                 f[y] = fy
                 frontier.append(y)
     return f
+
+
+def _row_lookup(x, row):
+    """x moved by a permutation given as its list of images."""
+    return row[x]
 
 
 def galois_orbit(row) -> dict[int, int]:
@@ -183,6 +193,12 @@ class FiniteGroup:
 
     def mul(self, i: int, j: int) -> int:
         return self.index[self._compose(self.elements[i], self.elements[j])]
+
+    def right_rows(self, gens) -> list[list[int]]:
+        """rows[k][x] = mul(x, gens[k]): the Cayley graph's edges for each
+        generator, built by |G| products each and not cached."""
+        mul = self.mul
+        return [[mul(x, g) for x in range(self.order)] for g in gens]
 
     @cached_property
     def _mul_rows(self) -> list[list[int]]:
@@ -247,17 +263,19 @@ class FiniteGroup:
 
         The identity class {0} always comes first.
         """
-        gen_pairs = [(g, self.inv(g)) for g in self.generators]
-        mul = self.mul
-
-        def conjugate(x, pair):
-            return mul(pair[1], mul(x, pair[0]))
-
+        rows = self.right_rows(self.generators)
+        # x -> g^-1 x commutes with the rows, so it extends from 0 -> g^-1
+        # along them, and g^-1 x g is the row of g read at g^-1 x
+        conjugations = []
+        for row in rows:
+            left = extend_from_generators(rows, rows, _row_lookup,
+                                          row.index(0))
+            conjugations.append([row[left[x]] for x in range(self.order)])
         seen = [False] * self.order
         classes = []
         for start in range(self.order):
             if not seen[start]:
-                cls = tuple(sorted(orbit([start], gen_pairs, conjugate)))
+                cls = tuple(sorted(orbit([start], conjugations, _row_lookup)))
                 for x in cls:
                     seen[x] = True
                 classes.append(cls)
@@ -305,7 +323,7 @@ class FiniteGroup:
 
     def trivial_subgroup(self) -> Subgroup:
         if not hasattr(self, "_trivial_subgroup"):
-            self._trivial_subgroup = Subgroup(self, (0,))
+            self._trivial_subgroup = Subgroup._from_closure(self, (0,), ())
         return self._trivial_subgroup
 
     def full_subgroup(self) -> Subgroup:
@@ -317,10 +335,8 @@ class FiniteGroup:
 
     @cached_property
     def center(self) -> tuple[int, ...]:
-        return tuple(
-            x for x in range(self.order)
-            if all(self.mul(x, g) == self.mul(g, x) for g in self.generators)
-        )
+        """The elements alone in their conjugacy class."""
+        return tuple(c[0] for c in self.conjugacy_classes if len(c) == 1)
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -349,6 +365,8 @@ class Subgroup:
         for x in els:
             if G.inv(x) not in eset:
                 raise GroupError("subgroup not closed under inversion")
+        if not eset.issuperset(self.generators):
+            raise GroupError("subgroup not closed under products")
         # what the greedy generators generate contains the given generators
         # and elements, so it is the set exactly when no closure grows past it
         try:
@@ -850,9 +868,14 @@ class WreathProduct:
             for s in self.top
             for h in iter_product(range(self.base.order), repeat=self.n)
         ]
+        # the top and the base at one point of each top orbit generate it
         gens = [self.top_element(s) for s in self.top_generators]
-        for g in self.base.generators:
-            gens.append(self.base_element([g] + [0] * (self.n - 1)))
+        covered = set()
+        for i in range(self.n):
+            if i not in covered:
+                covered |= orbit([i], self.top_generators, _row_lookup)
+                gens += [self.base_element([0] * i + [g] + [0] * (self.n - 1 - i))
+                         for g in self.base.generators]
         return FiniteGroup(elements, self.compose, self.inverse, self.identity,
                            generators=gens,
                            name=f"{len(self.top)}wr{self.base.name}")
@@ -1107,9 +1130,14 @@ def automorphism_count(G: FiniteGroup, search_bound=2_000_000) -> int:
         raise GroupError(
             f"automorphism search space {space} exceeds bound {search_bound}"
         )
+    # each tuple of images is then read off rows: phi(x g) = phi(x) phi(g)
+    rows = G.right_rows(gens)
+    images = sorted(set().union(*candidate_lists))
+    image_rows = dict(zip(images, G.right_rows(images)))
     count = 0
-    for images in iter_product(*candidate_lists):
-        f = extend_from_generators(G, gens, images, G.mul, 0)
+    for tup in iter_product(*candidate_lists):
+        f = extend_from_generators(rows, [image_rows[x] for x in tup],
+                                   _row_lookup, 0)
         if f is not None and len(f) == G.order and len(set(f.values())) == G.order:
             count += 1
     return count

@@ -616,8 +616,8 @@ def rep_from_generator_images(G: FiniteGroup, generator_indices,
         dim = dims.pop()
     if dim > MATRIX_DIM_BOUND:
         raise RepTheoryError(f"matrix representations bounded to dim <= {MATRIX_DIM_BOUND}")
-    mats = extend_from_generators(G, generator_indices, images, _mat_mul,
-                                  _mat_identity(dim))
+    mats = extend_from_generators(G.right_rows(generator_indices), images,
+                                  _mat_mul, _mat_identity(dim))
     if mats is None:
         raise RepTheoryError("generator images are not multiplicative")
     if len(mats) != G.order:

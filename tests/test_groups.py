@@ -9,7 +9,8 @@ from slopeforge.corpus import abelian_groups_up_to_64, group_zoo_up_to_100
 from slopeforge.groups import (BASE_TABLE_MAX_ORDER, GoursatDichotomyError,
                                GroupError, Subgroup, WreathProduct,
                                _extend_closed, _greedy_generators,
-                               alternating_group,
+                               _greedy_generating_sequence, alternating_group,
+                               automorphism_count,
                                classify_wreath_subgroup,
                                cyclic_group, dihedral_group, direct_power,
                                direct_product, elementary_abelian_group,
@@ -262,6 +263,82 @@ class TestNormalSubgroupsAgainstEveryClassClosure:
         assert count <= 40_000
 
 
+def classes_by_conjugating_products(G):
+    """The classes as they were built before the Cayley-graph rows: orbits
+    under x -> g^-1 x g, two products per element and generator."""
+    pairs = [(g, G.inv(g)) for g in G.generators]
+    classes, seen = [], set()
+    for start in range(G.order):
+        if start not in seen:
+            cls = tuple(sorted(orbit([start], pairs,
+                                     lambda x, p: G.mul(p[1], G.mul(x, p[0])))))
+            seen.update(cls)
+            classes.append(cls)
+    return classes
+
+
+def relabelled_table_group(G, seed):
+    """G as a Cayley table under a seeded relabelling of its elements."""
+    label = list(range(G.order))
+    random.Random(seed).shuffle(label)
+    table = [[0] * G.order for _ in range(G.order)]
+    for i in range(G.order):
+        for j in range(G.order):
+            table[label[i]][label[j]] = label[G.mul(i, j)]
+    return group_from_cayley_table(table, name=f"table-{G.name}")
+
+
+class TestClassesFromCayleyGraph:
+    def test_right_rows(self):
+        G = symmetric_group(4)
+        rows = G.right_rows([3, 17, 0])
+        assert rows == [[G.mul(x, g) for x in range(24)] for g in (3, 17, 0)]
+        assert "right_rows" not in vars(G)  # nothing is cached
+
+    def test_corpora(self):
+        for G in abelian_groups_up_to_64() + group_zoo_up_to_100():
+            assert G.conjugacy_classes == classes_by_conjugating_products(G), G.name
+
+    @pytest.mark.parametrize("name", sorted(LATTICE_GROUPS))
+    def test_lattice_groups(self, name):
+        G = LATTICE_GROUPS[name]()
+        assert G.conjugacy_classes == classes_by_conjugating_products(G)
+
+    @pytest.mark.parametrize("G", [
+        symmetric_group(4), quaternion_group(), dihedral_group(6),
+        heisenberg_group(3), alternating_group(5), cyclic_group(1),
+    ], ids=["S4", "Q8", "D6", "Heis3", "A5", "C1"])
+    def test_cayley_table_groups(self, G):
+        T = relabelled_table_group(G, G.order)
+        assert T.conjugacy_classes == classes_by_conjugating_products(T)
+        assert sorted(map(len, T.conjugacy_classes)) == sorted(
+            map(len, G.conjugacy_classes))
+
+    def test_a5_wr_c2_products(self):
+        # |G| products per generator, where conjugating took 2 * 7200 * 3
+        G = wreath_cyclic(alternating_group(5), 2).group()
+        classes, count = count_products(G, lambda: G.conjugacy_classes)
+        assert len(classes) == 20 and len(G.generators) == 3
+        assert count <= G.order * len(G.generators) == 21_600
+
+    def test_center_is_the_singleton_classes(self):
+        def commuting(G):
+            return tuple(x for x in range(G.order)
+                         if all(G.mul(x, g) == G.mul(g, x) for g in G.generators))
+        groups = list(abelian_groups_up_to_64() + group_zoo_up_to_100())
+        groups += [build() for build in LATTICE_GROUPS.values()]
+        for G in groups:
+            assert G.center == commuting(G), G.name
+        A5 = alternating_group(5)
+        A5.conjugacy_classes
+        assert count_products(A5, lambda: A5.center) == ((0,), 0)
+
+    def test_trivial_subgroup_builds_no_inverses(self):
+        G = wreath_cyclic(alternating_group(5), 2).group()
+        assert G.trivial_subgroup().elements == (0,)
+        assert "_inv_list" not in vars(G)
+
+
 class TestWreath:
     def test_orders(self):
         assert wreath_cyclic(cyclic_group(3), 2).group().order == 18
@@ -297,6 +374,14 @@ class TestWreath:
             assert W.compose((s1, h1), (s2, h2)) == expected
         small = W.base.order <= BASE_TABLE_MAX_ORDER
         assert ("_mul_rows" in vars(W.base)) == small
+
+    def test_intransitive_top_generates_the_whole_product(self):
+        # swapping two of three points gives (S3 wr C2) x S3, with 9 x 3
+        # classes; with the base at point 0 alone, its generators made 54
+        W = WreathProduct(symmetric_group(3), [(0, 1, 2), (1, 0, 2)])
+        G = W.group()
+        assert G.order == 432 and subgroup_closure(G, G.generators) == tuple(range(432))
+        assert len(G.conjugacy_classes) == 27
 
     def test_top_must_be_closed_under_products(self):
         # closed under inverses, but the two transpositions generate S3
@@ -476,6 +561,61 @@ class TestAutomorphisms:
         with pytest.raises(GroupError):
             outer_automorphism_order(elementary_abelian_group(2, 4), search_bound=10)
 
+    def test_search_bound_refuses_before_any_row(self):
+        E = elementary_abelian_group(2, 4)
+        E.element_orders  # the classes and orders the search reads
+        built = []
+        E.right_rows = lambda gens: built.append(gens)
+        with pytest.raises(GroupError, match="search space 50625 exceeds bound 10$"):
+            automorphism_count(E, search_bound=10)
+        assert built == []
+
+    @pytest.mark.parametrize("build, expected", [
+        (lambda: alternating_group(5), 120),
+        (lambda: symmetric_group(4), 24),
+        (lambda: psl27(), 336),
+        (lambda: elementary_abelian_group(2, 3), 168),
+        (quaternion_group, 24),
+        (lambda: cyclic_group(12), 4),
+    ], ids=["A5", "S4", "PSL27", "E2^3", "Q8", "C12"])
+    def test_count_matches_extending_each_candidate(self, build, expected):
+        G = build()
+        assert automorphism_count(G) == automorphisms_by_products(G) == expected
+
+    def test_a5_products(self):
+        # 41,489 products when each candidate tuple was extended by products
+        A5 = alternating_group(5)
+        A5.element_orders
+        count, products = count_products(A5, lambda: automorphism_count(A5))
+        assert count == 120 and products <= 5_000
+
+
+def automorphisms_by_products(G):
+    """|Aut(G)| as it was counted before the Cayley-graph rows: each tuple
+    of candidate images extended by products, phi(x g) = phi(x) phi(g)."""
+    gens = _greedy_generating_sequence(G)
+    size = [len(G.conjugacy_classes[c]) for c in G.class_of]
+    orders = G.element_orders
+    candidates = [[x for x in range(G.order)
+                   if orders[x] == orders[g] and size[x] == size[g]] for g in gens]
+    count = 0
+    for images in iter_product(*candidates):
+        f = {0: 0}
+        frontier = [0]
+        while frontier and f is not None:
+            x = frontier.pop()
+            for g, img in zip(gens, images):
+                y, fy = G.mul(x, g), G.mul(f[x], img)
+                if f.get(y, fy) != fy:
+                    f = None
+                    break
+                if y not in f:
+                    f[y] = fy
+                    frontier.append(y)
+        if f is not None and len(f) == G.order and len(set(f.values())) == G.order:
+            count += 1
+    return count
+
 
 class TestSelectPrime:
     def test_examples(self):
@@ -511,11 +651,16 @@ class TestSubgroups:
             S3.subgroup([0] + two)  # closed under inverses only
 
     def test_supplied_generator_outside_the_set_is_refused(self):
+        # refused before any product: 7 raised IndexError there
         C4 = cyclic_group(4)
         square = C4.power(1, 2)
         assert Subgroup(C4, (0, square), (square,)).generators == (square,)
-        with pytest.raises(GroupError, match="^subgroup not closed under products$"):
-            Subgroup(C4, (0, square), (1,))
+        products = []
+        C4.mul = lambda i, j: products.append((i, j))
+        for outsider in (1, 7, -1):
+            with pytest.raises(GroupError, match="^subgroup not closed under products$"):
+                Subgroup(C4, (0, square), (outsider,))
+        assert products == []
 
     @pytest.mark.parametrize("elements", [(0, 2, 2), (0, 3, 1, 2), (0, 7),
                                           (0, 2, 2, 2)])
