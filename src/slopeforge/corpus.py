@@ -65,7 +65,7 @@ def _random_descending_subgroups(G: gp.FiniteGroup, rng: random.Random,
             k = rng.randrange(1, min(4, current.order))
             gens = [current.elements[rng.randrange(current.order)] for _ in range(k)]
             sub = gp.generated_subgroup(G, gens)
-            if 1 < sub.order < current.order and set(sub.elements) < set(current.elements):
+            if 1 < sub.order < current.order and sub.element_set < current.element_set:
                 chain.append(sub)
                 current = sub
                 break
@@ -133,7 +133,7 @@ def filtered_group_corpus(count: int = 15, seed: int = 7177) -> list[BreakChain]
         normals.sort(key=lambda S: -S.order)
         subs = []
         for N in normals:
-            if not subs or set(N.elements) < set(subs[-1].elements):
+            if not subs or N.element_set < subs[-1].element_set:
                 if rng.random() < 0.7:
                     subs.append(N)
             if len(subs) >= 3:

@@ -64,9 +64,9 @@ class BreakChain:
                 raise FilteredError("chain subgroups must be non-trivial")
             if not H.is_normal():
                 raise FilteredError("chain subgroups must be normal")
-            if prev_set is not None and not (set(H.elements) < prev_set):
+            if prev_set is not None and not H.element_set < prev_set:
                 raise FilteredError("subgroups must strictly descend")
-            prev_set = set(H.elements)
+            prev_set = H.element_set
 
     @property
     def wild_subgroup(self) -> Subgroup | None:
@@ -117,9 +117,9 @@ class LowerChain:
                 raise FilteredError("subgroups must live in the chain's group")
             if not H.is_normal():
                 raise FilteredError("lower chain subgroups must be normal")
-            if prev is not None and not set(H.elements) <= prev:
+            if prev is not None and not H.element_set <= prev:
                 raise FilteredError("lower chain must descend")
-            prev = set(H.elements)
+            prev = H.element_set
 
     def at(self, i: int) -> Subgroup:
         if i < len(self.subgroups):

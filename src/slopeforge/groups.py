@@ -18,10 +18,10 @@ normal subgroups, a Cayley table not yet known to be a group, the roots of
 cosets G/H (the wreath embedding, tensor induction, induced matrices); and
 `extend_from_generators` extends a map given on generators along their
 right-multiplication rows (`FiniteGroup.right_rows`, the Cayley graph):
-homomorphisms, candidate automorphisms, and the left multiplications whose
-composites with the rows give the conjugations.  Every group and subgroup
-keeps the generators of the closure that built or validated it, and readers
-use those, never a recount.  Subgroups built by these closures are trusted
+homomorphisms, candidate automorphisms, and the left multiplications that
+make up the multiplication table and, composed with the rows, the
+conjugations.  Every group and subgroup keeps the generators of the closure
+that built or validated it, and readers use those, never a recount.  Subgroups built by these closures are trusted
 (`Subgroup._from_closure`); a subgroup given from outside is validated by
 closing it from its own elements.
 """
@@ -57,13 +57,6 @@ class GoursatDichotomyError(GroupError):
 def _perm_compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Function composition (a after b): (a*b)(i) = a(b(i))."""
     return tuple(a[x] for x in b)
-
-
-def _perm_inverse(a: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(a)
-    for i, x in enumerate(a):
-        out[x] = i
-    return tuple(out)
 
 
 def orbit(seeds, gens, act) -> set:
@@ -158,15 +151,16 @@ def galois_orbit(row) -> dict[int, int]:
 class FiniteGroup:
     """A finite group over an ordered list of raw element values.
 
-    compose/inverse operate on raw values; public mul/inv operate on indices.
-    The identity always has index 0 and elements are kept in a deterministic
-    order, so derived data (classes, subgroups) is reproducible.  `generators`
-    (raw values) is required: each constructor passes the generating set that
-    its closure or validation found, or that the construction gives.
+    compose operates on raw values; public mul/inv operate on indices.  The
+    group is its product: inverses are read off the cyclic subgroups, and
+    inverse classes off the power maps.  The identity always has index 0 and
+    elements are kept in a deterministic order, so derived data (classes,
+    subgroups) is reproducible.  `generators` (raw values) is required: each
+    constructor passes the generating set that its closure or validation
+    found, or that the construction gives.
     """
 
-    def __init__(self, elements, compose, inverse, identity, generators,
-                 name="group"):
+    def __init__(self, elements, compose, identity, generators, name="group"):
         elements = list(elements)
         if identity not in elements:
             raise GroupError("identity missing from element list")
@@ -176,7 +170,6 @@ class FiniteGroup:
         if len(self.index) != len(self.elements):
             raise GroupError("duplicate elements")
         self._compose = compose
-        self._inverse = inverse
         self.name = name
         # set by reptheory.character_table, and released with the group
         self._character_table = None
@@ -200,16 +193,37 @@ class FiniteGroup:
         mul = self.mul
         return [[mul(x, g) for x in range(self.order)] for g in gens]
 
+    def _left_row(self, rows, a) -> list[int]:
+        """x -> mul(a, x): it commutes with the right-multiplication rows of
+        the generators, so it extends from 0 -> a along them by lookups."""
+        left = extend_from_generators(rows, rows, _row_lookup, a)
+        return [left[x] for x in range(self.order)]
+
     @cached_property
     def _mul_rows(self) -> list[list[int]]:
         """The multiplication table, _mul_rows[i][j] = mul(i, j), built on
-        first use; only wreath products over a small base read it."""
-        n = self.order
-        return [[self.mul(i, j) for j in range(n)] for i in range(n)]
+        first use as the left multiplication by each i (|G| |gens| products
+        and lookups for the rest); only wreath products over a small base
+        read it."""
+        rows = self.right_rows(self.generators)
+        return [self._left_row(rows, a) for a in range(self.order)]
 
     @cached_property
     def _inv_list(self) -> list[int]:
-        return [self.index[self._inverse(e)] for e in self.elements]
+        """inv[g^k] = g^(m-k) on each cyclic subgroup <g> of order m, walked
+        from the first element whose inverse is not yet known: the phi(m)
+        generators of <g> are all new then, so a walk costs at most
+        m / phi(m) products per element it settles."""
+        inv = [0] + [None] * (self.order - 1)
+        for g in range(1, self.order):
+            if inv[g] is None:
+                powers = [0, g]
+                while powers[-1] != 0:
+                    powers.append(self.mul(powers[-1], g))
+                m = len(powers) - 1
+                for k in range(1, m):
+                    inv[powers[k]] = powers[m - k]
+        return inv
 
     def inv(self, i: int) -> int:
         return self._inv_list[i]
@@ -264,13 +278,11 @@ class FiniteGroup:
         The identity class {0} always comes first.
         """
         rows = self.right_rows(self.generators)
-        # x -> g^-1 x commutes with the rows, so it extends from 0 -> g^-1
-        # along them, and g^-1 x g is the row of g read at g^-1 x
+        # g^-1 x g is the row of g read at g^-1 x, the left row of g^-1
         conjugations = []
         for row in rows:
-            left = extend_from_generators(rows, rows, _row_lookup,
-                                          row.index(0))
-            conjugations.append([row[left[x]] for x in range(self.order)])
+            left = self._left_row(rows, row.index(0))
+            conjugations.append([row[y] for y in left])
         seen = [False] * self.order
         classes = []
         for start in range(self.order):
@@ -314,7 +326,13 @@ class FiniteGroup:
 
     @cached_property
     def inverse_class(self) -> list[int]:
-        return [self.class_of[self.inv(cls[0])] for cls in self.conjugacy_classes]
+        """The class of g^-1 for each class: the class row[a] of g^a has
+        inverse class row[-a mod m] on the power map row of g."""
+        out = [0] * len(self.conjugacy_classes)
+        for row in self.power_maps:
+            for c, a in galois_orbit(row).items():
+                out[c] = row[-a % len(row)]
+        return out
 
     # -- common subgroups --
 
@@ -362,13 +380,11 @@ class Subgroup:
                              f"indices in 0..{G.order - 1}")
         eset = frozenset(els)
         object.__setattr__(self, "_set", eset)
-        for x in els:
-            if G.inv(x) not in eset:
-                raise GroupError("subgroup not closed under inversion")
         if not eset.issuperset(self.generators):
             raise GroupError("subgroup not closed under products")
         # what the greedy generators generate contains the given generators
-        # and elements, so it is the set exactly when no closure grows past it
+        # and elements, so it is the set exactly when no closure grows past
+        # it (a finite set closed under products is closed under inverses)
         try:
             gens = _greedy_generators((*self.generators, *self.elements), 0,
                                       G.mul, len(eset))[0]
@@ -421,7 +437,6 @@ class Subgroup:
         return FiniteGroup(
             self.elements,
             compose=G.mul,
-            inverse=G.inv,
             identity=0,
             generators=self.generators,
             name=f"{G.name}-sub{self.order}",
@@ -504,7 +519,7 @@ def group_from_permutations(generators, name="permgroup",
             raise GroupError(f"{g} is not a permutation of 0..{degree - 1}")
     identity = tuple(range(degree))
     members = _greedy_generators(gens, identity, _perm_compose, max_order)[1]
-    return FiniteGroup(members, _perm_compose, _perm_inverse, identity,
+    return FiniteGroup(members, _perm_compose, identity,
                        generators=gens, name=name)
 
 
@@ -542,11 +557,9 @@ def group_from_cayley_table(table, name="tablegroup") -> FiniteGroup:
             raise GroupError("table is not associative")
         gens.append(s)
         reached = orbit(reached, gens, lambda x, g: table[x][g])
-    inv = [row.index(identity) for row in table]
     return FiniteGroup(
         range(n),
         compose=lambda a, b: table[a][b],
-        inverse=lambda a: inv[a],
         identity=identity,
         generators=gens,
         name=name,
@@ -601,14 +614,8 @@ def quaternion_group() -> FiniteGroup:
         e = (a + (c if b == 0 else -c) + (2 if b and d else 0)) % 4
         return (e, b ^ d)
 
-    def inverse(u):
-        a, b = u
-        if b == 0:
-            return ((-a) % 4, 0)
-        return ((a + 2) % 4, 1)
-
     elements = [(a, b) for a in range(4) for b in range(2)]
-    return FiniteGroup(elements, compose, inverse, (0, 0),
+    return FiniteGroup(elements, compose, (0, 0),
                        generators=[(1, 0), (0, 1)], name="Q8")
 
 
@@ -619,12 +626,9 @@ def elementary_abelian_group(p: int, k: int) -> FiniteGroup:
     def compose(u, v):
         return tuple((a + b) % p for a, b in zip(u, v))
 
-    def inverse(u):
-        return tuple((-a) % p for a in u)
-
     elements = list(iter_product(range(p), repeat=k))
     gens = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
-    return FiniteGroup(elements, compose, inverse, (0,) * k,
+    return FiniteGroup(elements, compose, (0,) * k,
                        generators=gens, name=f"E{p}^{k}")
 
 
@@ -632,12 +636,9 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     def compose(u, v):
         return (G.mul(u[0], v[0]), H.mul(u[1], v[1]))
 
-    def inverse(u):
-        return (G.inv(u[0]), H.inv(u[1]))
-
     elements = list(iter_product(range(G.order), range(H.order)))
     gens = [(g, 0) for g in G.generators] + [(0, h) for h in H.generators]
-    return FiniteGroup(elements, compose, inverse, (0, 0),
+    return FiniteGroup(elements, compose, (0, 0),
                        generators=gens, name=f"{G.name}x{H.name}")
 
 
@@ -649,15 +650,12 @@ def direct_power(H: FiniteGroup, k: int) -> FiniteGroup:
     def compose(u, v):
         return tuple(H.mul(a, b) for a, b in zip(u, v))
 
-    def inverse(u):
-        return tuple(H.inv(a) for a in u)
-
     elements = list(iter_product(range(H.order), repeat=k))
     gens = []
     for pos in range(k):
         for g in H.generators:
             gens.append(tuple(g if i == pos else 0 for i in range(k)))
-    return FiniteGroup(elements, compose, inverse, (0,) * k,
+    return FiniteGroup(elements, compose, (0,) * k,
                        generators=gens, name=f"{H.name}^{k}")
 
 
@@ -672,12 +670,8 @@ def heisenberg_group(p: int) -> FiniteGroup:
         d, e, f = v
         return ((a + d) % p, (b + e) % p, (c + f + a * e) % p)
 
-    def inverse(u):
-        a, b, c = u
-        return ((-a) % p, (-b) % p, (a * b - c) % p)
-
     elements = list(iter_product(range(p), repeat=3))
-    return FiniteGroup(elements, compose, inverse, (0, 0, 0),
+    return FiniteGroup(elements, compose, (0, 0, 0),
                        generators=[(1, 0, 0), (0, 1, 0)], name=f"Heis{p}")
 
 
@@ -694,13 +688,8 @@ def extraspecial_exponent_p2_group(p: int) -> FiniteGroup:
         k, l = v
         return ((i + k * pow(1 + p, j, p2)) % p2, (j + l) % p)
 
-    def inverse(u):
-        i, j = u
-        k = (-j) % p
-        return ((-i * pow(1 + p, k, p2)) % p2, k)
-
     elements = [(i, j) for i in range(p2) for j in range(p)]
-    return FiniteGroup(elements, compose, inverse, (0, 0),
+    return FiniteGroup(elements, compose, (0, 0),
                        generators=[(1, 0), (0, 1)], name=f"ES{p}^3+")
 
 
@@ -786,7 +775,7 @@ def is_simple(G: FiniteGroup) -> bool:
 def longest_normal_chain(subgroups: list[Subgroup]) -> int:
     """Longest chain under inclusion in the given list (endpoints included)."""
     order = sorted(subgroups, key=lambda S: S.order)
-    sets = [set(S.elements) for S in order]
+    sets = [S.element_set for S in order]
     best = [1] * len(order)
     for i in range(len(order)):
         for j in range(i):
@@ -845,12 +834,6 @@ class WreathProduct:
             tuple(mul(h1[s2[i]], h2[i]) for i in range(self.n)),
         )
 
-    def inverse(self, u):
-        s, h = u
-        sinv = _perm_inverse(s)
-        inv = self.base.inv
-        return (sinv, tuple(inv(h[sinv[i]]) for i in range(self.n)))
-
     def base_element(self, h_indices) -> tuple:
         return (self.top_identity, tuple(h_indices))
 
@@ -876,7 +859,7 @@ class WreathProduct:
                 covered |= orbit([i], self.top_generators, _row_lookup)
                 gens += [self.base_element([0] * i + [g] + [0] * (self.n - 1 - i))
                          for g in self.base.generators]
-        return FiniteGroup(elements, self.compose, self.inverse, self.identity,
+        return FiniteGroup(elements, self.compose, self.identity,
                            generators=gens,
                            name=f"{len(self.top)}wr{self.base.name}")
 
@@ -886,7 +869,7 @@ class WreathProduct:
         gens = [tuple(r) for r in raws]
         members = _greedy_generators(gens, self.identity, self.compose,
                                      max_order)[1]
-        return FiniteGroup(members, self.compose, self.inverse, self.identity,
+        return FiniteGroup(members, self.compose, self.identity,
                            generators=gens, name=name)
 
 
@@ -1030,6 +1013,7 @@ def classify_wreath_subgroup(W: WreathProduct,
     and the whole group, and no normal chain is longer than 3; for abelian H
     the trichotomy fails (diagonals become normal) so it is only flagged.
     In the semidirect case a direct-product complement is searched for.
+    A base that is not simple is refused by goursat_classify.
     """
     ell = W.n
     if not is_prime(ell):
@@ -1037,8 +1021,6 @@ def classify_wreath_subgroup(W: WreathProduct,
     if len(W.top) != ell:
         raise GroupError("top group must be the cyclic rotation group")
     H = W.base
-    if not is_simple(H):
-        raise GroupError("base group is not simple")
     abelian = H.is_abelian()
     tops = {gbar.elements[i][0] for i in range(gbar.order)}
     if len(tops) != ell:
@@ -1077,7 +1059,7 @@ def classify_wreath_subgroup(W: WreathProduct,
             # the only normal subgroups are 1, the base intersection, the whole
             kernel_set = frozenset(gbar.index[r] for r in kernel_raws)
             expected = {frozenset({0}), kernel_set, frozenset(range(gbar.order))}
-            trichotomy_ok = {frozenset(S.elements) for S in normals} == expected
+            trichotomy_ok = {S.element_set for S in normals} == expected
     return WreathCaseReport(
         case=case,
         abelian_base=abelian,

@@ -332,11 +332,12 @@ class CharacterTable:
 
 def _class_matrix(G: FiniteGroup, i: int) -> list[dict[int, int]]:
     """The class-sum matrix M_i, M_i[j][k] = #{x in C_i : x^-1 z_k in C_j},
-    stored as sparse rows: row j maps k to its non-zero entry.  It costs
-    r |C_i| products, and is built only when the split reads it."""
+    stored as sparse rows: row j maps k to its non-zero entry.  The x^-1 are
+    the inverse class of C_i; it costs r |C_i| products, and is built only
+    when the split reads it."""
     class_of = G.class_of
     rows = [{} for _ in G.conjugacy_classes]
-    xs = [G.inv(x) for x in G.conjugacy_classes[i]]
+    xs = G.conjugacy_classes[G.inverse_class[i]]
     for k, z in enumerate(G.class_representatives):
         for x_inv in xs:
             row = rows[class_of[G.mul(x_inv, z)]]

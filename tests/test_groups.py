@@ -5,6 +5,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import slopeforge.groups
 from slopeforge.corpus import abelian_groups_up_to_64, group_zoo_up_to_100
 from slopeforge.groups import (BASE_TABLE_MAX_ORDER, GoursatDichotomyError,
                                GroupError, Subgroup, WreathProduct,
@@ -311,6 +312,7 @@ class TestClassesFromCayleyGraph:
     def test_cayley_table_groups(self, G):
         T = relabelled_table_group(G, G.order)
         assert T.conjugacy_classes == classes_by_conjugating_products(T)
+        check_inverses(T)
         assert sorted(map(len, T.conjugacy_classes)) == sorted(
             map(len, G.conjugacy_classes))
 
@@ -337,6 +339,31 @@ class TestClassesFromCayleyGraph:
         G = wreath_cyclic(alternating_group(5), 2).group()
         assert G.trivial_subgroup().elements == (0,)
         assert "_inv_list" not in vars(G)
+
+
+class TestMultiplicationTable:
+    def test_corpora(self):
+        for G in abelian_groups_up_to_64() + group_zoo_up_to_100():
+            assert G._mul_rows == [[G.mul(i, j) for j in range(G.order)]
+                                   for i in range(G.order)], G.name
+
+    # the members of order at most BASE_TABLE_MAX_ORDER, the only bases
+    # whose table a wreath product reads
+    @pytest.mark.parametrize("name", ["C11wrC2", "S5", "PSL27", "C4wrC2",
+                                      "E4wrC2", "C2^5", "S3^3", "C9xC3"])
+    def test_lattice_groups(self, name):
+        G = LATTICE_GROUPS[name]()
+        assert G.order <= BASE_TABLE_MAX_ORDER
+        assert G._mul_rows == [[G.mul(i, j) for j in range(G.order)]
+                               for i in range(G.order)]
+
+    def test_c251_products(self):
+        # one right-multiplication row of the generator, then lookups, where
+        # multiplying every pair took 251^2 = 63,001 products
+        G = cyclic_group(251)
+        table, count = count_products(G, lambda: G._mul_rows)
+        assert count <= 251
+        assert table[3][250] == G.mul(3, 250)
 
 
 class TestWreath:
@@ -395,7 +422,9 @@ class TestWreath:
         sigma = (1, 2, 0)
         h = (2, 5, 1)
         t = W.top_element(sigma)
-        lhs = W.compose(W.compose(W.inverse(t), W.base_element(h)), t)
+        t_inv = W.top_element((2, 0, 1))
+        assert W.compose(t_inv, t) == W.identity
+        lhs = W.compose(W.compose(t_inv, W.base_element(h)), t)
         assert lhs == W.base_element(tuple(h[sigma[i]] for i in range(3)))
 
 
@@ -440,7 +469,8 @@ class TestEmbedding:
         pi = [next(j for j, c in enumerate(cosets) if g in c) for g in t2]
         h = tuple(Hg.index[S3.mul(S3.inv(t1[pi[i]]), t2[i])] for i in range(2))
         w = (tuple(pi), h)
-        winv = W.inverse(w)
+        Wg = W.group()
+        winv = Wg.elements[Wg.inv(Wg.index[w])]
         for g in range(S3.order):
             assert W.compose(winv, W.compose(e1.images[g], w)) == e2.images[g]
 
@@ -515,6 +545,22 @@ class TestWreathClassification:
         assert report.abelian_base
         assert report.trichotomy_ok is None
         assert report.max_normal_chain_length > 3  # diagonals become normal
+
+    def test_non_simple_base_is_refused(self):
+        W = wreath_cyclic(cyclic_group(4), 2)
+        with pytest.raises(GroupError, match="^base group is not simple$"):
+            classify_wreath_subgroup(W, W.group())
+
+    def test_two_lattices_per_call(self, monkeypatch):
+        # the base's, in goursat_classify, and the subgroup's
+        lattices = []
+        build = slopeforge.groups.normal_subgroups
+        monkeypatch.setattr(slopeforge.groups, "normal_subgroups",
+                            lambda G: lattices.append(G.name) or build(G))
+        W = wreath_cyclic(cyclic_group(3), 2)
+        G = W.group()
+        classify_wreath_subgroup(W, G)
+        assert lattices == [W.base.name, G.name]
 
     def test_semidirect_direct_product(self):
         A5 = alternating_group(5)
@@ -642,13 +688,17 @@ class TestSubgroups:
     def test_subgroup_validation(self):
         S3 = symmetric_group(3)
         three = next(i for i in range(6) if S3.element_order(i) == 3)
-        with pytest.raises(GroupError):
-            S3.subgroup([0, three])  # missing the inverse of the 3-cycle
+        # missing the inverse of the 3-cycle, so its square: a finite set
+        # closed under products is closed under inverses
+        with pytest.raises(GroupError, match="^subgroup not closed under products$"):
+            S3.subgroup([0, three])
         with pytest.raises(GroupError):
             S3.subgroup([1, 2])  # missing identity
         two = [i for i in range(6) if S3.element_order(i) == 2][:2]
         with pytest.raises(GroupError, match="^subgroup not closed under products$"):
             S3.subgroup([0] + two)  # closed under inverses only
+        assert S3.subgroup([0, three, S3.mul(three, three)]).order == 3
+        assert "_inv_list" not in vars(S3)  # validation takes no inverses
 
     def test_supplied_generator_outside_the_set_is_refused(self):
         # refused before any product: 7 raised IndexError there
@@ -698,6 +748,19 @@ class TestElementOrders:
         assert G.exponent == lcm(*orders)
 
 
+def check_inverses(G):
+    """inv(x) is the y with x y = 1 (unique in a group), found in at most
+    3 |G| products: each walk of <g>, of order m, costs m - 1 and settles
+    the phi(m) generators of <g>, at most 1.9 products per element on the
+    corpora and LATTICE_GROUPS.  The inverse class of each class, read off
+    the power maps, is the class of its representative's inverse."""
+    inv, count = count_products(G, lambda: G._inv_list)
+    assert count <= 3 * G.order, G.name
+    assert [G.mul(x, inv[x]) for x in range(G.order)] == [0] * G.order
+    assert G.inverse_class == [G.class_of[inv[cls[0]]]
+                               for cls in G.conjugacy_classes], G.name
+
+
 def check_power_maps(G):
     """Each class in the Galois orbit of a row, the class of g^a, has
     powers h^t in the class of g^(a t), read off the row at a t mod m; the
@@ -725,10 +788,13 @@ class TestPowerMaps:
         assert cyclic_group(1).power_maps == ((0,),)
         for G in abelian_groups_up_to_64() + group_zoo_up_to_100():
             check_power_maps(G)
+            check_inverses(G)
 
     @pytest.mark.parametrize("name", sorted(LATTICE_GROUPS))
     def test_lattice_groups(self, name):
-        check_power_maps(LATTICE_GROUPS[name]())
+        G = LATTICE_GROUPS[name]()
+        check_power_maps(G)
+        check_inverses(G)
 
     def test_c101_normal_subgroups_walk_one_row(self):
         # one row of 101 classes: 100 products, where walking the powers of

@@ -191,6 +191,13 @@ class TestCharacterTables:
                         count = sum(G.mul(G.inv(x), z) in target for x in cls)
                         assert rows[j].get(k, 0) == count, (G.name, i, j, k)
 
+    def test_table_builds_no_inverse_list(self):
+        # inverse classes come from the power maps, and M_i reads the class
+        # of the inverses, so no inverse is computed element by element
+        for G in (symmetric_group(4), alternating_group(5), frobenius_21()):
+            character_table(G)
+            assert "_inv_list" not in vars(G), G.name
+
     def test_galois_conjugate_classes(self):
         # chi(g^a) = sigma_a(chi(g)) for a prime to m = ord(g): the stored
         # value of chi at g, sum_u c_u zeta_n^u, with zeta_n^u sent to
