@@ -21,9 +21,10 @@ right-multiplication rows (`FiniteGroup.right_rows`, the Cayley graph):
 homomorphisms, candidate automorphisms, and the left multiplications that
 make up the multiplication table and, composed with the rows, the
 conjugations.  Every group and subgroup keeps the generators of the closure
-that built or validated it, and readers use those, never a recount.  Subgroups built by these closures are trusted
-(`Subgroup._from_closure`); a subgroup given from outside is validated by
-closing it from its own elements.
+that built or validated it, and readers use those, never a recount.
+Subgroups built by these closures are trusted (`Subgroup._from_closure`); a
+subgroup given from outside is validated by closing it from its own
+elements.
 """
 
 from __future__ import annotations
@@ -420,7 +421,8 @@ class Subgroup:
     def _normal(self) -> bool:
         G = self.parent
         for g in G.generators:
-            ginv = G.inv(g)
+            # g^-1 = g^(m-1): a walk of <g>, not G's whole inverse list
+            ginv = G.power(g, G.element_order(g) - 1)
             for x in self.generators:
                 if G.mul(ginv, G.mul(x, g)) not in self._set:
                     return False

@@ -820,3 +820,11 @@ class TestNormalityMemo:
         checked = len(calls)
         assert checked > before
         assert A3.is_normal() and not H.is_normal() and len(calls) == checked
+
+    def test_builds_no_inverse_list(self):
+        S4 = symmetric_group(4)
+        V4 = S4.subgroup([0, *next(c for c in S4.conjugacy_classes if len(c) == 3)])
+        transp = next(c[0] for c in S4.conjugacy_classes
+                      if len(c) == 6 and S4.element_order(c[0]) == 2)
+        assert V4.is_normal() and not S4.subgroup([0, transp]).is_normal()
+        assert "_inv_list" not in vars(S4)
