@@ -13,14 +13,14 @@ from .groups import (FiniteGroup, GoursatResult, GroupError, Subgroup,
                      goursat_classify, group_from_cayley_table,
                      group_from_permutations, heisenberg_group, is_simple,
                      left_cosets, normal_subgroups, outer_automorphism_order,
-                     quaternion_group, select_prime, subgroup_closure,
+                     quaternion_group, subgroup_closure,
                      symmetric_group, wreath_cyclic)
 from .reptheory import (CharacterTable, ClassFunction, MatrixRep, character_table,
-                        conjugate_character, direct_sum,
+                        conjugate_character,
                         induce, induced_matrix_rep, inner_product,
                         inner_product_int, irreducible_dims_gcd, mackey_check,
                         regular_character, rep_from_generator_images, restrict,
-                        tensor, tensor_induce, tensor_induced_matrix_rep,
+                        tensor_induce, tensor_induced_matrix_rep,
                         tind_summand_check, trivial_character)
 from .filtered import (BreakChain, LowerChain, graded_characters,
                        graded_pieces_disjoint, hasse_arf_check, herbrand_phi,

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import jsonio
-from .exactnum import is_prime, rational_from_str, shown
+from .exactnum import is_prime, rational_from_str, rational_to_str, shown
 from .filtered import herbrand_phi, slope_decomposition, upper_from_lower
 from .groups import (DEFAULT_MAX_ORDER, GroupError, classify_wreath_subgroup,
                      is_simple, rotation, wreath_cyclic)
@@ -123,9 +123,10 @@ def _write_payload(args, payload: dict):
 # -- SVG rendering of Newton polygons ---------------------------------------------
 
 
-def render_polygon_svg(np_obj, width: int = 480, height: int = 360) -> str:
-    """Static picture: axes, the polygon, its vertices and, up to
+def render_polygon_svg(np_obj) -> str:
+    """Static 480 x 360 picture: axes, the polygon, its vertices and, up to
     SVG_MAX_LATTICE_DOTS of them, the integer lattice dots."""
+    width, height = 480, 360
     xs = [float(x) for x, _ in np_obj.vertices]
     ys = [float(y) for _, y in np_obj.vertices]
     x_max = max(max(xs), 1.0)
@@ -213,7 +214,7 @@ def cmd_swan(payload, args) -> dict:
     return {
         "slopes": jsonio.slope_multiset_json(dec)["slopes"],
         "polygon": jsonio.polygon_json(poly),
-        "swan": jsonio.rational_json(poly.height),
+        "swan": rational_to_str(poly.height),
         "hasse_arf": poly.is_integral(),
     }
 
@@ -223,9 +224,9 @@ def cmd_herbrand(payload, args) -> dict:
     phi = herbrand_phi(lower)
     return {
         "phi": {
-            "breakpoints": [[jsonio.rational_json(x), jsonio.rational_json(y)]
+            "breakpoints": [[rational_to_str(x), rational_to_str(y)]
                             for x, y in phi.vertices],
-            "final_slope": jsonio.rational_json(phi.final_slope),
+            "final_slope": rational_to_str(phi.final_slope),
         },
         "upper": jsonio.break_chain_json(upper_from_lower(lower)),
     }
@@ -238,7 +239,7 @@ def _induced(payload, args, operation) -> dict:
                                       "$.character")
     result = operation(chi, H)
     return {"character": jsonio.class_function_json(result),
-            "degree": jsonio.rational_json(result.degree)}
+            "degree": rational_to_str(result.degree)}
 
 
 def cmd_induce(payload, args) -> dict:
@@ -335,11 +336,17 @@ def cmd_classify(payload, args) -> dict:
 
 def cmd_table(payload, args) -> dict:
     G = jsonio.parse_group(payload.get("group"), max_order=args.max_order)
-    return table_report(G, args.max_order, args.gcd)
+    out = table_report(G, args.max_order)
+    if args.gcd:
+        try:
+            out["nontrivial_dims_gcd"] = irreducible_dims_gcd(G, args.max_order)
+        except RepTheoryError as exc:  # the trivial group
+            raise InputError("$.group", str(exc)) from None
+    return out
 
 
-def table_report(G, max_order: int = DEFAULT_TABLE_BOUND, gcd: bool = False) -> dict:
-    """The report of `table` on the group G."""
+def table_report(G, max_order: int = DEFAULT_TABLE_BOUND) -> dict:
+    """The report of `table` on the group G, without the --gcd entry."""
     table = character_table(G, max_order=max_order)
     out = {
         "order": G.order,
@@ -349,8 +356,6 @@ def table_report(G, max_order: int = DEFAULT_TABLE_BOUND, gcd: bool = False) -> 
         "irreducibles": [jsonio.class_function_json(chi)
                          for chi in table.irreducibles],
     }
-    if gcd:
-        out["nontrivial_dims_gcd"] = irreducible_dims_gcd(G, max_order)
     return out
 
 
@@ -360,11 +365,11 @@ def cmd_robba(payload, args) -> dict:
     n_power, tame_res = p_power_reduce(op)
     return {
         "reduced": jsonio.rank_one_operator_json(red),
-        "slope": jsonio.rational_json(robba_slope(op)),
-        "residue": jsonio.rational_json(residue(op)),
+        "slope": rational_to_str(robba_slope(op)),
+        "residue": rational_to_str(residue(op)),
         "tame": is_tame(op),
         "p_power_N": n_power,
-        "p_power_residue": jsonio.rational_json(tame_res),
+        "p_power_residue": rational_to_str(tame_res),
         "character_order": character_order(op) if is_tame(op) else None,
     }
 

@@ -26,9 +26,9 @@ from .robba import RankOneOperator
 # -- slope multisets -----------------------------------------------------------
 
 
-def random_slope_multiset(rng: random.Random, max_len: int = 4) -> SlopeMultiset:
+def random_slope_multiset(rng: random.Random) -> SlopeMultiset:
     pairs = []
-    for _ in range(rng.randrange(max_len + 1)):
+    for _ in range(rng.randrange(5)):  # at most 4 slopes
         slope = Fraction(rng.randrange(0, 12), rng.randrange(1, 7))
         pairs.append((slope, rng.randrange(1, 5)))
     return SlopeMultiset.from_pairs(pairs)
@@ -53,12 +53,12 @@ def abelian_groups_up_to_64() -> tuple[gp.FiniteGroup, ...]:
     return tuple(out)
 
 
-def _random_descending_subgroups(G: gp.FiniteGroup, rng: random.Random,
-                                 max_len: int = 3) -> list[gp.Subgroup]:
-    """Strictly descending non-trivial subgroups starting at G itself."""
+def _random_descending_subgroups(G: gp.FiniteGroup,
+                                 rng: random.Random) -> list[gp.Subgroup]:
+    """Strictly descending non-trivial subgroups from G itself, at most 3."""
     chain = [G.full_subgroup()]
     current = chain[0]
-    for _ in range(rng.randrange(0, max_len)):
+    for _ in range(rng.randrange(0, 3)):
         if current.order <= 2:
             break
         for _attempt in range(12):

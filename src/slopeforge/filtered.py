@@ -42,7 +42,10 @@ class FilteredError(ValueError):
 @dataclass(frozen=True)
 class BreakChain:
     """Strictly increasing positive breaks with strictly descending normal
-    subgroups; the subgroup at lambda is subgroups[i] on (breaks[i-1], breaks[i]]."""
+    subgroups; the subgroup at lambda is subgroups[i] on (breaks[i-1], breaks[i]]
+    and trivial past the last break.  slope_decomposition reads a chain this
+    way: the piece of slope breaks[i] has dimension
+    dim V^subgroups[i+1] - dim V^subgroups[i], where V^1 = V past the end."""
 
     group: FiniteGroup
     breaks: tuple[Fraction, ...]
@@ -71,24 +74,6 @@ class BreakChain:
     @property
     def wild_subgroup(self) -> Subgroup | None:
         return self.subgroups[0] if self.subgroups else None
-
-    def subgroup_at(self, lam: Fraction) -> Subgroup:
-        """The filtration subgroup at level lambda > 0 (interval semantics)."""
-        lam = Fraction(lam)
-        if lam <= 0:
-            raise FilteredError("levels are positive")
-        for b, H in zip(self.breaks, self.subgroups):
-            if lam <= b:
-                return H
-        return self.group.trivial_subgroup()
-
-    def subgroup_above(self, lam: Fraction) -> Subgroup:
-        """The next strictly smaller subgroup in the chain (level lambda+)."""
-        lam = Fraction(lam)
-        for b, H in zip(self.breaks, self.subgroups):
-            if lam < b:
-                return H
-        return self.group.trivial_subgroup()
 
     def scaled(self, n: int) -> BreakChain:
         """Multiply every break by n, keeping the subgroups."""
@@ -152,15 +137,6 @@ class PiecewiseLinear:
                 return y0 + (y1 - y0) * (u - x0) / (x1 - x0)
         x_last, y_last = xs[-1]
         return y_last + self.final_slope * (u - x_last)
-
-    def inverse_at(self, v: Fraction) -> Fraction:
-        v = Fraction(v)
-        xs = self.vertices
-        for (x0, y0), (x1, y1) in zip(xs, xs[1:]):
-            if v <= y1:
-                return x0 + (v - y0) * (x1 - x0) / (y1 - y0)
-        x_last, y_last = xs[-1]
-        return x_last + (v - y_last) / self.final_slope
 
 
 def herbrand_phi(chain: LowerChain) -> PiecewiseLinear:

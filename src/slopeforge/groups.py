@@ -181,10 +181,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def identity(self) -> int:
-        return 0
-
     def mul(self, i: int, j: int) -> int:
         return self.index[self._compose(self.elements[i], self.elements[j])]
 
@@ -371,6 +367,7 @@ class Subgroup:
     parent: FiniteGroup
     elements: tuple[int, ...]
     generators: tuple[int, ...] = field(default=(), compare=False)
+    element_set: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         els, G = self.elements, self.parent
@@ -380,7 +377,7 @@ class Subgroup:
             raise GroupError("subgroup elements must be strictly increasing "
                              f"indices in 0..{G.order - 1}")
         eset = frozenset(els)
-        object.__setattr__(self, "_set", eset)
+        object.__setattr__(self, "element_set", eset)
         if not eset.issuperset(self.generators):
             raise GroupError("subgroup not closed under products")
         # what the greedy generators generate contains the given generators
@@ -403,19 +400,15 @@ class Subgroup:
         object.__setattr__(S, "parent", parent)
         object.__setattr__(S, "elements", elements)
         object.__setattr__(S, "generators", generators)
-        object.__setattr__(S, "_set", frozenset(elements))
+        object.__setattr__(S, "element_set", frozenset(elements))
         return S
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def element_set(self) -> frozenset[int]:
-        return self._set
-
     def __contains__(self, i: int) -> bool:
-        return i in self._set
+        return i in self.element_set
 
     @cached_property
     def _normal(self) -> bool:
@@ -424,7 +417,7 @@ class Subgroup:
             # g^-1 = g^(m-1): a walk of <g>, not G's whole inverse list
             ginv = G.power(g, G.element_order(g) - 1)
             for x in self.generators:
-                if G.mul(ginv, G.mul(x, g)) not in self._set:
+                if G.mul(ginv, G.mul(x, g)) not in self.element_set:
                     return False
         return True
 
@@ -941,12 +934,10 @@ class GoursatResult:
 
 
 def goursat_classify(Hp, H: FiniteGroup, ell: int) -> GoursatResult:
-    """Classify a shift-stable subgroup of H^ell surjecting onto the first
-    factor, for simple H and prime ell: it is full or a twisted diagonal."""
-    if isinstance(Hp, Subgroup):
-        elems = [Hp.parent.elements[i] for i in Hp.elements]
-    else:
-        elems = [tuple(t) for t in Hp]
+    """Classify a shift-stable subgroup of H^ell, given as its ell-tuples of
+    H's indices, surjecting onto the first factor, for simple H and prime
+    ell: it is full or a twisted diagonal."""
+    elems = [tuple(t) for t in Hp]
     eset = set(elems)
     if not is_prime(ell):
         raise GroupError(f"ell = {ell} must be prime")
@@ -1027,10 +1018,9 @@ def classify_wreath_subgroup(W: WreathProduct,
     tops = {gbar.elements[i][0] for i in range(gbar.order)}
     if len(tops) != ell:
         raise GroupError("subgroup does not cover the top cyclic group")
-    kernel_raws = [gbar.elements[i] for i in range(gbar.order)
-                   if gbar.elements[i][0] == W.top_identity]
-    base_tuples = [h for (_, h) in kernel_raws]
-    goursat = goursat_classify(base_tuples, H, ell)
+    kernel = [i for i in range(gbar.order)
+              if gbar.elements[i][0] == W.top_identity]
+    goursat = goursat_classify([gbar.elements[i][1] for i in kernel], H, ell)
     case = "full_wreath" if goursat.full else "semidirect"
 
     normals = normal_subgroups(gbar)
@@ -1041,8 +1031,7 @@ def classify_wreath_subgroup(W: WreathProduct,
     witness = None
     if case == "semidirect":
         direct_product = False
-        kernel_idx = [gbar.index[r] for r in kernel_raws]
-        kgens = generated_subgroup(gbar, kernel_idx).generators
+        kgens = kernel[1:]  # kernel[0] is the identity
         for t in range(1, gbar.order):
             if gbar.elements[t][0] == W.top_identity:
                 continue
@@ -1059,8 +1048,8 @@ def classify_wreath_subgroup(W: WreathProduct,
         chain_ok = chain <= 3
         if not direct_product:
             # the only normal subgroups are 1, the base intersection, the whole
-            kernel_set = frozenset(gbar.index[r] for r in kernel_raws)
-            expected = {frozenset({0}), kernel_set, frozenset(range(gbar.order))}
+            expected = {frozenset({0}), frozenset(kernel),
+                        frozenset(range(gbar.order))}
             trichotomy_ok = {S.element_set for S in normals} == expected
     return WreathCaseReport(
         case=case,
@@ -1134,16 +1123,3 @@ def outer_automorphism_order(G: FiniteGroup, search_bound=2_000_000) -> int:
     if aut % inn:
         raise AssertionError("inner automorphisms must divide the total count")
     return aut // inn
-
-
-def select_prime(excluded, forbidden_divisors) -> int:
-    """Smallest prime outside `excluded` dividing no entry of the list."""
-    excluded = set(excluded)
-    forbidden = [abs(int(x)) for x in forbidden_divisors]
-    if any(x == 0 for x in forbidden):
-        raise GroupError("zero is divisible by every prime")
-    ell = 2
-    while True:
-        if is_prime(ell) and ell not in excluded and all(x % ell for x in forbidden):
-            return ell
-        ell += 1

@@ -50,10 +50,6 @@ def parse_rational(obj, path: str) -> Fraction:
         raise InputError(path, str(exc)) from None
 
 
-def rational_json(q) -> str:
-    return rational_to_str(q)
-
-
 # -- slope multisets and polygons -------------------------------------------------
 
 
@@ -87,13 +83,13 @@ def parse_slope_multiset(obj, path: str = "$") -> SlopeMultiset:
 
 
 def slope_multiset_json(ms: SlopeMultiset) -> dict:
-    return {"slopes": [[rational_json(s), m] for s, m in ms.entries]}
+    return {"slopes": [[rational_to_str(s), m] for s, m in ms.entries]}
 
 
 def polygon_json(np: NewtonPolygon) -> dict:
     return {
-        "vertices": [[rational_json(x), rational_json(y)] for x, y in np.vertices],
-        "height": rational_json(np.height),
+        "vertices": [[rational_to_str(x), rational_to_str(y)] for x, y in np.vertices],
+        "height": rational_to_str(np.height),
         "integral": np.is_integral(),
     }
 
@@ -210,10 +206,6 @@ def parse_subgroup(obj, G: FiniteGroup, path: str) -> Subgroup:
         raise InputError(path, str(exc)) from None
 
 
-def subgroup_json(H: Subgroup) -> list[int]:
-    return list(H.elements)
-
-
 # -- chains ------------------------------------------------------------------------------
 
 
@@ -239,8 +231,8 @@ def parse_break_chain(obj, path: str = "$", max_order: int = DEFAULT_MAX_ORDER
 
 def break_chain_json(chain: BreakChain) -> dict:
     return {
-        "breaks": [rational_json(b) for b in chain.breaks],
-        "subgroups": [subgroup_json(H) for H in chain.subgroups],
+        "breaks": [rational_to_str(b) for b in chain.breaks],
+        "subgroups": [list(H.elements) for H in chain.subgroups],
     }
 
 
@@ -279,4 +271,4 @@ def parse_rank_one_operator(obj, path: str = "$") -> RankOneOperator:
 
 
 def rank_one_operator_json(op: RankOneOperator) -> dict:
-    return {"p": op.p, "coefficients": [rational_json(c) for c in op.coeffs]}
+    return {"p": op.p, "coefficients": [rational_to_str(c) for c in op.coeffs]}

@@ -569,19 +569,6 @@ def _mat_trace(A: Matrix) -> Cyclotomic:
     return acc
 
 
-def _mat_kronecker(A: Matrix, B: Matrix) -> Matrix:
-    na, nb = len(A), len(B)
-    out = []
-    for i in range(na):
-        for k in range(nb):
-            row = []
-            for j in range(na):
-                for l in range(nb):
-                    row.append(A[i][j] * B[k][l])
-            out.append(tuple(row))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class MatrixRep:
     """Invertible cyclotomic matrices, one per group element, multiplicative."""
@@ -624,28 +611,6 @@ def rep_from_generator_images(G: FiniteGroup, generator_indices,
     if len(mats) != G.order:
         raise RepTheoryError("generators do not generate the group")
     return MatrixRep(G, dim, tuple(mats[i] for i in range(G.order)))
-
-
-def direct_sum(rep1: MatrixRep, rep2: MatrixRep) -> MatrixRep:
-    if rep1.group is not rep2.group:
-        raise RepTheoryError("representations live on different groups")
-    zero = Cyclotomic.rational(0)
-    n1, n2 = rep1.dimension, rep2.dimension
-    mats = []
-    for g in range(rep1.group.order):
-        A, B = rep1.matrices[g], rep2.matrices[g]
-        top = tuple(row + (zero,) * n2 for row in A)
-        bottom = tuple((zero,) * n1 + row for row in B)
-        mats.append(top + bottom)
-    return MatrixRep(rep1.group, n1 + n2, tuple(mats))
-
-
-def tensor(rep1: MatrixRep, rep2: MatrixRep) -> MatrixRep:
-    if rep1.group is not rep2.group:
-        raise RepTheoryError("representations live on different groups")
-    mats = tuple(_mat_kronecker(rep1.matrices[g], rep2.matrices[g])
-                 for g in range(rep1.group.order))
-    return MatrixRep(rep1.group, rep1.dimension * rep2.dimension, mats)
 
 
 def induced_matrix_rep(rep: MatrixRep, H: Subgroup,

@@ -13,6 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import corpus
 from . import groups as gp
@@ -214,10 +215,8 @@ def suite_filtration(seed: int = 7177) -> str:
         for chi in table.irreducibles:
             if not graded_pieces_disjoint(chain, chi, table):
                 raise SuiteFailure(f"{G.name}: graded pieces overlap")
-        reg_check = graded_pieces_disjoint(
-            chain, _regular_sum(table), table
-        )
-        if not reg_check:
+        irr = table.irreducibles
+        if not graded_pieces_disjoint(chain, sum(irr[1:], irr[0]), table):
             raise SuiteFailure(f"{G.name}: graded pieces of the regular sum")
         for chi in table.irreducibles:
             for psi in table.irreducibles:
@@ -231,13 +230,6 @@ def suite_filtration(seed: int = 7177) -> str:
     if not drop_seen:
         raise SuiteFailure("no equal-slope drop instance found")
     return f"{len(chains)} chains, {checked} tensor pairs, drop seen"
-
-
-def _regular_sum(table):
-    total = None
-    for chi in table.irreducibles:
-        total = chi if total is None else total + chi
-    return total
 
 
 # -- 8: Kummer scaling -------------------------------------------------------------------
@@ -484,11 +476,6 @@ def run_suite(name: str, seed: int | None = None) -> SuiteResult:
     return SuiteResult(name, passed, detail, time.perf_counter() - t0, limit)
 
 
-def _run_suite_entry(args: tuple) -> SuiteResult:
-    name, seed = args
-    return run_suite(name, seed)
-
-
 def run_suites(names=None, jobs: int = 1,
                seed: int | None = None) -> list[SuiteResult]:
     """Run suites by name; a non-None seed reseeds every corpus uniformly.
@@ -503,5 +490,5 @@ def run_suites(names=None, jobs: int = 1,
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_suite_entry, [(n, seed) for n in names]))
+            return list(pool.map(partial(run_suite, seed=seed), names))
     return [run_suite(n, seed) for n in names]

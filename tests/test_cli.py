@@ -577,9 +577,11 @@ class TestInputBoundary:
          "$.base.cayley_table"),
         ("table", {"group": {"cayley_table": broken_c400_table()}},
          "$.group.cayley_table"),
+        # raised below the parsers: the trivial group has no --gcd
+        ("table --gcd", {"group": {"permutation_generators": [[1]]}}, "$.group"),
     ])
     def test_exit_2_names_path(self, capsys, tmp_path, command, payload, path):
-        code, out, err = run_cli([command], capsys, payload, tmp_path=tmp_path)
+        code, out, err = run_cli(command.split(), capsys, payload, tmp_path=tmp_path)
         assert code == 2 and out is None
         assert f"input error: {path}:" in err
         assert len(err.encode()) < 200

@@ -21,7 +21,7 @@ from slopeforge.groups import (BASE_TABLE_MAX_ORDER, GoursatDichotomyError,
                                group_from_permutations, heisenberg_group,
                                is_simple, left_cosets, longest_normal_chain,
                                normal_subgroups, orbit, outer_automorphism_order,
-                               quaternion_group, select_prime, subgroup_closure,
+                               quaternion_group, subgroup_closure,
                                symmetric_group, wreath_cyclic)
 from slopeforge.jsonio import parse_subgroup
 
@@ -661,17 +661,6 @@ def automorphisms_by_products(G):
         if f is not None and len(f) == G.order and len(set(f.values())) == G.order:
             count += 1
     return count
-
-
-class TestSelectPrime:
-    def test_examples(self):
-        assert select_prime({2}, [2, 1, 1]) == 3
-        assert select_prime(set(), [6]) == 5
-        assert select_prime({2}, []) == 3
-
-    def test_zero_rejected(self):
-        with pytest.raises(GroupError):
-            select_prime(set(), [0])
 
 
 class TestSubgroups:

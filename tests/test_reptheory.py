@@ -16,11 +16,11 @@ from slopeforge.groups import (CosetAction, alternating_group, cyclic_group,
                                left_cosets, normal_subgroups, quaternion_group,
                                symmetric_group, wreath_cyclic)
 from slopeforge.reptheory import (RepTheoryError, character_table,
-                                  conjugate_character, direct_sum, induce,
+                                  conjugate_character, induce,
                                   induced_matrix_rep, inner_product,
                                   inner_product_int, irreducible_dims_gcd,
                                   mackey_check, regular_character,
-                                  rep_from_generator_images, restrict, tensor,
+                                  rep_from_generator_images, restrict,
                                   tensor_induce, tensor_induced_matrix_rep,
                                   tind_summand_check, trivial_character)
 from slopeforge.reptheory import _class_matrix
@@ -494,17 +494,6 @@ class TestMatrixReps:
         bad = [[[Cyclotomic.rational(-1)]]]  # order-3 generator, order-2 image
         with pytest.raises(RepTheoryError):
             rep_from_generator_images(C3, C3.generators, bad)
-
-    def test_direct_sum_and_tensor(self):
-        C4 = cyclic_group(4)
-        i4 = Cyclotomic.zeta(4)
-        rep = rep_from_generator_images(C4, C4.generators, [[[i4]]])
-        chi = rep.character()
-        both = direct_sum(rep, rep)
-        assert both.character() == chi + chi
-        trivial_rep = rep_from_generator_images(
-            C4, C4.generators, [[[Cyclotomic.rational(1)]]])
-        assert tensor(rep, trivial_rep).character() == chi
 
     def test_two_dimensional_multiplicative(self):
         S3 = symmetric_group(3)
