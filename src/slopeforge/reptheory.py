@@ -1,21 +1,28 @@
 """Characters of finite groups over exact cyclotomic scalars.
 
 Class functions are value vectors indexed by the conjugacy classes of their
-group.  Complete character tables are computed with the Dixon-Schneider
-modular method: the class-sum matrices, stored as sparse rows, are
-simultaneously diagonalized over a prime field F_ell with ell = 1 mod
-exponent(G) (in `modp`, on lists of Python ints).  Each class matrix is
-built on demand, in class order, and only until every common eigenspace is a
-line, so a table often reads a few of them.  The eigenvalues on a common
-eigenspace are the roots of its characteristic polynomial, read by
-evaluating it on all of F_ell, so a table build uses no randomness and every
-group, the trivial one too, takes one path.  Degrees and values are read off
-mod ell, and the values are lifted to exact cyclotomic numbers through the
-discrete Fourier coefficients of the group's power maps, once per row of
+group.  Complete character tables take one of two routes, chosen by the
+classes alone.  A group whose classes are all singletons is abelian, and its
+irreducibles are its homomorphisms to the e-th roots of unity, e =
+exponent(G): they are extended along the group's generators, one coset of
+the subgroup built so far at a time, with |G| - 1 products in all.  Every
+other group goes through the Dixon-Schneider modular method: the class-sum
+matrices, stored as sparse rows, are simultaneously diagonalized over a
+prime field F_ell with ell = 1 mod exponent(G) (in `modp`, on lists of
+Python ints).  Each class matrix is built on demand, in class order, and
+only until every common eigenspace is a line, so a table often reads a few
+of them.  The eigenvalues on a common eigenspace are the roots of its
+characteristic polynomial, read by evaluating it on all of F_ell, so a table
+build uses no randomness.  Degrees and values are read off mod ell, and the
+values are lifted to exact cyclotomic numbers through the discrete Fourier
+coefficients of the group's power maps, once per row of
 `FiniteGroup.power_maps`, one per Galois orbit of classes: the class of g^a
 with a prime to ord(g) gets the coefficients at g permuted, since chi(g^a) =
 sigma_a(chi(g)).  The lifted multiplicity vectors are reduced mod Phi_m
-over Z, and each value is made a `Cyclotomic` once.
+over Z, and each value is made a `Cyclotomic` once.  Both routes write
+zeta_e^a at an element of order m as the same `Cyclotomic` of conductor m,
+sort the irreducibles the same way and pass the same checks, the modular
+orthogonality relations among them, so a table does not show its route.
 Restriction and induction go through the class fusion of a subgroup into its
 parent (`Subgroup.class_fusion`), never through the elements of the parent.
 Matrix representations over cyclotomics exist as oracles for induction and
@@ -273,7 +280,7 @@ def str_of_cyclotomic(v: Cyclotomic) -> str:
     return "z%d:[%s]" % (v.conductor, ",".join(coeffs))
 
 
-# -- character tables (Dixon-Schneider) ---------------------------------------
+# -- character tables (abelian extension, Dixon-Schneider) --------------------
 
 
 @dataclass(frozen=True)
@@ -410,8 +417,54 @@ def character_table(G: FiniteGroup,
             f"group order {G.order} exceeds the table bound {max_order}"
         )
     if G._character_table is None:
-        G._character_table = _dixon_schneider(G)
+        # the classes are all singletons exactly when G is abelian
+        abelian = len(G.conjugacy_classes) == G.order
+        G._character_table = (_abelian_table if abelian else _dixon_schneider)(G)
     return G._character_table
+
+
+def _abelian_table(G: FiniteGroup) -> CharacterTable:
+    """The homomorphisms G -> mu_e, e = exponent(G), each held as the
+    exponents a of its values zeta_e^a and extended along G.generators.
+
+    With K the subgroup built so far and m the least power of the next
+    generator g that lies in K, each chi of K has the m extensions
+    chi'(k g^t) = chi(k) + t u mod e, u = chi(g^m)/m + (e/m) j for j < m:
+    chi(g^m) = m chi'(g) mod e, and m divides e, so m divides chi(g^m).
+    The coset K g^t is built from K g^(t-1), one product per element but
+    the identity, whose g^t the walk to g^m holds: |G| - 1 products."""
+    e = G.exponent
+    place = {0: 0}  # K, each element at its place in the exponent lists
+    chars = [[0]]
+    for g in G.generators:
+        if g in place:
+            continue
+        walk = [0, g]
+        while walk[-1] not in place:
+            walk.append(G.mul(walk[-1], g))
+        m = len(walk) - 1
+        at_gm = place[walk[m]]
+        coset = list(place)
+        for t in range(1, m):
+            coset = [walk[t]] + [G.mul(x, g) for x in coset[1:]]
+            for x in coset:
+                place[x] = len(place)
+        chars = [[(a + t * u) % e for t in range(m) for a in chi]
+                 for chi in chars for u in range(chi[at_gm] // m, e, e // m)]
+
+    # class x is {x}; zeta_e^a at x of order m is the unit vector at a m/e
+    # of length m, as the Dixon-Schneider lift writes it, and one Cyclotomic
+    # per (m, position) is shared
+    zetas = {m: [Cyclotomic.zeta(m, k) for k in range(m)]
+             for m in set(G.element_orders)}
+    columns = [(place[x], zetas[m], e // m) for x, m in enumerate(G.element_orders)]
+    irreducibles = [ClassFunction(G, tuple(z[chi[p] // s] for p, z, s in columns))
+                    for chi in chars]
+    ell = _find_modulus(G)
+    omega = _primitive_root_of_unity(ell, e)
+    omega_powers = [pow(omega, a, ell) for a in range(e)]
+    chars_mod = [[omega_powers[chi[p]] for p, _, _ in columns] for chi in chars]
+    return _checked_table(G, irreducibles, chars_mod, ell)
 
 
 def _dixon_schneider(G: FiniteGroup) -> CharacterTable:
@@ -470,9 +523,13 @@ def _dixon_schneider(G: FiniteGroup) -> CharacterTable:
         if values[0] != Cyclotomic.rational(d):
             raise AssertionError("lifted degree mismatch")
         irreducibles.append(ClassFunction(G, tuple(values)))
+    return _checked_table(G, irreducibles, chars_mod, ell)
 
-    # deterministic order: trivial character first, then by degree and values;
-    # character values are algebraic integers, so every den is 1
+
+def _checked_table(G: FiniteGroup, irreducibles, chars_mod, ell) -> CharacterTable:
+    """The table in a deterministic order, once its checks pass: trivial
+    character first, then by degree and values; character values are
+    algebraic integers, so every den is 1."""
     def sort_key(chi: ClassFunction):
         return (int(chi.degree),
                 [(v.conductor, v.nums) for v in chi.values])
@@ -480,7 +537,7 @@ def _dixon_schneider(G: FiniteGroup) -> CharacterTable:
     triv = trivial_character(G)
     rest = sorted((c for c in irreducibles if c != triv), key=sort_key)
     table = CharacterTable(G, (triv,) + tuple(rest))
-    if len(table.irreducibles) != r:
+    if len(table.irreducibles) != len(G.conjugacy_classes):
         raise AssertionError("table must have one irreducible per class")
     _verify_table_degrees(table)
     _verify_orthogonality_mod(table, chars_mod, ell)

@@ -11,7 +11,8 @@ from slopeforge.corpus import (abelian_groups_up_to_64, group_zoo_up_to_100,
                                mackey_pair_corpus)
 from slopeforge.exactnum import Cyclotomic
 from slopeforge.groups import (CosetAction, alternating_group, cyclic_group,
-                               dihedral_group, generated_subgroup,
+                               dihedral_group, elementary_abelian_group,
+                               generated_subgroup, group_from_cayley_table,
                                group_from_permutations, heisenberg_group,
                                left_cosets, normal_subgroups, quaternion_group,
                                symmetric_group, wreath_cyclic)
@@ -23,7 +24,7 @@ from slopeforge.reptheory import (RepTheoryError, character_table,
                                   rep_from_generator_images, restrict,
                                   tensor_induce, tensor_induced_matrix_rep,
                                   tind_summand_check, trivial_character)
-from slopeforge.reptheory import _class_matrix
+from slopeforge.reptheory import _class_matrix, _dixon_schneider
 
 
 def a3_of_s3():
@@ -134,12 +135,19 @@ class TestCharacterTables:
                     assert total == Cyclotomic.rational(expected)
 
     # one wrong entry mod ell in S4's table breaks a relation with i <= j,
-    # and a row times 2 breaks only its own relation, the one with i = j
-    @pytest.mark.parametrize("row, cols, factor", [
-        (0, [0], None), (1, [2], None), (4, [3], None), (2, range(5), 2),
-    ], ids=["entry-0-0", "entry-1-2", "entry-4-3", "row-2-doubled"])
+    # and a row times 2 breaks only its own relation, the one with i = j;
+    # C6's table is built by extension and goes through the same check
+    @pytest.mark.parametrize("maker, row, cols, factor", [
+        (lambda: symmetric_group(4), 0, [0], None),
+        (lambda: symmetric_group(4), 1, [2], None),
+        (lambda: symmetric_group(4), 4, [3], None),
+        (lambda: symmetric_group(4), 2, range(5), 2),
+        (lambda: cyclic_group(6), 3, [5], None),
+        (lambda: cyclic_group(6), 1, range(6), 2),
+    ], ids=["entry-0-0", "entry-1-2", "entry-4-3", "row-2-doubled",
+            "abelian-entry-3-5", "abelian-row-1-doubled"])
     def test_corrupted_modular_character_fails_orthogonality(
-            self, monkeypatch, row, cols, factor):
+            self, monkeypatch, maker, row, cols, factor):
         import slopeforge.reptheory as rt
 
         check = rt._verify_orthogonality_mod
@@ -153,7 +161,7 @@ class TestCharacterTables:
         monkeypatch.setattr(rt, "_verify_orthogonality_mod", corrupted)
         with pytest.raises(AssertionError,
                            match="^modular orthogonality check failed$"):
-            character_table(symmetric_group(4))
+            character_table(maker())
 
     def test_frobenius_21_irrational_values(self):
         table = character_table(frobenius_21())
@@ -197,6 +205,35 @@ class TestCharacterTables:
         for G in (symmetric_group(4), alternating_group(5), frobenius_21()):
             character_table(G)
             assert "_inv_list" not in vars(G), G.name
+
+    def test_abelian_tables_match_dixon_schneider(self):
+        # an abelian group's table is built by extension along its generators,
+        # with at most |G| - 1 products and no inverse, and Dixon-Schneider
+        # is its oracle; fresh groups, so that no table is cached
+        def values(table):
+            return [[(v.conductor, v.nums, v.den) for v in chi.values]
+                    for chi in table.irreducibles]
+
+        def cayley(G):
+            return group_from_cayley_table(
+                [[G.mul(i, j) for j in range(G.order)] for i in range(G.order)])
+
+        corpora = abelian_groups_up_to_64.__wrapped__() + group_zoo_up_to_100.__wrapped__()
+        groups = [G for G in corpora if G.is_abelian()]
+        groups += [cyclic_group(1),
+                   group_from_permutations([tuple((x + 1) % 24 for x in range(24))]),
+                   cayley(cyclic_group(12)), cayley(elementary_abelian_group(2, 4))]
+        for G in groups:
+            # the classes and power maps are the group's own, read by both routes
+            G.conjugacy_classes, G.power_maps
+            calls = []
+            mul = G.mul
+            G.mul = lambda i, j: calls.append(None) or mul(i, j)
+            table = character_table(G)
+            del G.mul
+            assert len(calls) <= G.order - 1, G.name
+            assert "_inv_list" not in vars(G), G.name
+            assert values(table) == values(_dixon_schneider(G)), G.name
 
     def test_galois_conjugate_classes(self):
         # chi(g^a) = sigma_a(chi(g)) for a prime to m = ord(g): the stored
