@@ -12,8 +12,11 @@ Invariant dimensions and invariant characters are sums over H of the integer
 view of the character (`ClassFunction.int_view`), on Python ints: the power
 basis of Q(zeta_n) is an integral basis, so the sums are exact, and a result
 is accepted only when it is rational (every non-constant coefficient is 0).
-A class function without a view (its values need a conductor above 2|G|,
-which no character does) is summed value by value over the same elements.
+An invariant character sums the view over the class counts of each coset
+gH, which the subgroup caches (`Subgroup.coset_class_counts`), so it makes
+no group product once they are built.  A class function without a view (its
+values need a conductor above 2|G|, which no character does) is summed value
+by value over the same class counts.
 The Swan conductor is the height of the resulting Newton polygon.  Lower
 chains (integer-indexed ramification data) convert to break chains through
 the Herbrand transition function phi(u) = integral of dt / [G_0 : G_t].
@@ -195,20 +198,20 @@ def lower_from_upper(chain: BreakChain) -> LowerChain:
 # -- slope decomposition and Swan conductors -----------------------------------
 
 
-def _summed_rows(rows, classes) -> list[int]:
-    """The sum of rows[k] over the class indices k, with repetition."""
+def _summed_rows(rows, counts) -> list[int]:
+    """The sum of m * rows[k] over the (class k, count m) pairs."""
     total = [0] * len(rows[0])
-    for k, m in Counter(classes).items():
+    for k, m in counts:
         for i, x in enumerate(rows[k]):
             if x:
                 total[i] += m * x
     return total
 
 
-def _cyclotomic_sum(chi: ClassFunction, elements) -> Cyclotomic:
-    """The sum of chi over the elements, value by value: the route of a
-    class function without an integer view."""
-    return sum((chi.value_at(x) for x in elements), Cyclotomic.rational(0))
+def _cyclotomic_sum(chi: ClassFunction, counts) -> Cyclotomic:
+    """The sum of m * chi(C_k) over the (class k, count m) pairs, value by
+    value: the route of a class function without an integer view."""
+    return sum((m * chi.values[k] for k, m in counts), Cyclotomic.rational(0))
 
 
 def invariant_dimension(chi: ClassFunction, H: Subgroup) -> int:
@@ -217,14 +220,15 @@ def invariant_dimension(chi: ClassFunction, H: Subgroup) -> int:
     G = chi.group
     if H.parent is not G:
         raise FilteredError("subgroup must live in the character's group")
+    class_of = G.class_of
+    counts = Counter(class_of[h] for h in H.elements).items()
     if chi.int_view is None:
-        value = _cyclotomic_sum(chi, H.elements)
+        value = _cyclotomic_sum(chi, counts)
         total, *rest = value.nums
         scale = value.den * H.order
     else:
         _, D, rows = chi.int_view
-        class_of = G.class_of
-        total, *rest = _summed_rows(rows, (class_of[h] for h in H.elements))
+        total, *rest = _summed_rows(rows, counts)
         scale = D * H.order
     dim, r = divmod(total, scale)
     if r or dim < 0 or any(rest):
@@ -290,25 +294,24 @@ def hasse_arf_check(chain: BreakChain, chi: ClassFunction) -> bool:
 
 def invariant_character(chi: ClassFunction, H: Subgroup) -> ClassFunction:
     """Character of the H-fixed subspace of a normal subgroup H:
-    g -> (1/|H|) sum over h of chi(gh), summed on the integer view of chi."""
+    g -> (1/|H|) sum over h of chi(gh), summed on the integer view of chi over
+    the class counts of each coset gH (`Subgroup.coset_class_counts`): only
+    the first call on a subgroup makes group products, at most |G| of them."""
     G = chi.group
     if H.parent is not G:
         raise FilteredError("subgroup must live in the character's group")
     if not H.is_normal():
         raise FilteredError("subgroup must be normal in the character's group")
-    mul = G.mul
-    vals = []
+    cosets = H.coset_class_counts
     if chi.int_view is None:
-        for g in G.class_representatives:
-            total = _cyclotomic_sum(chi, (mul(g, h) for h in H.elements))
-            vals.append(total * Fraction(1, H.order))
-        return ClassFunction(G, tuple(vals))
+        weight = Fraction(1, H.order)
+        return ClassFunction(G, tuple(_cyclotomic_sum(chi, counts) * weight
+                                      for counts in cosets))
     n, D, rows = chi.int_view
-    class_of, scale = G.class_of, D * H.order
-    for g in G.class_representatives:
-        total = _summed_rows(rows, (class_of[mul(g, h)] for h in H.elements))
-        vals.append(Cyclotomic(n, total, scale, _reduced=True))
-    return ClassFunction(G, tuple(vals))
+    scale = D * H.order
+    return ClassFunction(G, tuple(
+        Cyclotomic(n, _summed_rows(rows, counts), scale, _reduced=True)
+        for counts in cosets))
 
 
 def graded_characters(chain: BreakChain,

@@ -4,10 +4,12 @@ Groups are stored as an ordered element list (identity first) plus a
 composition rule on the raw element values; everything else (inverses,
 conjugacy classes, one power map per Galois orbit of classes and the element
 orders read off it, subgroup closures) is derived and cached on the group
-object.  Raw values are hashable, so closures are dict-driven,
-and groups up to the configured order bound (default 10000) can be enumerated
-in full.  Wreath products compose lazily and never require enumerating the
-ambient product, only the subgroups actually built inside it.
+object.  A subgroup likewise caches what it derives (its normality, itself as
+a standalone group, its class fusion and the class counts of its cosets), so
+that data is freed with the subgroup.  Raw values are hashable, so closures
+are dict-driven, and groups up to the configured order bound (default 10000)
+can be enumerated in full.  Wreath products compose lazily and never require
+enumerating the ambient product, only the subgroups actually built inside it.
 
 The package's closure and action routines are these four and no others:
 `_extend_closed` grows a subgroup coset by coset (group and subgroup
@@ -29,6 +31,7 @@ elements.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as iter_product
@@ -443,6 +446,24 @@ class Subgroup:
         class_of = self.parent.class_of
         Hg = self.as_group
         return tuple(class_of[Hg.elements[rep]] for rep in Hg.class_representatives)
+
+    @cached_property
+    def coset_class_counts(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """For each class representative g of the parent, the (class, count)
+        pairs of the elements of gH.  Representatives in one coset share one
+        tuple, so the build takes at most |G| products."""
+        G = self.parent
+        class_of, mul = G.class_of, G.mul
+        counts_at: dict[int, tuple[tuple[int, int], ...]] = {}
+        out = []
+        for g in G.class_representatives:
+            counts = counts_at.get(g)
+            if counts is None:
+                coset = [mul(g, h) for h in self.elements]
+                counts = tuple(Counter(class_of[x] for x in coset).items())
+                counts_at.update(dict.fromkeys(coset, counts))
+            out.append(counts)
+        return tuple(out)
 
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent.name})"

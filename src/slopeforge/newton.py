@@ -37,7 +37,8 @@ class SlopeMultiset:
         """Build from unordered pairs, merging equal slopes and dropping zero mults."""
         merged: dict[Fraction, int] = {}
         for slope, mult in pairs:
-            slope = Fraction(slope)
+            if not isinstance(slope, Fraction):
+                slope = Fraction(slope)
             merged[slope] = merged.get(slope, 0) + mult
         entries = tuple(
             (s, m) for s, m in sorted(merged.items()) if m != 0

@@ -3,9 +3,13 @@
 `invariant_dimension`, `invariant_character` and `CharacterTable.decompose`
 sum integer coefficient vectors; the oracles below are the element-wise
 `Cyclotomic` sums they replaced, kept verbatim, refusal messages included.
+`invariant_character` reads the class counts of the cosets gH that the
+subgroup caches (`Subgroup.coset_class_counts`); they are checked here against
+the products they replace.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,8 +18,8 @@ from slopeforge.corpus import abelian_groups_up_to_64, group_zoo_up_to_100
 from slopeforge.exactnum import Cyclotomic, euler_phi
 from slopeforge.filtered import (FilteredError, invariant_character,
                                  invariant_dimension)
-from slopeforge.groups import (cyclic_group, generated_subgroup,
-                               normal_subgroups)
+from slopeforge.groups import (Subgroup, cyclic_group, generated_subgroup,
+                               normal_subgroups, symmetric_group)
 from slopeforge.reptheory import (ClassFunction, character_table,
                                   inner_product_int)
 
@@ -115,6 +119,75 @@ def test_integer_view_matches_the_cyclotomic_oracles(G):
                 assert outcome(invariant_dimension, refused, N) == outcome(
                     oracle_invariant_dimension, refused, N)
             assert invariant_character(chi, N) == oracle_invariant_character(chi, N)
+
+
+def non_normal_subgroup(G):
+    """The first cyclic subgroup that is not normal, or None when every
+    subgroup is normal (an abelian or a Hamiltonian group)."""
+    for x in range(1, G.order):
+        H = generated_subgroup(G, [x])
+        if not H.is_normal():
+            return H
+    return None
+
+
+@pytest.mark.parametrize("G", CORPUS, ids=lambda G: f"{G.name}-{G.order}")
+def test_coset_class_counts_match_the_products(G):
+    rng = random.Random(G.order * 1009 + len(G.conjugacy_classes))
+    subgroups = subgroup_sample(G, rng)
+    if not G.is_abelian():
+        H = non_normal_subgroup(G)
+        if H is not None:
+            subgroups.append(H)
+    class_of = G.class_of
+    for H in subgroups:
+        counts = H.coset_class_counts
+        assert len(counts) == len(G.class_representatives)
+        for g, pairs in zip(G.class_representatives, counts):
+            assert dict(pairs) == Counter(class_of[G.mul(g, h)] for h in H.elements)
+            assert len(dict(pairs)) == len(pairs) and all(m > 0 for _, m in pairs)
+
+
+def test_invariant_characters_make_no_products_once_the_counts_exist(monkeypatch):
+    S4 = symmetric_group(4)
+    irr = character_table(S4).irreducibles
+    V4 = next(N for N in normal_subgroups(S4) if N.order == 4)
+    H = Subgroup(S4, V4.elements)  # a fresh object: no counts cached yet
+    assert H.is_normal()  # its own cached check, a few products
+    count = 0
+    mul = S4.mul
+
+    def counted(i, j):
+        nonlocal count
+        count += 1
+        return mul(i, j)
+
+    monkeypatch.setattr(S4, "mul", counted)
+    invariant_character(irr[-1], H)
+    # |H| products for each coset that holds a class representative
+    cosets = {id(c) for c in H.coset_class_counts}
+    assert count == H.order * len(cosets) <= S4.order
+    count = 0
+    for chi in irr:
+        invariant_character(chi, H)
+    assert count == 0
+    monkeypatch.undo()
+    for chi in irr:
+        assert invariant_character(chi, H) == oracle_invariant_character(chi, H)
+
+
+def test_no_view_invariant_character_on_a_non_abelian_group():
+    # n = lcm(6, 5, 7) = 210 > 2|S3|; the identity and the 3-cycles share
+    # the coset A3, so one tuple of counts serves two representatives
+    S3 = symmetric_group(3)
+    chi = ClassFunction(S3, (Cyclotomic.rational(2), Cyclotomic.zeta(5),
+                             Cyclotomic.zeta(7)))
+    assert chi.int_view is None
+    A3 = next(N for N in normal_subgroups(S3) if N.order == 3)
+    shared = {id(c) for c in A3.coset_class_counts}
+    assert len(shared) < len(S3.class_representatives)
+    for H in normal_subgroups(S3):
+        assert invariant_character(chi, H) == oracle_invariant_character(chi, H)
 
 
 def test_refusals_of_a_zeta_3_valued_function_on_c2():
