@@ -2,12 +2,12 @@
 groups, Newton polygons, Swan conductors, induction machinery, rank-one
 p-adic differential operators and Weyl dimensions."""
 
-from .exactnum import Cyclotomic, PLUS_INFINITY, padic_valuation
+from .exactnum import Cyclotomic, padic_valuation
 from .newton import (NewtonPolygon, SlopeMultiset, polygon_from_slopes,
                      slopes_from_polygon, tensor_slope_bound)
 from .groups import (FiniteGroup, GoursatResult, GroupError, Subgroup,
                      WreathProduct, alternating_group, classify_wreath_subgroup,
-                     cyclic_group, dihedral_group, direct_power, direct_product,
+                     cyclic_group, dihedral_group, direct_product,
                      elementary_abelian_group, embed_in_wreath,
                      extraspecial_exponent_p2_group, generated_subgroup,
                      goursat_classify, group_from_cayley_table,

@@ -494,6 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "max_order" in args and args.max_order < 1:
+            raise InputError("--max-order",
+                             f"expected a positive integer, got {args.max_order}")
         payload = _read_payload(args) if "input" in args else None
         command = globals()["cmd_" + args.command.replace("-", "_")]
         report = command(payload, args)

@@ -46,53 +46,13 @@ def euler_phi(n: int) -> int:
     return result
 
 
-class _PlusInfinity:
-    """The distinguished value +oo, used only as the valuation of zero."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "+Infinity"
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("slopeforge.+Infinity")
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-
-PLUS_INFINITY = _PlusInfinity()
-
-
-def padic_valuation(q: Fraction | int, p: int):
-    """p-adic valuation of a rational; the valuation of 0 is PLUS_INFINITY."""
+def padic_valuation(q: Fraction | int, p: int) -> int:
+    """p-adic valuation of a nonzero rational."""
     if not is_prime(p):
         raise ValueError(f"p = {shown(p)} is not prime")
     q = Fraction(q)
     if q == 0:
-        return PLUS_INFINITY
+        raise ValueError("the valuation of 0 is not an integer")
 
     def _vint(n: int) -> int:
         v = 0

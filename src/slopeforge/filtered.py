@@ -130,17 +130,6 @@ class PiecewiseLinear:
     vertices: tuple[tuple[Fraction, Fraction], ...]  # includes (0, 0)
     final_slope: Fraction
 
-    def __call__(self, u: Fraction) -> Fraction:
-        u = Fraction(u)
-        if u < 0:
-            raise FilteredError("arguments are non-negative")
-        xs = self.vertices
-        for (x0, y0), (x1, y1) in zip(xs, xs[1:]):
-            if u <= x1:
-                return y0 + (y1 - y0) * (u - x0) / (x1 - x0)
-        x_last, y_last = xs[-1]
-        return y_last + self.final_slope * (u - x_last)
-
 
 def herbrand_phi(chain: LowerChain) -> PiecewiseLinear:
     """phi(u) = integral from 0 to u of dt / [G_0 : G_t], exactly.

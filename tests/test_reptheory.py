@@ -2,7 +2,6 @@ import functools
 import gc
 import weakref
 from fractions import Fraction
-from itertools import product as iter_product
 from math import gcd
 
 import pytest
@@ -49,10 +48,11 @@ def nontrivial_linear(table):
     return next(c for c in table.irreducibles[1:] if int(c.degree) == 1)
 
 
-def assert_coset_action(H, transversal):
+def assert_coset_action(H):
     """g gamma_i = gamma_sigma(i) cocycle_i with cocycle_i in H, for every g."""
     G = H.parent
-    action = CosetAction(H, transversal)
+    action = CosetAction(H)
+    transversal = action.transversal
     for g in range(G.order):
         sigma, cocycle = action.image(g)
         assert sorted(sigma) == list(range(len(transversal)))
@@ -413,33 +413,28 @@ class TestTensorInduction:
         assert tensor_induce(sign, H) == tensor_induced_matrix_rep(rep, H).character()
         assert induce(sign, H) == induced_matrix_rep(rep, H).character()
 
-    def test_transversal_independence(self):
-        S3, A3 = a3_of_s3()
-        omega = nontrivial_linear(character_table(A3.as_group))
-        reference = tensor_induce(omega, A3)
-        for choice in iter_product(*left_cosets(S3, A3)):
-            assert tensor_induce(omega, A3, list(choice)) == reference
-            assert_coset_action(A3, choice)
-
-    def test_transversal_independence_index_three(self):
-        A4 = alternating_group(4)
-        V4 = next(N for N in normal_subgroups(A4) if N.order == 4)
-        chi = nontrivial_linear(character_table(V4.as_group))
-        reference = tensor_induce(chi, V4)
-        for choice in iter_product(*left_cosets(A4, V4)):
-            assert tensor_induce(chi, V4, list(choice)) == reference
-            assert_coset_action(V4, choice)
+    def test_coset_action(self):
+        # the least element of each coset, on every pair of index 1 to 4
+        pairs = mackey_pair_corpus()
+        assert len(pairs) == 15
+        assert {G.order // H.order for G, H in pairs} == {1, 2, 3, 4}
+        for G, H in pairs:
+            assert (CosetAction(H).transversal
+                    == tuple(c[0] for c in left_cosets(G, H)))
+            assert_coset_action(H)
 
     def test_restriction_formulas(self):
-        S3, A3 = a3_of_s3()
-        omega = nontrivial_linear(character_table(A3.as_group))
-        transversal = [c[0] for c in left_cosets(S3, A3)]
-        conjugates = [conjugate_character(omega, A3, g) for g in transversal]
-        total, prod = conjugates[0], conjugates[0]
-        for term in conjugates[1:]:
-            total, prod = total + term, prod * term
-        assert restrict(induce(omega, A3), A3) == total
-        assert restrict(tensor_induce(omega, A3), A3) == prod
+        A4 = alternating_group(4)
+        V4 = next(N for N in normal_subgroups(A4) if N.order == 4)
+        for G, H in (a3_of_s3(), (A4, V4)):
+            chi = nontrivial_linear(character_table(H.as_group))
+            transversal = [c[0] for c in left_cosets(G, H)]
+            conjugates = [conjugate_character(chi, H, g) for g in transversal]
+            total, prod = conjugates[0], conjugates[0]
+            for term in conjugates[1:]:
+                total, prod = total + term, prod * term
+            assert restrict(induce(chi, H), H) == total
+            assert restrict(tensor_induce(chi, H), H) == prod
 
     def test_summand_check(self):
         S3, A3 = a3_of_s3()
