@@ -12,9 +12,9 @@ from .groups import (FiniteGroup, GoursatResult, GroupError, Subgroup,
                      extraspecial_exponent_p2_group, generated_subgroup,
                      goursat_classify, group_from_cayley_table,
                      group_from_permutations, heisenberg_group, is_simple,
-                     left_cosets, normal_subgroups, outer_automorphism_order,
-                     quaternion_group, subgroup_closure,
-                     symmetric_group, wreath_cyclic)
+                     normal_subgroups, outer_automorphism_order,
+                     quaternion_group, subgroup_closure, symmetric_group,
+                     wreath_cyclic)
 from .reptheory import (CharacterTable, ClassFunction, MatrixRep, character_table,
                         conjugate_character,
                         induce, induced_matrix_rep, inner_product,

@@ -28,7 +28,8 @@ from .groups import (DEFAULT_MAX_ORDER, GroupError, classify_wreath_subgroup,
 from .jsonio import InputError
 from .newton import polygon_from_slopes
 from .reptheory import (DEFAULT_TABLE_BOUND, RepTheoryError, character_table,
-                        induce, irreducible_dims_gcd, mackey_check, tensor_induce)
+                        conductor_bound, induce, irreducible_dims_gcd,
+                        mackey_check, tensor_induce)
 from .robba import (character_order, is_tame, p_power_reduce,
                     reduce as robba_reduce, residue, slope as robba_slope)
 from .verify import SUITES, run_suites
@@ -202,8 +203,9 @@ def cmd_np(payload, args) -> dict:
 
 
 def cmd_swan(payload, args) -> dict:
-    G, chain = jsonio.parse_break_chain(payload, max_order=args.max_order)
-    chi = jsonio.parse_class_function(payload.get("character"), G, "$.character")
+    chain = jsonio.parse_break_chain(payload, max_order=args.max_order)
+    chi = jsonio.parse_class_function(payload.get("character"), chain.group,
+                                      "$.character")
     try:
         dec = slope_decomposition(chain, chi)
     except ValueError as exc:  # a class function that is not a character
@@ -220,7 +222,7 @@ def cmd_swan(payload, args) -> dict:
 
 
 def cmd_herbrand(payload, args) -> dict:
-    G, lower = jsonio.parse_lower_chain(payload, max_order=args.max_order)
+    lower = jsonio.parse_lower_chain(payload, max_order=args.max_order)
     phi = herbrand_phi(lower)
     return {
         "phi": {
@@ -256,7 +258,7 @@ def cmd_mackey(payload, args) -> dict:
     V = jsonio.parse_class_function(payload.get("left"), H.as_group, "$.left")
     W = jsonio.parse_class_function(payload.get("right"), H.as_group, "$.right")
     # each side is bounded alone, but conj(V) * W is computed in Q(zeta_lcm)
-    bound = 2 * H.order
+    bound = conductor_bound(H.as_group)
     if lcm(*(v.conductor for v in V.values + W.values)) > bound:
         raise InputError("$.right", "the left and right conductors have an lcm "
                          f"above 2|H| = {bound}")

@@ -61,7 +61,7 @@ def _random_descending_subgroups(G: gp.FiniteGroup,
     for _ in range(rng.randrange(0, 3)):
         if current.order <= 2:
             break
-        for _attempt in range(12):
+        for _ in range(12):
             k = rng.randrange(1, min(4, current.order))
             gens = [current.elements[rng.randrange(current.order)] for _ in range(k)]
             sub = gp.generated_subgroup(G, gens)
@@ -88,9 +88,10 @@ def random_realizable_abelian_lower_chain(seed: int) -> LowerChain:
     return lower_from_upper(upper)
 
 
-def abelian_chain_corpus(count: int = 20, seed: int = 2024) -> list[LowerChain]:
+def abelian_chain_corpus(seed: int) -> list[LowerChain]:
+    """Twenty realizable abelian lower chains."""
     return [random_realizable_abelian_lower_chain(seed * 1000 + i)
-            for i in range(count)]
+            for i in range(20)]
 
 
 # -- filtered groups with fractional breaks ---------------------------------------
@@ -318,11 +319,12 @@ def random_rank_one_operator(rng: random.Random, p: int) -> RankOneOperator:
     return RankOneOperator.make(p, coeffs)
 
 
-def rank_one_corpus(count: int = 50, seed: int = 4099) -> list[RankOneOperator]:
+def rank_one_corpus(seed: int) -> list[RankOneOperator]:
+    """Fifty rank-one operators over p = 2, 3 and 5."""
     rng = random.Random(seed)
     ops = [RankOneOperator.make(2, [0, 1])]  # forces the p = 2 threshold case
     primes = [2, 3, 5]
-    while len(ops) < count:
+    while len(ops) < 50:
         ops.append(random_rank_one_operator(rng, primes[len(ops) % 3]))
     return ops
 

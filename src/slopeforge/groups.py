@@ -17,7 +17,9 @@ generation and validation, normal closures, lattice joins, wreath tops);
 `orbit` closes a set under any other action (conjugacy classes, joins of
 normal subgroups, a Cayley table not yet known to be a group, the roots of
 `weyl` under simple reflections); `CosetAction` is left translation on the
-cosets G/H (the wreath embedding, tensor induction, induced matrices); and
+cosets G/H and the one place that picks their representatives, the least
+element of each coset (the wreath embedding, tensor induction, induced
+matrices, the Mackey and restriction formulas); and
 `extend_from_generators` extends a map given on generators along their
 right-multiplication rows (`FiniteGroup.right_rows`, the Cayley graph):
 homomorphisms, candidate automorphisms, and the left multiplications that
@@ -356,7 +358,7 @@ class FiniteGroup:
     @cached_property
     def center(self) -> tuple[int, ...]:
         """The elements alone in their conjugacy class."""
-        return tuple(c[0] for c in self.conjugacy_classes if len(c) == 1)
+        return tuple(cls[0] for cls in self.conjugacy_classes if len(cls) == 1)
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -476,37 +478,28 @@ def generated_subgroup(G: FiniteGroup, generators) -> Subgroup:
     return Subgroup._from_closure(G, subgroup_closure(G, gens), gens)
 
 
-def left_cosets(G: FiniteGroup, H: Subgroup) -> list[tuple[int, ...]]:
-    """Left cosets gH as sorted tuples, ordered by minimal element."""
-    seen = [False] * G.order
-    cosets = []
-    for g in range(G.order):
-        if seen[g]:
-            continue
-        coset = tuple(sorted(G.mul(g, h) for h in H.elements))
-        for x in coset:
-            seen[x] = True
-        cosets.append(coset)
-    return cosets
-
-
 class CosetAction:
     """Left translation by G = H.parent on the left cosets gamma_i H.
 
-    gamma_i is the least element of the i-th coset of `left_cosets`.  Any
-    other transversal changes the embedding g -> (sigma, cocycle) into
-    S_n wr H only by an inner automorphism of the wreath product.
+    The cosets are numbered in the order of their least elements, and gamma_i
+    is the least element of the i-th: walking g = 0, 1, ..., each g not yet
+    placed opens a coset gH, |G| products in all.  Any other transversal
+    changes the embedding g -> (sigma, cocycle) into S_n wr H only by an inner
+    automorphism of the wreath product.
     """
 
     def __init__(self, H: Subgroup):
         G = H.parent
-        cosets = left_cosets(G, H)
+        transversal = []
+        slot = [None] * G.order
+        for g in range(G.order):
+            if slot[g] is None:
+                for h in H.elements:
+                    slot[G.mul(g, h)] = len(transversal)
+                transversal.append(g)
         self.group = G
-        self.transversal = tuple(c[0] for c in cosets)
-        self._slot = [0] * G.order
-        for i, coset in enumerate(cosets):
-            for x in coset:
-                self._slot[x] = i
+        self.transversal = tuple(transversal)
+        self._slot = slot
         self._inverses = [G.inv(t) for t in self.transversal]
 
     def image(self, g: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -990,7 +983,6 @@ class WreathCaseReport:
     chain_bound_ok: bool | None
     trichotomy_ok: bool | None
     direct_product: bool | None
-    complement_witness: tuple | None
     normal_subgroups: tuple[Subgroup, ...] = field(compare=False, default=())
 
 
@@ -1026,19 +1018,13 @@ def classify_wreath_subgroup(W: WreathProduct,
     chain = longest_normal_chain(normals)
 
     direct_product = None
-    witness = None
     if case == "semidirect":
-        direct_product = False
         kgens = kernel[1:]  # kernel[0] is the identity
-        for t in range(1, gbar.order):
-            if gbar.elements[t][0] == W.top_identity:
-                continue
-            if gbar.element_orders[t] != ell:
-                continue
-            if all(gbar.mul(t, k) == gbar.mul(k, t) for k in kgens):
-                direct_product = True
-                witness = gbar.elements[t]
-                break
+        direct_product = any(
+            gbar.elements[t][0] != W.top_identity
+            and gbar.element_orders[t] == ell
+            and all(gbar.mul(t, k) == gbar.mul(k, t) for k in kgens)
+            for t in range(1, gbar.order))
 
     trichotomy_ok = None
     chain_ok = None
@@ -1058,7 +1044,6 @@ def classify_wreath_subgroup(W: WreathProduct,
         chain_bound_ok=chain_ok,
         trichotomy_ok=trichotomy_ok,
         direct_product=direct_product,
-        complement_witness=witness,
         normal_subgroups=tuple(normals),
     )
 

@@ -16,7 +16,7 @@ from .filtered import BreakChain, LowerChain
 from .groups import (DEFAULT_MAX_ORDER, FiniteGroup, Subgroup,
                      group_from_cayley_table, group_from_permutations)
 from .newton import NewtonPolygon, SlopeMultiset
-from .reptheory import ClassFunction
+from .reptheory import ClassFunction, conductor_bound
 from .robba import RankOneOperator
 
 FORMAT_VERSION = 1
@@ -131,17 +131,16 @@ def cyclotomic_json(v: Cyclotomic):
 
 
 def parse_class_function(obj, G: FiniteGroup, path: str) -> ClassFunction:
-    """Values on the classes of G.  Every character value of G lies in
-    Q(zeta_n) with n dividing lcm(2, exponent of G), so a conductor above
+    """Values on the classes of G.  A conductor above `conductor_bound(G)` =
     2|G| is refused, and so are values whose conductors have an lcm above
-    2|G|: sums over several classes would be computed in Q(zeta_lcm)."""
+    it: sums over several classes would be computed in Q(zeta_lcm)."""
     _expect(isinstance(obj, dict), path, "expected an object")
     vals = obj.get("values")
     _expect(isinstance(vals, list), f"{path}.values", "expected a list")
     r = len(G.conjugacy_classes)
     _expect(len(vals) == r, f"{path}.values",
             f"expected {r} values (one per conjugacy class)")
-    bound = 2 * G.order
+    bound = conductor_bound(G)
     parsed = tuple(parse_cyclotomic(v, f"{path}.values[{i}]", bound)
                    for i, v in enumerate(vals))
     n = 1
@@ -210,7 +209,7 @@ def parse_subgroup(obj, G: FiniteGroup, path: str) -> Subgroup:
 
 
 def parse_break_chain(obj, path: str = "$", max_order: int = DEFAULT_MAX_ORDER
-                      ) -> tuple[FiniteGroup, BreakChain]:
+                      ) -> BreakChain:
     _expect(isinstance(obj, dict), path, "expected an object")
     G = parse_group(obj.get("group"), f"{path}.group", max_order)
     breaks = obj.get("breaks")
@@ -224,7 +223,7 @@ def parse_break_chain(obj, path: str = "$", max_order: int = DEFAULT_MAX_ORDER
     svals = tuple(parse_subgroup(s, G, f"{path}.subgroups[{i}]")
                   for i, s in enumerate(subs))
     try:
-        return G, BreakChain(G, bvals, svals)
+        return BreakChain(G, bvals, svals)
     except ValueError as exc:
         raise InputError(path, str(exc)) from None
 
@@ -237,7 +236,7 @@ def break_chain_json(chain: BreakChain) -> dict:
 
 
 def parse_lower_chain(obj, path: str = "$", max_order: int = DEFAULT_MAX_ORDER
-                      ) -> tuple[FiniteGroup, LowerChain]:
+                      ) -> LowerChain:
     _expect(isinstance(obj, dict), path, "expected an object")
     G = parse_group(obj.get("group"), f"{path}.group", max_order)
     lower = obj.get("lower")
@@ -246,7 +245,7 @@ def parse_lower_chain(obj, path: str = "$", max_order: int = DEFAULT_MAX_ORDER
     subs = tuple(parse_subgroup(s, G, f"{path}.lower[{i}]")
                  for i, s in enumerate(lower))
     try:
-        return G, LowerChain(G, subs)
+        return LowerChain(G, subs)
     except ValueError as exc:
         raise InputError(f"{path}.lower", str(exc)) from None
 

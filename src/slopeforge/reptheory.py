@@ -50,7 +50,7 @@ from operator import mul
 
 from .exactnum import Cyclotomic, is_prime, lift_coeffs, reduce_mod_cyclotomic
 from .groups import (CosetAction, FiniteGroup, Subgroup,
-                     extend_from_generators, galois_orbit, left_cosets)
+                     extend_from_generators, galois_orbit)
 from . import modp
 
 DEFAULT_TABLE_BOUND = 2000
@@ -60,6 +60,12 @@ MATRIX_DIM_BOUND = 8
 
 class RepTheoryError(ValueError):
     pass
+
+
+def conductor_bound(G: FiniteGroup) -> int:
+    """2|G|, the bound on the conductor of a class function of G: every
+    character value of G lies in Q(zeta_n) with n dividing lcm(2, exponent(G))."""
+    return 2 * G.order
 
 
 @dataclass(frozen=True)
@@ -87,11 +93,12 @@ class ClassFunction:
         over the power basis of Q(zeta_n), n the lcm of exponent(G) and the
         values' conductors, D > 0 the common denominator of the values.
 
-        None when n exceeds 2|G|, the bound parsing puts on one conductor:
-        Phi_n costs time quadratic in n, coprime conductors on a few classes
-        multiply, and a character of G needs no n beyond lcm(2, exponent(G))."""
+        None when n exceeds `conductor_bound(G)`, the bound parsing puts on
+        one conductor: Phi_n costs time quadratic in n, coprime conductors on
+        a few classes multiply, and a character of G needs no n beyond
+        lcm(2, exponent(G))."""
         n = reduce(lcm, (v.conductor for v in self.values), self.group.exponent)
-        if n > 2 * self.group.order:
+        if n > conductor_bound(self.group):
             return None
         D = lcm(*(v.den for v in self.values))
         rows = tuple(tuple(lift_coeffs([x * (D // v.den) for x in v.nums],
@@ -248,13 +255,11 @@ def tensor_induce(chi: ClassFunction, H: Subgroup) -> ClassFunction:
 def mackey_check(V: ClassFunction, W: ClassFunction,
                  H: Subgroup) -> tuple[bool, dict]:
     """Ind(V) Ind(W) = sum over transversal of Ind(conj(V) W), H normal."""
-    G = H.parent
     if not H.is_normal():
         raise RepTheoryError("the decomposition needs a normal subgroup")
     lhs = induce(V, H) * induce(W, H)
-    transversal = [c[0] for c in left_cosets(G, H)]
     rhs = None
-    for gamma in transversal:
+    for gamma in CosetAction(H).transversal:
         term = induce(conjugate_character(V, H, gamma) * W, H)
         rhs = term if rhs is None else rhs + term
     ok = lhs == rhs

@@ -13,7 +13,8 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
+from operator import add, mul
 
 from . import corpus
 from . import groups as gp
@@ -78,7 +79,7 @@ def suite_weyl(seed: int = 0) -> str:
 
 
 def suite_hasse_arf(seed: int = 2024) -> str:
-    chains = corpus.abelian_chain_corpus(count=20, seed=seed)
+    chains = corpus.abelian_chain_corpus(seed)
     pairs = 0
     for lc in chains:
         bc = upper_from_lower(lc)
@@ -94,7 +95,7 @@ def suite_hasse_arf(seed: int = 2024) -> str:
 
 
 def suite_swan_oracle(seed: int = 2024) -> str:
-    chains = corpus.abelian_chain_corpus(count=20, seed=seed)
+    chains = corpus.abelian_chain_corpus(seed)
     pairs = 0
     for lc in chains:
         bc = upper_from_lower(lc)
@@ -123,22 +124,13 @@ def suite_mackey(seed: int = 11) -> str:
             if not ok:
                 raise SuiteFailure(f"{G.name}/{H.order}: {witness}")
             count += 1
-        transversal = [c[0] for c in gp.left_cosets(G, H)]
+        transversal = gp.CosetAction(H).transversal
         for chi in irr:
-            ind = induce(chi, H)
-            res = restrict(ind, H)
-            total = None
-            for gamma in transversal:
-                term = conjugate_character(chi, H, gamma)
-                total = term if total is None else total + term
-            if res != total:
+            conjugates = [conjugate_character(chi, H, gamma)
+                          for gamma in transversal]
+            if restrict(induce(chi, H), H) != reduce(add, conjugates):
                 raise SuiteFailure(f"{G.name}: additive restriction formula")
-            tires = restrict(tensor_induce(chi, H), H)
-            prod = None
-            for gamma in transversal:
-                term = conjugate_character(chi, H, gamma)
-                prod = term if prod is None else prod * term
-            if tires != prod:
+            if restrict(tensor_induce(chi, H), H) != reduce(mul, conjugates):
                 raise SuiteFailure(f"{G.name}: multiplicative restriction formula")
             count += 1
     return f"{len(pairs)} normal pairs, {count} identities"
@@ -260,20 +252,20 @@ def suite_kummer(seed: int = 7177) -> str:
 # -- 9: rank-one operators ---------------------------------------------------------------
 
 
-def _p_power_brute(op: RankOneOperator, cap: int = 40) -> int:
+def _p_power_brute(op: RankOneOperator) -> int:
     current = op
-    for k in range(cap):
+    for k in range(40):
         if is_tame(current):
             return k
         scaled = current
         for _ in range(op.p - 1):
             scaled = robba_tensor(scaled, current)
         current = scaled
-    raise AssertionError("brute-force p-power search exceeded the cap")
+    raise AssertionError("brute-force p-power search exceeded 40 steps")
 
 
 def suite_robba(seed: int = 4099) -> str:
-    ops = corpus.rank_one_corpus(count=50, seed=seed)
+    ops = corpus.rank_one_corpus(seed)
     for op in ops:
         red = robba_reduce(op)
         if robba_reduce(red) != red:
@@ -372,8 +364,6 @@ def _all_subspaces(q: int, ell: int) -> list[frozenset]:
 
 
 def _goursat_brute_force_agrees(H: gp.FiniteGroup, q: int, ell: int) -> bool:
-    index_of = {H.elements[i]: i for i in range(q)}
-
     def to_index_tuple(vec):
         # vector entries are powers of the generator; element k = gen^k
         return tuple(H.power(H.generators[0], a) for a in vec)

@@ -789,8 +789,9 @@ class TestNormalityMemo:
 
     def test_builds_no_inverse_list(self):
         S4 = symmetric_group(4)
-        V4 = S4.subgroup([0, *next(c for c in S4.conjugacy_classes if len(c) == 3)])
-        transp = next(c[0] for c in S4.conjugacy_classes
-                      if len(c) == 6 and S4.element_order(c[0]) == 2)
+        V4 = S4.subgroup([0, *next(cls for cls in S4.conjugacy_classes
+                                   if len(cls) == 3)])
+        transp = next(cls[0] for cls in S4.conjugacy_classes
+                      if len(cls) == 6 and S4.element_order(cls[0]) == 2)
         assert V4.is_normal() and not S4.subgroup([0, transp]).is_normal()
         assert "_inv_list" not in vars(S4)

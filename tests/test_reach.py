@@ -16,6 +16,9 @@ alias]`` from its module or from a re-export of the package.  Methods and
 module attributes are not resolved, so an ``Attribute`` ``.name``, or a dotted
 part ``name`` of a string constant (``perfbench/tracing.py`` names the
 functions it wraps so), reaches every definition called ``name``.
+
+The same trees show the locals that nothing reads: a name a package function
+binds (``_`` aside) that neither it nor a definition nested in it reads.
 """
 
 from __future__ import annotations
@@ -138,3 +141,26 @@ def _unreached() -> set[str]:
 
 def test_only_the_allowlisted_names_lack_a_caller():
     assert _unreached() == set(TEST_ONLY)
+
+
+def _unread_locals() -> set[str]:
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(_tree(path)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            own = list(_own_nodes(fn))
+            bound = {node.id for node in own if isinstance(node, ast.Name)
+                     and isinstance(node.ctx, ast.Store)}
+            shared = {name for node in own
+                      if isinstance(node, (ast.Global, ast.Nonlocal))
+                      for name in node.names}
+            read = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)
+                    and not isinstance(node.ctx, ast.Store)}
+            out |= {f"{path.stem}.{fn.name}.{name}"
+                    for name in bound - read - shared - {"_"}}
+    return out
+
+
+def test_every_local_is_read():
+    assert _unread_locals() == set()

@@ -1,5 +1,6 @@
 import functools
 import gc
+import operator
 import weakref
 from fractions import Fraction
 from math import gcd
@@ -13,7 +14,7 @@ from slopeforge.groups import (CosetAction, alternating_group, cyclic_group,
                                dihedral_group, elementary_abelian_group,
                                generated_subgroup, group_from_cayley_table,
                                group_from_permutations, heisenberg_group,
-                               left_cosets, normal_subgroups, quaternion_group,
+                               normal_subgroups, quaternion_group,
                                symmetric_group, wreath_cyclic)
 from slopeforge.reptheory import (RepTheoryError, character_table,
                                   conjugate_character, induce,
@@ -414,27 +415,30 @@ class TestTensorInduction:
         assert induce(sign, H) == induced_matrix_rep(rep, H).character()
 
     def test_coset_action(self):
-        # the least element of each coset, on every pair of index 1 to 4
+        # the least element of each coset, on every pair of index 1 to 4 and
+        # on the non-normal <(12)> in S3
         pairs = mackey_pair_corpus()
         assert len(pairs) == 15
         assert {G.order // H.order for G, H in pairs} == {1, 2, 3, 4}
-        for G, H in pairs:
-            assert (CosetAction(H).transversal
-                    == tuple(c[0] for c in left_cosets(G, H)))
+        S3 = symmetric_group(3)
+        transposition = generated_subgroup(S3, [S3.index[(1, 0, 2)]])
+        assert not transposition.is_normal()
+        for G, H in [*pairs, (S3, transposition)]:
+            least = {min(G.mul(g, h) for h in H.elements) for g in range(G.order)}
+            assert CosetAction(H).transversal == tuple(sorted(least))
             assert_coset_action(H)
 
     def test_restriction_formulas(self):
         A4 = alternating_group(4)
         V4 = next(N for N in normal_subgroups(A4) if N.order == 4)
-        for G, H in (a3_of_s3(), (A4, V4)):
+        for _, H in (a3_of_s3(), (A4, V4)):
             chi = nontrivial_linear(character_table(H.as_group))
-            transversal = [c[0] for c in left_cosets(G, H)]
-            conjugates = [conjugate_character(chi, H, g) for g in transversal]
-            total, prod = conjugates[0], conjugates[0]
-            for term in conjugates[1:]:
-                total, prod = total + term, prod * term
-            assert restrict(induce(chi, H), H) == total
-            assert restrict(tensor_induce(chi, H), H) == prod
+            conjugates = [conjugate_character(chi, H, g)
+                          for g in CosetAction(H).transversal]
+            assert (restrict(induce(chi, H), H)
+                    == functools.reduce(operator.add, conjugates))
+            assert (restrict(tensor_induce(chi, H), H)
+                    == functools.reduce(operator.mul, conjugates))
 
     def test_summand_check(self):
         S3, A3 = a3_of_s3()
