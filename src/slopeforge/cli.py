@@ -203,7 +203,7 @@ def cmd_np(payload, args) -> dict:
 
 
 def cmd_swan(payload, args) -> dict:
-    chain = jsonio.parse_break_chain(payload, max_order=args.max_order)
+    chain = jsonio.parse_break_chain(payload, args.max_order)
     chi = jsonio.parse_class_function(payload.get("character"), chain.group,
                                       "$.character")
     try:
@@ -222,7 +222,7 @@ def cmd_swan(payload, args) -> dict:
 
 
 def cmd_herbrand(payload, args) -> dict:
-    lower = jsonio.parse_lower_chain(payload, max_order=args.max_order)
+    lower = jsonio.parse_lower_chain(payload, args.max_order)
     phi = herbrand_phi(lower)
     return {
         "phi": {
@@ -235,7 +235,7 @@ def cmd_herbrand(payload, args) -> dict:
 
 
 def _induced(payload, args, operation) -> dict:
-    G = jsonio.parse_group(payload.get("group"), max_order=args.max_order)
+    G = jsonio.parse_group(payload.get("group"), "$.group", args.max_order)
     H = jsonio.parse_subgroup(payload.get("subgroup"), G, "$.subgroup")
     chi = jsonio.parse_class_function(payload.get("character"), H.as_group,
                                       "$.character")
@@ -253,7 +253,7 @@ def cmd_tind(payload, args) -> dict:
 
 
 def cmd_mackey(payload, args) -> dict:
-    G = jsonio.parse_group(payload.get("group"), max_order=args.max_order)
+    G = jsonio.parse_group(payload.get("group"), "$.group", args.max_order)
     H = jsonio.parse_subgroup(payload.get("subgroup"), G, "$.subgroup")
     V = jsonio.parse_class_function(payload.get("left"), H.as_group, "$.left")
     W = jsonio.parse_class_function(payload.get("right"), H.as_group, "$.right")
@@ -337,7 +337,7 @@ def cmd_classify(payload, args) -> dict:
 
 
 def cmd_table(payload, args) -> dict:
-    G = jsonio.parse_group(payload.get("group"), max_order=args.max_order)
+    G = jsonio.parse_group(payload.get("group"), "$.group", args.max_order)
     out = table_report(G, args.max_order)
     if args.gcd:
         try:

@@ -14,9 +14,7 @@ basis of Q(zeta_n) is an integral basis, so the sums are exact, and a result
 is accepted only when it is rational (every non-constant coefficient is 0).
 An invariant character sums the view over the class counts of each coset
 gH, which the subgroup caches (`Subgroup.coset_class_counts`), so it makes
-no group product once they are built.  A class function without a view (its
-values need a conductor above 2|G|, which no character does) is summed value
-by value over the same class counts.
+no group product once they are built.
 The Swan conductor is the height of the resulting Newton polygon.  Lower
 chains (integer-indexed ramification data) convert to break chains through
 the Herbrand transition function phi(u) = integral of dt / [G_0 : G_t].
@@ -33,7 +31,8 @@ from fractions import Fraction
 
 from .exactnum import Cyclotomic, is_prime
 from .groups import FiniteGroup, Subgroup
-from .newton import NewtonPolygon, SlopeMultiset, polygon_from_slopes
+from .newton import (NewtonPolygon, SlopeMultiset, polygon_from_slopes,
+                     tensor_slope_bound)
 from .reptheory import (CharacterTable, ClassFunction, inner_product_int,
                         trivial_character)
 
@@ -197,12 +196,6 @@ def _summed_rows(rows, counts) -> list[int]:
     return total
 
 
-def _cyclotomic_sum(chi: ClassFunction, counts) -> Cyclotomic:
-    """The sum of m * chi(C_k) over the (class k, count m) pairs, value by
-    value: the route of a class function without an integer view."""
-    return sum((m * chi.values[k] for k, m in counts), Cyclotomic.rational(0))
-
-
 def invariant_dimension(chi: ClassFunction, H: Subgroup) -> int:
     """dim of the H-fixed subspace: the average of chi over H, summed on the
     integer view of chi."""
@@ -211,15 +204,9 @@ def invariant_dimension(chi: ClassFunction, H: Subgroup) -> int:
         raise FilteredError("subgroup must live in the character's group")
     class_of = G.class_of
     counts = Counter(class_of[h] for h in H.elements).items()
-    if chi.int_view is None:
-        value = _cyclotomic_sum(chi, counts)
-        total, *rest = value.nums
-        scale = value.den * H.order
-    else:
-        _, D, rows = chi.int_view
-        total, *rest = _summed_rows(rows, counts)
-        scale = D * H.order
-    dim, r = divmod(total, scale)
+    _, D, rows = chi.int_view
+    total, *rest = _summed_rows(rows, counts)
+    dim, r = divmod(total, D * H.order)
     if r or dim < 0 or any(rest):
         raise FilteredError(
             f"not a character: invariant dimension under a subgroup of order "
@@ -291,16 +278,11 @@ def invariant_character(chi: ClassFunction, H: Subgroup) -> ClassFunction:
         raise FilteredError("subgroup must live in the character's group")
     if not H.is_normal():
         raise FilteredError("subgroup must be normal in the character's group")
-    cosets = H.coset_class_counts
-    if chi.int_view is None:
-        weight = Fraction(1, H.order)
-        return ClassFunction(G, tuple(_cyclotomic_sum(chi, counts) * weight
-                                      for counts in cosets))
     n, D, rows = chi.int_view
     scale = D * H.order
     return ClassFunction(G, tuple(
         Cyclotomic(n, _summed_rows(rows, counts), scale, _reduced=True)
-        for counts in cosets))
+        for counts in H.coset_class_counts))
 
 
 def graded_characters(chain: BreakChain,
@@ -350,8 +332,6 @@ def tensor_bound_check(chain: BreakChain, chi: ClassFunction,
     the remaining mass must fit under the bounded part (mass at slope s needs
     a bound >= s), a greedy matching condition on the ordered slopes.
     """
-    from .newton import tensor_slope_bound
-
     dec_chi = slope_decomposition(chain, chi)
     dec_psi = slope_decomposition(chain, psi)
     dec_prod = slope_decomposition(chain, chi * psi)

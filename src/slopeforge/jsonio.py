@@ -13,8 +13,8 @@ from math import lcm
 from .exactnum import (Cyclotomic, past_digit_limit, rational_from_str,
                        rational_to_str)
 from .filtered import BreakChain, LowerChain
-from .groups import (DEFAULT_MAX_ORDER, FiniteGroup, Subgroup,
-                     group_from_cayley_table, group_from_permutations)
+from .groups import (FiniteGroup, Subgroup, group_from_cayley_table,
+                     group_from_permutations)
 from .newton import NewtonPolygon, SlopeMultiset
 from .reptheory import ClassFunction, conductor_bound
 from .robba import RankOneOperator
@@ -53,10 +53,10 @@ def parse_rational(obj, path: str) -> Fraction:
 # -- slope multisets and polygons -------------------------------------------------
 
 
-def parse_slope_multiset(obj, path: str = "$") -> SlopeMultiset:
-    _expect(isinstance(obj, dict), path, "expected an object")
+def parse_slope_multiset(obj) -> SlopeMultiset:
+    _expect(isinstance(obj, dict), "$", "expected an object")
     slopes = obj.get("slopes")
-    _expect(isinstance(slopes, list), f"{path}.slopes", "expected a list")
+    _expect(isinstance(slopes, list), "$.slopes", "expected a list")
     # a coordinate of the polygon is a sum of at most len(slopes) terms mult
     # or slope * mult, each below 2 ** top over a divisor of den, the lcm of
     # the slopes' denominators; so 2 ** (bits of den + top + bits of the
@@ -64,7 +64,7 @@ def parse_slope_multiset(obj, path: str = "$") -> SlopeMultiset:
     pairs = []
     den, top, terms = 1, 0, len(slopes).bit_length()
     for i, entry in enumerate(slopes):
-        epath = f"{path}.slopes[{i}]"
+        epath = f"$.slopes[{i}]"
         _expect(isinstance(entry, list) and len(entry) == 2, epath,
                 "expected [slope, multiplicity]")
         slope = parse_rational(entry[0], f"{epath}[0]")
@@ -74,12 +74,12 @@ def parse_slope_multiset(obj, path: str = "$") -> SlopeMultiset:
         den = lcm(den, slope.denominator)
         top = max(top, slope.numerator.bit_length() + entry[1].bit_length())
         limit = past_digit_limit((1 << (den.bit_length() + top + terms)) - 1)
-        _expect(not limit, f"{path}.slopes",
+        _expect(not limit, "$.slopes",
                 f"the polygon's coordinates may pass {limit} digits")
     try:
         return SlopeMultiset.from_pairs(pairs)
     except ValueError as exc:
-        raise InputError(f"{path}.slopes", str(exc)) from None
+        raise InputError("$.slopes", str(exc)) from None
 
 
 def slope_multiset_json(ms: SlopeMultiset) -> dict:
@@ -132,8 +132,9 @@ def cyclotomic_json(v: Cyclotomic):
 
 def parse_class_function(obj, G: FiniteGroup, path: str) -> ClassFunction:
     """Values on the classes of G.  A conductor above `conductor_bound(G)` =
-    2|G| is refused, and so are values whose conductors have an lcm above
-    it: sums over several classes would be computed in Q(zeta_lcm)."""
+    2|G| is refused, and so are values whose conductors have, with the
+    exponent of G, an lcm above it: sums over several classes are computed
+    on the integer view (`ClassFunction.int_view`), in Q(zeta_lcm)."""
     _expect(isinstance(obj, dict), path, "expected an object")
     vals = obj.get("values")
     _expect(isinstance(vals, list), f"{path}.values", "expected a list")
@@ -143,11 +144,11 @@ def parse_class_function(obj, G: FiniteGroup, path: str) -> ClassFunction:
     bound = conductor_bound(G)
     parsed = tuple(parse_cyclotomic(v, f"{path}.values[{i}]", bound)
                    for i, v in enumerate(vals))
-    n = 1
+    n = G.exponent
     for v in parsed:
         n = lcm(n, v.conductor)
-        _expect(n <= bound, path,
-                f"the values' conductors have an lcm above 2|G| = {bound}")
+        _expect(n <= bound, path, "the values' conductors and the exponent "
+                f"have an lcm above 2|G| = {bound}")
     return ClassFunction(G, parsed)
 
 
@@ -158,8 +159,7 @@ def class_function_json(chi: ClassFunction) -> dict:
 # -- groups and subgroups ----------------------------------------------------------------
 
 
-def parse_group(obj, path: str = "$.group",
-                max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+def parse_group(obj, path: str, max_order: int) -> FiniteGroup:
     """A group given by permutation generators or a Cayley table, refused
     when its order exceeds max_order."""
     _expect(isinstance(obj, dict), path, "expected an object")
@@ -208,24 +208,23 @@ def parse_subgroup(obj, G: FiniteGroup, path: str) -> Subgroup:
 # -- chains ------------------------------------------------------------------------------
 
 
-def parse_break_chain(obj, path: str = "$", max_order: int = DEFAULT_MAX_ORDER
-                      ) -> BreakChain:
-    _expect(isinstance(obj, dict), path, "expected an object")
-    G = parse_group(obj.get("group"), f"{path}.group", max_order)
+def parse_break_chain(obj, max_order: int) -> BreakChain:
+    _expect(isinstance(obj, dict), "$", "expected an object")
+    G = parse_group(obj.get("group"), "$.group", max_order)
     breaks = obj.get("breaks")
     subs = obj.get("subgroups")
-    _expect(isinstance(breaks, list), f"{path}.breaks", "expected a list")
-    _expect(isinstance(subs, list), f"{path}.subgroups", "expected a list")
-    _expect(len(breaks) == len(subs), f"{path}.subgroups",
+    _expect(isinstance(breaks, list), "$.breaks", "expected a list")
+    _expect(isinstance(subs, list), "$.subgroups", "expected a list")
+    _expect(len(breaks) == len(subs), "$.subgroups",
             "need one subgroup per break")
-    bvals = tuple(parse_rational(b, f"{path}.breaks[{i}]")
+    bvals = tuple(parse_rational(b, f"$.breaks[{i}]")
                   for i, b in enumerate(breaks))
-    svals = tuple(parse_subgroup(s, G, f"{path}.subgroups[{i}]")
+    svals = tuple(parse_subgroup(s, G, f"$.subgroups[{i}]")
                   for i, s in enumerate(subs))
     try:
         return BreakChain(G, bvals, svals)
     except ValueError as exc:
-        raise InputError(path, str(exc)) from None
+        raise InputError("$", str(exc)) from None
 
 
 def break_chain_json(chain: BreakChain) -> dict:
@@ -235,38 +234,37 @@ def break_chain_json(chain: BreakChain) -> dict:
     }
 
 
-def parse_lower_chain(obj, path: str = "$", max_order: int = DEFAULT_MAX_ORDER
-                      ) -> LowerChain:
-    _expect(isinstance(obj, dict), path, "expected an object")
-    G = parse_group(obj.get("group"), f"{path}.group", max_order)
+def parse_lower_chain(obj, max_order: int) -> LowerChain:
+    _expect(isinstance(obj, dict), "$", "expected an object")
+    G = parse_group(obj.get("group"), "$.group", max_order)
     lower = obj.get("lower")
-    _expect(isinstance(lower, list) and lower, f"{path}.lower",
+    _expect(isinstance(lower, list) and lower, "$.lower",
             "expected a non-empty list of element-index lists")
-    subs = tuple(parse_subgroup(s, G, f"{path}.lower[{i}]")
+    subs = tuple(parse_subgroup(s, G, f"$.lower[{i}]")
                  for i, s in enumerate(lower))
     try:
         return LowerChain(G, subs)
     except ValueError as exc:
-        raise InputError(f"{path}.lower", str(exc)) from None
+        raise InputError("$.lower", str(exc)) from None
 
 
 # -- rank-one operators ----------------------------------------------------------------------
 
 
-def parse_rank_one_operator(obj, path: str = "$") -> RankOneOperator:
-    _expect(isinstance(obj, dict), path, "expected an object")
+def parse_rank_one_operator(obj) -> RankOneOperator:
+    _expect(isinstance(obj, dict), "$", "expected an object")
     p = obj.get("p")
-    _expect(is_int(p) and p >= 2, f"{path}.p", "expected a prime")
-    _expect(p <= MAX_PRIME, f"{path}.p",
+    _expect(is_int(p) and p >= 2, "$.p", "expected a prime")
+    _expect(p <= MAX_PRIME, "$.p",
             f"expected a prime of at most {MAX_PRIME}")
     coeffs = obj.get("coefficients")
-    _expect(isinstance(coeffs, list), f"{path}.coefficients", "expected a list")
-    vals = [parse_rational(c, f"{path}.coefficients[{i}]")
+    _expect(isinstance(coeffs, list), "$.coefficients", "expected a list")
+    vals = [parse_rational(c, f"$.coefficients[{i}]")
             for i, c in enumerate(coeffs)]
     try:
         return RankOneOperator.make(p, vals)
     except ValueError as exc:
-        raise InputError(path, str(exc)) from None
+        raise InputError("$", str(exc)) from None
 
 
 def rank_one_operator_json(op: RankOneOperator) -> dict:

@@ -88,18 +88,20 @@ class ClassFunction:
         return self.values[self.group.class_of[element]]
 
     @cached_property
-    def int_view(self) -> tuple[int, int, tuple[tuple[int, ...], ...]] | None:
+    def int_view(self) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
         """(n, D, rows): rows[k] holds the integer coefficients of D chi(C_k)
         over the power basis of Q(zeta_n), n the lcm of exponent(G) and the
         values' conductors, D > 0 the common denominator of the values.
 
-        None when n exceeds `conductor_bound(G)`, the bound parsing puts on
-        one conductor: Phi_n costs time quadratic in n, coprime conductors on
-        a few classes multiply, and a character of G needs no n beyond
-        lcm(2, exponent(G))."""
+        An n above `conductor_bound(G)` is refused: Phi_n costs time
+        quadratic in n, coprime conductors on a few classes multiply, and a
+        character of G needs no n beyond lcm(2, exponent(G))."""
         n = reduce(lcm, (v.conductor for v in self.values), self.group.exponent)
-        if n > conductor_bound(self.group):
-            return None
+        bound = conductor_bound(self.group)
+        if n > bound:
+            raise RepTheoryError(
+                f"the values' conductors and the exponent have an lcm above "
+                f"2|G| = {bound}")
         D = lcm(*(v.den for v in self.values))
         rows = tuple(tuple(lift_coeffs([x * (D // v.den) for x in v.nums],
                                        v.conductor, n))
@@ -308,12 +310,11 @@ class CharacterTable:
         Each <chi, psi> is sum_k chi(C_k) |C_k| psi(C_k^-1) / |G| on integer
         coefficient vectors, reduced once mod Phi_e; exact, since the power
         basis is an integral basis and the result must be rational.  A chi
-        outside Q(zeta_e), or a result that is not an integer, goes through
-        inner_product_int, which raises its own message."""
+        whose view is past Q(zeta_e), or a result that is not an integer,
+        goes through inner_product_int, which raises its own message."""
         G = self.group
         e = G.exponent
-        # every conductor divides e exactly when the view of chi is at e
-        if chi.group is G and not any(e % v.conductor for v in chi.values):
+        if chi.group is G and chi.int_view[0] == e:
             _, D, rows = chi.int_view
             width = 2 * len(rows[0]) - 1
             mults = []

@@ -579,6 +579,13 @@ class TestInputBoundary:
          "$.group.cayley_table"),
         # raised below the parsers: the trivial group has no --gcd
         ("table --gcd", {"group": {"permutation_generators": [[1]]}}, "$.group"),
+        # a value zeta_5 on S3: lcm(6, 5) = 30 is above 2|G| = 12, though the
+        # chain's invariant dimensions are non-negative integers
+        ("swan", {"group": {"permutation_generators": [[2, 3, 1], [2, 1, 3]]},
+                  "breaks": ["1"], "subgroups": [[0, 3, 4]],
+                  "character": {"values": ["2", {"conductor": 5,
+                                                 "coefficients": ["0", "1"]},
+                                           "-1"]}}, "$.character"),
     ])
     def test_exit_2_names_path(self, capsys, tmp_path, command, payload, path):
         code, out, err = run_cli(command.split(), capsys, payload, tmp_path=tmp_path)
@@ -616,36 +623,46 @@ class TestInputBoundary:
                        "the denominators' lcm passes 4300 digits\n")
 
     @staticmethod
-    def _cyclic_mackey(n, left, right):
-        """mackey on H = G = C_n, each side zeta at its conductor on one class."""
+    def _mackey(gens, classes, left, right):
+        """mackey on H = G, each side zeta at its conductor on class 1."""
         def side(conductor):
             zeta = {"conductor": conductor, "coefficients": ["0", "1"]}
-            return {"values": ["1", zeta] + ["0"] * (n - 2)}
-        cycle = list(range(2, n + 1)) + [1]
-        return {"group": {"permutation_generators": [cycle]},
+            return {"values": ["1", zeta] + ["0"] * (classes - 2)}
+        n = len(gens[0])
+        return {"group": {"permutation_generators": gens},
                 "subgroup": list(range(n)), "left": side(left), "right": side(right)}
 
-    @pytest.mark.parametrize("n, left, right", [(10, 4, 7), (150, 293, 283)])
-    def test_mackey_conductors_are_bounded_together(self, capsys, tmp_path,
-                                                    n, left, right):
-        # each side alone is within 2|H|, but conj(V) * W is computed in
-        # Q(zeta_lcm): C150 at 293 and 283 was computed in Q(zeta_82919)
+    @pytest.mark.parametrize("gens, classes, left, right, path, message", [
+        # a side whose conductor and the exponent of C_n have an lcm above
+        # 2n is refused at parse: lcm(10, 7) = 70, lcm(150, 293) = 43950
+        ([list(range(2, 11)) + [1]], 10, 4, 7, "$.right",
+         "the values' conductors and the exponent have an lcm above 2|G| = 20"),
+        ([list(range(2, 151)) + [1]], 150, 293, 283, "$.left",
+         "the values' conductors and the exponent have an lcm above 2|G| = 300"),
+        # on C2 x C2 (exponent 2) each side is within 2|H| = 8, lcm(2, 3) = 6
+        # and lcm(2, 8) = 8, but conj(V) * W is computed in Q(zeta_24)
+        ([[2, 1, 4, 3], [3, 4, 1, 2]], 4, 3, 8, "$.right",
+         "the left and right conductors have an lcm above 2|H| = 8"),
+    ], ids=["10-4-7", "150-293-283", "C2xC2-3-8"])
+    def test_mackey_conductors_are_bounded_together(self, capsys, tmp_path, gens,
+                                                    classes, left, right, path,
+                                                    message):
         start = time.perf_counter()
         code, out, err = run_cli(["mackey"], capsys,
-                                 self._cyclic_mackey(n, left, right),
+                                 self._mackey(gens, classes, left, right),
                                  tmp_path=tmp_path)
         assert time.perf_counter() - start < 0.5
         assert code == 2 and out is None
-        assert err == ("input error: $.right: the left and right conductors "
-                       f"have an lcm above 2|H| = {2 * n}\n")
+        assert err == f"input error: {path}: {message}\n"
 
-    @pytest.mark.parametrize("n, left, right", [(10, 4, 5), (10, 11, 11)])
+    @pytest.mark.parametrize("n, left, right", [(10, 4, 5), (10, 20, 20)])
     def test_mackey_conductors_within_the_bound_are_accepted(self, capsys,
                                                              tmp_path, n, left,
                                                              right):
-        # lcm 20 = 2|H| exactly, and a conductor the two sides share
+        # lcm 20 = 2|H| exactly, met by the two sides together and by each
+        cycle = list(range(2, n + 1)) + [1]
         code, out, _ = run_cli(["mackey"], capsys,
-                               self._cyclic_mackey(n, left, right),
+                               self._mackey([cycle], n, left, right),
                                tmp_path=tmp_path)
         assert code == 0 and out["pass"] is True
 

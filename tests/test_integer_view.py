@@ -5,7 +5,8 @@ sum integer coefficient vectors; the oracles below are the element-wise
 `Cyclotomic` sums they replaced, kept verbatim, refusal messages included.
 `invariant_character` reads the class counts of the cosets gH that the
 subgroup caches (`Subgroup.coset_class_counts`); they are checked here against
-the products they replace.
+the products they replace.  A class function whose values need a conductor
+above 2|G| has no view, and all three refuse it, as parsing does.
 """
 
 import random
@@ -19,9 +20,11 @@ from slopeforge.exactnum import Cyclotomic, euler_phi
 from slopeforge.filtered import (FilteredError, invariant_character,
                                  invariant_dimension)
 from slopeforge.groups import (Subgroup, cyclic_group, generated_subgroup,
-                               normal_subgroups, symmetric_group)
-from slopeforge.reptheory import (ClassFunction, character_table,
-                                  inner_product_int)
+                               group_from_permutations, normal_subgroups,
+                               symmetric_group)
+from slopeforge.jsonio import InputError, parse_class_function, parse_cyclotomic
+from slopeforge.reptheory import (ClassFunction, RepTheoryError,
+                                  character_table, inner_product_int)
 
 
 def oracle_invariant_dimension(chi, H):
@@ -59,6 +62,14 @@ def outcome(fn, *args):
         return fn(*args)
     except ValueError as exc:
         return type(exc).__name__, str(exc)
+
+
+def raises(exc_type, fn, *args):
+    try:
+        fn(*args)
+    except exc_type:
+        return True
+    return False
 
 
 def subgroup_sample(G, rng):
@@ -176,33 +187,31 @@ def test_invariant_characters_make_no_products_once_the_counts_exist(monkeypatch
         assert invariant_character(chi, H) == oracle_invariant_character(chi, H)
 
 
+def assert_no_view(chi, bound):
+    """`int_view` refuses chi, and so does every reader of the view, with the
+    same RepTheoryError, on every normal subgroup."""
+    refusal = ("RepTheoryError", "the values' conductors and the exponent "
+               f"have an lcm above 2|G| = {bound}")
+    assert outcome(lambda: chi.int_view) == refusal
+    assert outcome(character_table(chi.group).decompose, chi) == refusal
+    for H in normal_subgroups(chi.group):
+        assert outcome(invariant_dimension, chi, H) == refusal
+        assert outcome(invariant_character, chi, H) == refusal
+
+
 def test_no_view_invariant_character_on_a_non_abelian_group():
-    # n = lcm(6, 5, 7) = 210 > 2|S3|; the identity and the 3-cycles share
-    # the coset A3, so one tuple of counts serves two representatives
+    # n = lcm(6, 5, 7) = 210 > 2|S3| = 12
     S3 = symmetric_group(3)
     chi = ClassFunction(S3, (Cyclotomic.rational(2), Cyclotomic.zeta(5),
                              Cyclotomic.zeta(7)))
-    assert chi.int_view is None
-    A3 = next(N for N in normal_subgroups(S3) if N.order == 3)
-    shared = {id(c) for c in A3.coset_class_counts}
-    assert len(shared) < len(S3.class_representatives)
-    for H in normal_subgroups(S3):
-        assert invariant_character(chi, H) == oracle_invariant_character(chi, H)
+    assert_no_view(chi, 12)
 
 
 def test_refusals_of_a_zeta_3_valued_function_on_c2():
+    # n = lcm(2, 3) = 6 > 2|C2| = 4
     C2 = cyclic_group(2)
-    table = character_table(C2)
     chi = ClassFunction(C2, (Cyclotomic.rational(1), Cyclotomic.zeta(3)))
-    for H in normal_subgroups(C2):
-        assert outcome(invariant_dimension, chi, H) == outcome(
-            oracle_invariant_dimension, chi, H)
-    assert outcome(invariant_dimension, chi, C2.full_subgroup()) == (
-        "FilteredError", "not a character: invariant dimension under a "
-        "subgroup of order 2 is not a non-negative integer")
-    got = outcome(table.decompose, chi)
-    assert got == outcome(oracle_decompose, table, chi)
-    assert got == ("ValueError", "a value of conductor 3 is not rational")
+    assert_no_view(chi, 4)
 
 
 def test_conductor_outside_the_exponent_goes_through_the_inner_product():
@@ -224,16 +233,40 @@ def test_conductor_outside_the_exponent_goes_through_the_inner_product():
         assert invariant_character(chi, H) == oracle_invariant_character(chi, H)
 
 
-def test_coprime_conductors_go_value_by_value():
+def test_coprime_conductors_are_refused():
     # n = lcm(8, 7, 9, 11, 13, 15) = 360360: Phi_n alone would take hours
     C8 = cyclic_group(8)
     values = [Cyclotomic.rational(1)] * 8
     for k, n in zip((2, 3, 4, 5, 6), (7, 9, 11, 13, 15)):
         values[k] = Cyclotomic.zeta(n)
-    chi = ClassFunction(C8, tuple(values))
-    assert chi.int_view is None
-    involution = next(x for x in range(8) if C8.element_order(x) == 2)
-    for H in (C8.trivial_subgroup(), generated_subgroup(C8, [involution])):
-        assert outcome(invariant_dimension, chi, H) == outcome(
-            oracle_invariant_dimension, chi, H)
-        assert invariant_character(chi, H) == oracle_invariant_character(chi, H)
+    assert_no_view(ClassFunction(C8, tuple(values)), 16)
+
+
+def direct_product_c2_c2():
+    return group_from_permutations([(1, 0, 3, 2), (2, 3, 0, 1)])
+
+
+@pytest.mark.parametrize("make", [lambda: cyclic_group(2), lambda: cyclic_group(4),
+                                  lambda: symmetric_group(3), direct_product_c2_c2],
+                         ids=["C2", "C4", "S3", "C2xC2"])
+def test_parsing_accepts_exactly_the_functions_with_a_view(make):
+    # zeta_n at each class, n from 1 to 2|G| + 1: the lcm with the exponent
+    # decides both the parse and the view
+    G = make()
+    bound = 2 * G.order
+    r = len(G.conjugacy_classes)
+    rng = random.Random(G.order * 31 + r)
+    lists = {(1,) * r, (bound,) * r, (bound + 1,) + (1,) * (r - 1)}
+    while len(lists) < min(60, (bound + 1) ** r):
+        lists.add(tuple(rng.randrange(1, bound + 2) for _ in range(r)))
+    seen = set()
+    for conductors in sorted(lists):
+        payload = {"values": [{"conductor": n, "coefficients": ["0", "1"]}
+                              for n in conductors]}
+        chi = ClassFunction(G, tuple(parse_cyclotomic(v, "$", 10 * bound)
+                                     for v in payload["values"]))
+        has_view = not raises(RepTheoryError, lambda: chi.int_view)
+        accepted = not raises(InputError, parse_class_function, payload, G, "$")
+        assert accepted == has_view, conductors
+        seen.add(accepted)
+    assert seen == {True, False}
