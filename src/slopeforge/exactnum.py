@@ -217,6 +217,31 @@ class Cyclotomic:
             return list(self.nums)
         return lift_coeffs(self.nums, self.conductor, n)
 
+    def at_least_conductor(self) -> Cyclotomic:
+        """The same value over Q(zeta_m), m the least conductor of a field
+        holding it, found by taking primes p out of n one at a time, m = n/p.
+        For p | m the value is in Q(zeta_m) when it has no zeta_n^j, p prime
+        to j; else zeta_n = zeta_m^s zeta_p^t writes it as sum_b A_b zeta_p^b,
+        A_b in Q(zeta_m), and it is A_0 - A_b when that is one value for all b > 0."""
+        v, p = self, 2
+        while p <= v.conductor:
+            n, w = v.conductor, None
+            m = n // p
+            if n % p == 0 and m % p == 0:  # zeta_n^(pq+r) = zeta_m^q zeta_n^r
+                if not any(x for j, x in enumerate(v.nums) if j % p):
+                    w = Cyclotomic(m, v.nums[::p], v.den, _reduced=True)
+            elif n % p == 0 and is_prime(p):  # sp + tm = 1 mod n
+                s, t = pow(p, -1, m), pow(m, -1, p)
+                A = [[0] * m for _ in range(p)]
+                for j, x in enumerate(v.nums):
+                    A[t * j % p][s * j % m] += x
+                D = [reduce_mod_cyclotomic([a - b for a, b in zip(A[0], Ab)], m)
+                     for Ab in A[1:]]
+                if all(d == D[0] for d in D):
+                    w = Cyclotomic(m, D[0], v.den, _reduced=True)
+            v, p = (v, p + 1) if w is None else (w, p)
+        return v
+
     # -- arithmetic --
 
     def _pair(self, other):

@@ -37,6 +37,14 @@ def _expect(cond: bool, path: str, message: str):
         raise InputError(path, message)
 
 
+def _call_at(path: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a ValueError it raises refused at path."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise InputError(path, str(exc)) from None
+
+
 def is_int(obj) -> bool:
     """A JSON integer: true and false are bools, not integers."""
     return isinstance(obj, int) and not isinstance(obj, bool)
@@ -44,10 +52,7 @@ def is_int(obj) -> bool:
 
 def parse_rational(obj, path: str) -> Fraction:
     _expect(isinstance(obj, str) or is_int(obj), path, "expected a rational string")
-    try:
-        return rational_from_str(str(obj))
-    except ValueError as exc:
-        raise InputError(path, str(exc)) from None
+    return _call_at(path, rational_from_str, str(obj))
 
 
 # -- slope multisets and polygons -------------------------------------------------
@@ -76,10 +81,7 @@ def parse_slope_multiset(obj) -> SlopeMultiset:
         limit = past_digit_limit((1 << (den.bit_length() + top + terms)) - 1)
         _expect(not limit, "$.slopes",
                 f"the polygon's coordinates may pass {limit} digits")
-    try:
-        return SlopeMultiset.from_pairs(pairs)
-    except ValueError as exc:
-        raise InputError("$.slopes", str(exc)) from None
+    return _call_at("$.slopes", SlopeMultiset.from_pairs, pairs)
 
 
 def slope_multiset_json(ms: SlopeMultiset) -> dict:
@@ -132,9 +134,10 @@ def cyclotomic_json(v: Cyclotomic):
 
 def parse_class_function(obj, G: FiniteGroup, path: str) -> ClassFunction:
     """Values on the classes of G.  A conductor above `conductor_bound(G)` =
-    2|G| is refused, and so are values whose conductors have, with the
-    exponent of G, an lcm above it: sums over several classes are computed
-    on the integer view (`ClassFunction.int_view`), in Q(zeta_lcm)."""
+    2|G| is refused, and so is a function with no integer view
+    (`ClassFunction.int_view`, on which sums over several classes are
+    computed): one whose values' least conductors have, with the exponent of
+    G, an lcm above 2|G|."""
     _expect(isinstance(obj, dict), path, "expected an object")
     vals = obj.get("values")
     _expect(isinstance(vals, list), f"{path}.values", "expected a list")
@@ -142,14 +145,12 @@ def parse_class_function(obj, G: FiniteGroup, path: str) -> ClassFunction:
     _expect(len(vals) == r, f"{path}.values",
             f"expected {r} values (one per conjugacy class)")
     bound = conductor_bound(G)
-    parsed = tuple(parse_cyclotomic(v, f"{path}.values[{i}]", bound)
-                   for i, v in enumerate(vals))
-    n = G.exponent
-    for v in parsed:
-        n = lcm(n, v.conductor)
-        _expect(n <= bound, path, "the values' conductors and the exponent "
-                f"have an lcm above 2|G| = {bound}")
-    return ClassFunction(G, parsed)
+    chi = ClassFunction(G, tuple(parse_cyclotomic(v, f"{path}.values[{i}]", bound)
+                                 for i, v in enumerate(vals)))
+    # conductors dividing 2|G| have a view: the exponent divides |G|
+    if any(bound % v.conductor for v in chi.values):
+        _call_at(path, lambda: chi.int_view)
+    return chi
 
 
 def class_function_json(chi: ClassFunction) -> dict:
@@ -175,10 +176,7 @@ def parse_group(obj, path: str, max_order: int) -> FiniteGroup:
             _expect(sorted(g) == list(range(1, len(g) + 1)), gpath,
                     "not a permutation of 1..n")
             perms.append(tuple(x - 1 for x in g))
-        try:
-            return group_from_permutations(perms, max_order=max_order)
-        except ValueError as exc:
-            raise InputError(path, str(exc)) from None
+        return _call_at(path, group_from_permutations, perms, max_order=max_order)
     if "cayley_table" in obj:
         table = obj["cayley_table"]
         _expect(isinstance(table, list)
@@ -187,10 +185,7 @@ def parse_group(obj, path: str, max_order: int) -> FiniteGroup:
                 f"{path}.cayley_table", "expected a list of rows of integers")
         _expect(len(table) <= max_order, f"{path}.cayley_table",
                 f"group order {len(table)} exceeds bound {max_order}")
-        try:
-            return group_from_cayley_table(table)
-        except ValueError as exc:
-            raise InputError(f"{path}.cayley_table", str(exc)) from None
+        return _call_at(f"{path}.cayley_table", group_from_cayley_table, table)
     raise InputError(path, "expected permutation_generators or cayley_table")
 
 
@@ -199,10 +194,7 @@ def parse_subgroup(obj, G: FiniteGroup, path: str) -> Subgroup:
             path, "expected a list of element indices")
     _expect(all(0 <= x < G.order for x in obj), path,
             f"indices must lie in 0..{G.order - 1}")
-    try:
-        return G.subgroup(obj)
-    except ValueError as exc:
-        raise InputError(path, str(exc)) from None
+    return _call_at(path, G.subgroup, obj)
 
 
 # -- chains ------------------------------------------------------------------------------
@@ -221,10 +213,7 @@ def parse_break_chain(obj, max_order: int) -> BreakChain:
                   for i, b in enumerate(breaks))
     svals = tuple(parse_subgroup(s, G, f"$.subgroups[{i}]")
                   for i, s in enumerate(subs))
-    try:
-        return BreakChain(G, bvals, svals)
-    except ValueError as exc:
-        raise InputError("$", str(exc)) from None
+    return _call_at("$", BreakChain, G, bvals, svals)
 
 
 def break_chain_json(chain: BreakChain) -> dict:
@@ -242,10 +231,7 @@ def parse_lower_chain(obj, max_order: int) -> LowerChain:
             "expected a non-empty list of element-index lists")
     subs = tuple(parse_subgroup(s, G, f"$.lower[{i}]")
                  for i, s in enumerate(lower))
-    try:
-        return LowerChain(G, subs)
-    except ValueError as exc:
-        raise InputError("$.lower", str(exc)) from None
+    return _call_at("$.lower", LowerChain, G, subs)
 
 
 # -- rank-one operators ----------------------------------------------------------------------
@@ -261,10 +247,7 @@ def parse_rank_one_operator(obj) -> RankOneOperator:
     _expect(isinstance(coeffs, list), "$.coefficients", "expected a list")
     vals = [parse_rational(c, f"$.coefficients[{i}]")
             for i, c in enumerate(coeffs)]
-    try:
-        return RankOneOperator.make(p, vals)
-    except ValueError as exc:
-        raise InputError("$", str(exc)) from None
+    return _call_at("$", RankOneOperator.make, p, vals)
 
 
 def rank_one_operator_json(op: RankOneOperator) -> dict:

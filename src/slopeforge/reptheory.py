@@ -93,19 +93,24 @@ class ClassFunction:
         over the power basis of Q(zeta_n), n the lcm of exponent(G) and the
         values' conductors, D > 0 the common denominator of the values.
 
-        An n above `conductor_bound(G)` is refused: Phi_n costs time
-        quadratic in n, coprime conductors on a few classes multiply, and a
-        character of G needs no n beyond lcm(2, exponent(G))."""
-        n = reduce(lcm, (v.conductor for v in self.values), self.group.exponent)
+        Past `conductor_bound(G)` each value is moved to its least conductor
+        first, and an n still above it is refused: Phi_n costs time quadratic
+        in n, coprime conductors on a few classes multiply, and a character
+        of G needs no n beyond lcm(2, exponent(G))."""
+        values, e = self.values, self.group.exponent
+        n = reduce(lcm, (v.conductor for v in values), e)
         bound = conductor_bound(self.group)
         if n > bound:
+            values = tuple(v.at_least_conductor() for v in values)
+            n = reduce(lcm, (v.conductor for v in values), e)
+        if n > bound:
             raise RepTheoryError(
-                f"the values' conductors and the exponent have an lcm above "
-                f"2|G| = {bound}")
-        D = lcm(*(v.den for v in self.values))
+                f"the values' least conductors and the exponent have an lcm "
+                f"above 2|G| = {bound}")
+        D = lcm(*(v.den for v in values))
         rows = tuple(tuple(lift_coeffs([x * (D // v.den) for x in v.nums],
                                        v.conductor, n))
-                     for v in self.values)
+                     for v in values)
         return n, D, rows
 
     def dual(self) -> ClassFunction:

@@ -22,8 +22,9 @@ from slopeforge.groups import (DEFAULT_MAX_ORDER, alternating_group,
                                cyclic_group, dihedral_group, direct_product,
                                elementary_abelian_group, group_from_permutations,
                                heisenberg_group, quaternion_group, symmetric_group)
-from slopeforge.jsonio import InputError, parse_cyclotomic
-from slopeforge.reptheory import DEFAULT_TABLE_BOUND
+from slopeforge.exactnum import lift_coeffs
+from slopeforge.jsonio import InputError, parse_cyclotomic, parse_group
+from slopeforge.reptheory import DEFAULT_TABLE_BOUND, character_table
 from slopeforge.verify import run_suites
 
 
@@ -636,9 +637,11 @@ class TestInputBoundary:
         # a side whose conductor and the exponent of C_n have an lcm above
         # 2n is refused at parse: lcm(10, 7) = 70, lcm(150, 293) = 43950
         ([list(range(2, 11)) + [1]], 10, 4, 7, "$.right",
-         "the values' conductors and the exponent have an lcm above 2|G| = 20"),
+         "the values' least conductors and the exponent have an lcm above "
+         "2|G| = 20"),
         ([list(range(2, 151)) + [1]], 150, 293, 283, "$.left",
-         "the values' conductors and the exponent have an lcm above 2|G| = 300"),
+         "the values' least conductors and the exponent have an lcm above "
+         "2|G| = 300"),
         # on C2 x C2 (exponent 2) each side is within 2|H| = 8, lcm(2, 3) = 6
         # and lcm(2, 8) = 8, but conj(V) * W is computed in Q(zeta_24)
         ([[2, 1, 4, 3], [3, 4, 1, 2]], 4, 3, 8, "$.right",
@@ -654,6 +657,48 @@ class TestInputBoundary:
         assert time.perf_counter() - start < 0.5
         assert code == 2 and out is None
         assert err == f"input error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("command", ["swan", "induce", "tind", "mackey"])
+    def test_a_character_past_its_least_conductor_is_accepted(self, capsys,
+                                                              tmp_path, command):
+        # an order-3 character of C6 with zeta_3 written at conductor 9, where
+        # lcm(6, 9) = 18 is above 2|G| = 12: accepted, with the values it has
+        # at conductor 3
+        gens = [[2, 3, 4, 5, 6, 1]]
+        G = parse_group({"permutation_generators": gens}, "$", 100)
+        psi = next(chi for chi in character_table(G).irreducibles
+                   if all(v**3 == 1 for v in chi.values)
+                   and not all(v.is_rational for v in chi.values))
+
+        def at(conductor):
+            def value(v):
+                v = v.at_least_conductor()
+                if v.is_rational:
+                    return v.coefficient_strs()[0]
+                coeffs = lift_coeffs(v.nums, 3, conductor)
+                return {"conductor": conductor, "coefficients": [str(x) for x in coeffs]}
+            chi = {"values": [value(v) for v in psi.values]}
+            payload = {"group": {"permutation_generators": gens}}
+            if command == "swan":
+                return {**payload, "breaks": ["1"], "subgroups": [list(range(6))],
+                        "character": chi}
+            if command == "mackey":
+                return {**payload, "subgroup": list(range(6)), "left": chi,
+                        "right": chi}
+            return {**payload, "subgroup": list(range(6)), "character": chi}
+
+        (code3, out3, _), (code9, out9, err9) = (
+            run_cli([command], capsys, at(n), tmp_path=tmp_path) for n in (3, 9))
+        assert code3 == code9 == 0, err9
+        if command == "swan":
+            assert out9 == out3
+        elif command == "mackey":
+            assert out9["pass"] is out3["pass"] is True
+        else:
+            values = [[parse_cyclotomic(v, "$", 100) for v in out["character"]["values"]]
+                      for out in (out3, out9)]
+            assert values[0] == values[1]
+            assert max(v.conductor for v in values[1]) == 9
 
     @pytest.mark.parametrize("n, left, right", [(10, 4, 5), (10, 20, 20)])
     def test_mackey_conductors_within_the_bound_are_accepted(self, capsys,

@@ -6,25 +6,27 @@ sum integer coefficient vectors; the oracles below are the element-wise
 `invariant_character` reads the class counts of the cosets gH that the
 subgroup caches (`Subgroup.coset_class_counts`); they are checked here against
 the products they replace.  A class function whose values need a conductor
-above 2|G| has no view, and all three refuse it, as parsing does.
+above 2|G|, each value at its least conductor, has no view, and all three
+refuse it, as parsing does.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 from slopeforge.corpus import abelian_groups_up_to_64, group_zoo_up_to_100
-from slopeforge.exactnum import Cyclotomic, euler_phi
+from slopeforge.exactnum import Cyclotomic, euler_phi, lift_coeffs
 from slopeforge.filtered import (FilteredError, invariant_character,
                                  invariant_dimension)
 from slopeforge.groups import (Subgroup, cyclic_group, generated_subgroup,
                                group_from_permutations, normal_subgroups,
                                symmetric_group)
-from slopeforge.jsonio import InputError, parse_class_function, parse_cyclotomic
-from slopeforge.reptheory import (ClassFunction, RepTheoryError,
-                                  character_table, inner_product_int)
+from slopeforge.jsonio import parse_class_function
+from slopeforge.reptheory import (ClassFunction, character_table,
+                                  inner_product_int)
 
 
 def oracle_invariant_dimension(chi, H):
@@ -62,14 +64,6 @@ def outcome(fn, *args):
         return fn(*args)
     except ValueError as exc:
         return type(exc).__name__, str(exc)
-
-
-def raises(exc_type, fn, *args):
-    try:
-        fn(*args)
-    except exc_type:
-        return True
-    return False
 
 
 def subgroup_sample(G, rng):
@@ -187,11 +181,15 @@ def test_invariant_characters_make_no_products_once_the_counts_exist(monkeypatch
         assert invariant_character(chi, H) == oracle_invariant_character(chi, H)
 
 
+def no_view(bound):
+    return ("RepTheoryError", "the values' least conductors and the exponent "
+            f"have an lcm above 2|G| = {bound}")
+
+
 def assert_no_view(chi, bound):
     """`int_view` refuses chi, and so does every reader of the view, with the
     same RepTheoryError, on every normal subgroup."""
-    refusal = ("RepTheoryError", "the values' conductors and the exponent "
-               f"have an lcm above 2|G| = {bound}")
+    refusal = no_view(bound)
     assert outcome(lambda: chi.int_view) == refusal
     assert outcome(character_table(chi.group).decompose, chi) == refusal
     for H in normal_subgroups(chi.group):
@@ -200,11 +198,15 @@ def assert_no_view(chi, bound):
 
 
 def test_no_view_invariant_character_on_a_non_abelian_group():
-    # n = lcm(6, 5, 7) = 210 > 2|S3| = 12
+    # n = lcm(6, 5, 7) = 210 > 2|S3| = 12; the identity and the 3-cycles
+    # share the coset A3, so one tuple of counts serves two representatives
     S3 = symmetric_group(3)
     chi = ClassFunction(S3, (Cyclotomic.rational(2), Cyclotomic.zeta(5),
                              Cyclotomic.zeta(7)))
     assert_no_view(chi, 12)
+    A3 = next(N for N in normal_subgroups(S3) if N.order == 3)
+    shared = {id(c) for c in A3.coset_class_counts}
+    assert len(shared) < len(S3.class_representatives)
 
 
 def test_refusals_of_a_zeta_3_valued_function_on_c2():
@@ -242,6 +244,41 @@ def test_coprime_conductors_are_refused():
     assert_no_view(ClassFunction(C8, tuple(values)), 16)
 
 
+def test_a_character_past_its_least_conductor_has_a_view():
+    # an order-3 character of C6 with zeta_3 written at conductor 9:
+    # lcm(6, 9) = 18 is above 2|G| = 12, lcm(6, 3) = 6 is not
+    C6 = cyclic_group(6)
+    table = character_table(C6)
+    k, psi = next((k, psi) for k, psi in enumerate(table.irreducibles)
+                  if all(v**3 == 1 for v in psi.values) and k > 0)
+
+    def at_nine(v):
+        v = v.at_least_conductor()
+        if v.is_rational:
+            return v.coefficient_strs()[0]
+        return {"conductor": 9,
+                "coefficients": [str(x) for x in lift_coeffs(v.nums, 3, 9)]}
+
+    chi = parse_class_function({"values": [at_nine(v) for v in psi.values]},
+                               C6, "$")
+    assert chi.values == psi.values
+    assert max(v.conductor for v in chi.values) == 9
+    assert chi.int_view == psi.int_view and chi.int_view[0] == 6
+    mults = table.decompose(chi)
+    assert mults == oracle_decompose(table, chi)
+    assert mults == tuple(int(j == k) for j in range(6))
+    for H in normal_subgroups(C6):
+        assert invariant_dimension(chi, H) == oracle_invariant_dimension(chi, H)
+        assert invariant_character(chi, H) == oracle_invariant_character(chi, H)
+
+
+def least_conductor(n, k):
+    """The least m with zeta_n^k in Q(zeta_m): its order, halved when it
+    is 2 mod 4, since Q(zeta_2m) = Q(zeta_m) for m odd."""
+    m = n // gcd(n, k)
+    return m // 2 if m % 4 == 2 else m
+
+
 def direct_product_c2_c2():
     return group_from_permutations([(1, 0, 3, 2), (2, 3, 0, 1)])
 
@@ -250,23 +287,35 @@ def direct_product_c2_c2():
                                   lambda: symmetric_group(3), direct_product_c2_c2],
                          ids=["C2", "C4", "S3", "C2xC2"])
 def test_parsing_accepts_exactly_the_functions_with_a_view(make):
-    # zeta_n at each class, n from 1 to 2|G| + 1: the lcm with the exponent
-    # decides both the parse and the view
+    # zeta_n^k at each class, n from 1 to 2|G| + 1 and k below n: the view is
+    # taken in Q(zeta_lcm) with the exponent, at the stored conductors while
+    # within 2|G|, else at the least ones; parsing refuses a stored conductor
+    # above 2|G| first, then every function that has no view
     G = make()
     bound = 2 * G.order
     r = len(G.conjugacy_classes)
     rng = random.Random(G.order * 31 + r)
-    lists = {(1,) * r, (bound,) * r, (bound + 1,) + (1,) * (r - 1)}
-    while len(lists) < min(60, (bound + 1) ** r):
-        lists.add(tuple(rng.randrange(1, bound + 2) for _ in range(r)))
+    # zeta_9^3 = zeta_3 has a view on S3 and C2 x C2 only at conductor 3
+    lists = {((1, 0),) * r, ((bound, 1),) * r, ((bound + 1, 1),) + ((1, 0),) * (r - 1),
+             ((9, 3),) + ((1, 0),) * (r - 1)}
+    while len(lists) < 60:
+        lists.add(tuple((n, rng.randrange(n))
+                        for n in (rng.randrange(1, bound + 2) for _ in range(r))))
     seen = set()
-    for conductors in sorted(lists):
-        payload = {"values": [{"conductor": n, "coefficients": ["0", "1"]}
-                              for n in conductors]}
-        chi = ClassFunction(G, tuple(parse_cyclotomic(v, "$", 10 * bound)
-                                     for v in payload["values"]))
-        has_view = not raises(RepTheoryError, lambda: chi.int_view)
-        accepted = not raises(InputError, parse_class_function, payload, G, "$")
-        assert accepted == has_view, conductors
+    for pairs in sorted(lists):
+        values = tuple(Cyclotomic.zeta(n, k) for n, k in pairs)
+        stored = lcm(G.exponent, *(v.conductor for v in values))
+        least = lcm(G.exponent, *(least_conductor(n, k) for n, k in pairs))
+        view = stored if stored <= bound else least
+        chi = ClassFunction(G, values)
+        expected = view if view <= bound else no_view(bound)
+        assert outcome(lambda: chi.int_view[0]) == expected, pairs
+        payload = {"values": [{"conductor": n, "coefficients": ["0"] * k + ["1"]}
+                              for n, k in pairs]}
+        parsed = outcome(parse_class_function, payload, G, "$")
+        accepted = isinstance(parsed, ClassFunction)
+        assert accepted == (view <= bound and max(n for n, _ in pairs) <= bound)
+        if accepted:
+            assert parsed.values == values and parsed.int_view[0] == view
         seen.add(accepted)
     assert seen == {True, False}
