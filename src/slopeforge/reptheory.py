@@ -315,8 +315,9 @@ class CharacterTable:
         Each <chi, psi> is sum_k chi(C_k) |C_k| psi(C_k^-1) / |G| on integer
         coefficient vectors, reduced once mod Phi_e; exact, since the power
         basis is an integral basis and the result must be rational.  A chi
-        whose view is past Q(zeta_e), or a result that is not an integer,
-        goes through inner_product_int, which raises its own message."""
+        with no view is refused by `int_view`; one whose view is past
+        Q(zeta_e), or a result that is not an integer, goes through
+        inner_product_int, which raises its own message."""
         G = self.group
         e = G.exponent
         if chi.group is G and chi.int_view[0] == e:

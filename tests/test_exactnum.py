@@ -1,12 +1,14 @@
 import time
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from slopeforge.exactnum import (Cyclotomic, cyclotomic_polynomial,
-                                 euler_phi, is_prime, padic_valuation,
-                                 rational_from_str, rational_to_str)
+                                 euler_phi, is_prime, lift_coeffs,
+                                 padic_valuation, rational_from_str,
+                                 rational_to_str)
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=40)
 small_conductors = st.sampled_from([1, 3, 4, 5, 8, 12])
@@ -99,6 +101,51 @@ class TestCyclotomicBasics:
         z = Cyclotomic.zeta(3)
         with pytest.raises(AttributeError):
             z.conductor = 6
+
+
+def galois(x, a):
+    """sigma_a(x), zeta_n -> zeta_n^a, on the power basis of Q(zeta_n)."""
+    n = x.conductor
+    raw = [0] * n
+    for j, c in enumerate(x.nums):
+        raw[a * j % n] += c
+    return Cyclotomic(n, raw, x.den)
+
+
+@st.composite
+def stored_past_their_field(draw):
+    """A rational combination of roots of unity zeta_d^k, d | n, stored at
+    conductor n."""
+    n = draw(st.integers(2, 40))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    x = Cyclotomic.rational(0)
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.sampled_from(divisors))
+        x = x + Cyclotomic.zeta(d, draw(st.integers(0, d - 1))) * draw(rationals)
+    return Cyclotomic(n, lift_coeffs(list(x.nums), x.conductor, n), x.den)
+
+
+class TestLeastConductor:
+    @settings(max_examples=150, deadline=None)
+    @given(stored_past_their_field())
+    def test_matches_the_fixed_field_of_the_galois_group(self, x):
+        # x is in Q(zeta_d), d | n, exactly when every sigma_a with a = 1
+        # mod d fixes it; those d are closed under gcd, so the least is the
+        # one to find
+        n = x.conductor
+        units = [a for a in range(1, n + 1) if gcd(a, n) == 1]
+        least = next(d for d in range(1, n + 1) if n % d == 0 and all(
+            galois(x, a) == x for a in units if a % d == 1 % d))
+        y = x.at_least_conductor()
+        assert y == x and y.conductor == least
+
+    def test_zeta_3_at_conductor_9(self):
+        x = Cyclotomic(9, [0, 0, 0, 1])
+        assert x.conductor == 9
+        y = x.at_least_conductor()
+        assert (y.conductor, y.nums, y.den) == (3, (0, 1), 1)
+        assert Cyclotomic(12, [0, 0, 0, 0, 1]).at_least_conductor().conductor == 3
+        assert Cyclotomic.zeta(10).at_least_conductor().conductor == 5
 
 
 class TestFieldAxioms:
