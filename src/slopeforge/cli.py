@@ -257,11 +257,15 @@ def cmd_mackey(payload, args) -> dict:
     H = jsonio.parse_subgroup(payload.get("subgroup"), G, "$.subgroup")
     V = jsonio.parse_class_function(payload.get("left"), H.as_group, "$.left")
     W = jsonio.parse_class_function(payload.get("right"), H.as_group, "$.right")
-    # each side is bounded alone, but conj(V) * W is computed in Q(zeta_lcm)
+    # each side is bounded alone, but conj(V) * W is computed in Q(zeta_lcm),
+    # so past 2|H| both sides are moved to their least conductors first
     bound = conductor_bound(H.as_group)
-    if lcm(*(v.conductor for v in V.values + W.values)) > bound:
-        raise InputError("$.right", "the left and right conductors have an lcm "
-                         f"above 2|H| = {bound}")
+    joint = lambda: lcm(*(v.conductor for v in V.values + W.values))
+    if joint() > bound:
+        V, W = V.at_least_conductors(), W.at_least_conductors()
+        if joint() > bound:
+            raise InputError("$.right", "the left and right conductors have an "
+                             f"lcm above 2|H| = {bound}")
     try:
         ok, witness = mackey_check(V, W, H)
     except RepTheoryError as exc:
@@ -347,7 +351,7 @@ def cmd_table(payload, args) -> dict:
     return out
 
 
-def table_report(G, max_order: int = DEFAULT_TABLE_BOUND) -> dict:
+def table_report(G, max_order: int) -> dict:
     """The report of `table` on the group G, without the --gcd entry."""
     table = character_table(G, max_order=max_order)
     out = {

@@ -33,8 +33,7 @@ from .exactnum import Cyclotomic, is_prime
 from .groups import FiniteGroup, Subgroup
 from .newton import (NewtonPolygon, SlopeMultiset, polygon_from_slopes,
                      tensor_slope_bound)
-from .reptheory import (CharacterTable, ClassFunction, inner_product_int,
-                        trivial_character)
+from .reptheory import CharacterTable, ClassFunction, trivial_character
 
 
 class FilteredError(ValueError):
@@ -375,9 +374,11 @@ def prime_power_dim_check(chain: BreakChain, chi: ClassFunction, p: int) -> bool
     wild = chain.wild_subgroup
     if wild is None or not is_p_group(wild, p):
         raise FilteredError("the wild subgroup must be a p-group")
-    if inner_product_int(chi, chi) != 1:
+    # <chi, chi> = dim End(V)^G, the invariants of V (x) V* under all of G
+    end = chi * chi.dual()
+    if invariant_dimension(end, chi.group.full_subgroup()) != 1:
         raise FilteredError("character must be irreducible")
-    if invariant_dimension(chi * chi.dual(), wild) != 1:
+    if invariant_dimension(end, wild) != 1:
         return True
     deg = int(chi.degree)
     while deg % p == 0:

@@ -1051,27 +1051,11 @@ def classify_wreath_subgroup(W: WreathProduct,
 # -- automorphisms -------------------------------------------------------------
 
 
-def _greedy_generating_sequence(G: FiniteGroup) -> list[int]:
-    gens: list[int] = []
-    size = 1
-    while size < G.order:
-        best, best_size = None, size
-        for cand in range(1, G.order):
-            trial = subgroup_closure(G, gens + [cand])
-            if len(trial) > best_size:
-                best, best_size = cand, len(trial)
-                if best_size == G.order:
-                    break
-        gens.append(best)
-        size = best_size
-    return gens
-
-
 def automorphism_count(G: FiniteGroup) -> int:
     """|Aut(G)| by exhaustive search over generator images."""
     if G.order == 1:
         return 1
-    gens = _greedy_generating_sequence(G)
+    gens = G.generators
     class_sizes = {i: len(G.conjugacy_classes[G.class_of[i]])
                    for i in range(G.order)}
     orders = G.element_orders

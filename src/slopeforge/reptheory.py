@@ -35,9 +35,10 @@ Each class function has a cached integer view: one conductor n, one common
 denominator D and, per class, the integer coefficients of D times its value
 over the power basis 1, zeta_n, ..., zeta_n^(phi(n)-1).  That basis is an
 integral basis of Z[zeta_n], so sums and products of views stay exact on
-Python ints.  A decomposition over a character table multiplies views,
-reduces once mod Phi_e and accepts a multiplicity only if the result is a
-rational integer, as an inner product of characters is.
+Python ints.  A decomposition over a character table multiplies views at
+the conductor n of the decomposed function's view, reduces once mod Phi_n
+and accepts a multiplicity only if the result is a rational integer, as an
+inner product of characters is.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ class ClassFunction:
         n = reduce(lcm, (v.conductor for v in values), e)
         bound = conductor_bound(self.group)
         if n > bound:
-            values = tuple(v.at_least_conductor() for v in values)
+            values = self.at_least_conductors().values
             n = reduce(lcm, (v.conductor for v in values), e)
         if n > bound:
             raise RepTheoryError(
@@ -112,6 +113,11 @@ class ClassFunction:
                                        v.conductor, n))
                      for v in values)
         return n, D, rows
+
+    def at_least_conductors(self) -> ClassFunction:
+        """The same function with each value at its least conductor."""
+        return ClassFunction(self.group,
+                             tuple(v.at_least_conductor() for v in self.values))
 
     def dual(self) -> ClassFunction:
         """g -> value at g^-1."""
@@ -296,49 +302,40 @@ class CharacterTable:
     def degrees(self) -> tuple[int, ...]:
         return tuple(int(chi.degree) for chi in self.irreducibles)
 
-    @cached_property
-    def _sized_duals(self) -> list[tuple[int, list[list[int]]]]:
-        """For each irreducible psi, (D, rows): rows[k] = |C_k| D psi(C_k^-1)
-        as integers over the power basis of Q(zeta_e), e = exponent(G)."""
-        sizes = [len(cls) for cls in self.group.conjugacy_classes]
-        inv = self.group.inverse_class
-        out = []
-        for psi in self.irreducibles:
-            _, D, rows = psi.int_view
-            out.append((D, [[size * x for x in rows[inv[k]]]
-                            for k, size in enumerate(sizes)]))
-        return out
-
     def decompose(self, chi: ClassFunction) -> tuple[int, ...]:
         """Multiplicities of chi over the irreducibles (must be integers).
 
-        Each <chi, psi> is sum_k chi(C_k) |C_k| psi(C_k^-1) / |G| on integer
-        coefficient vectors, reduced once mod Phi_e; exact, since the power
-        basis is an integral basis and the result must be rational.  A chi
-        with no view is refused by `int_view`; one whose view is past
-        Q(zeta_e), or a result that is not an integer, goes through
-        inner_product_int, which raises its own message."""
+        Each <chi, psi> is sum_k |C_k| chi(C_k^-1) psi(C_k) / |G| (k -> k^-1
+        keeps |C_k|) on integer coefficient vectors at the conductor n of
+        chi's view, a multiple of e = exponent(G): psi's view, at e, is
+        lifted to n when n != e, and the sum is reduced once mod Phi_n.
+        That is exact, since the power basis is an integral basis, and a
+        result that is not a rational integer is refused."""
         G = self.group
+        chi._check_same_group(self.irreducibles[0])
+        n, D, rows = chi.int_view
         e = G.exponent
-        if chi.group is G and chi.int_view[0] == e:
-            _, D, rows = chi.int_view
-            width = 2 * len(rows[0]) - 1
-            mults = []
-            for D_psi, sized in self._sized_duals:
-                acc = [0] * width
-                for a, b in zip(rows, sized):
-                    for i, x in enumerate(a):
-                        if x:
-                            for j, y in enumerate(b, i):
-                                acc[j] += x * y
-                total, *rest = reduce_mod_cyclotomic(acc, e)
-                q, r = divmod(total, D * D_psi * G.order)
-                if r or any(rest):
-                    break
-                mults.append(q)
-            else:
-                return tuple(mults)
-        return tuple(inner_product_int(chi, irr) for irr in self.irreducibles)
+        sized = [[len(cls) * x for x in rows[k]]
+                 for cls, k in zip(G.conjugacy_classes, G.inverse_class)]
+        width = 2 * len(rows[0]) - 1
+        mults = []
+        for i, psi in enumerate(self.irreducibles):
+            _, D_psi, psi_rows = psi.int_view
+            if n != e:
+                psi_rows = [lift_coeffs(row, e, n) for row in psi_rows]
+            acc = [0] * width
+            for a, b in zip(sized, psi_rows):
+                for t, x in enumerate(a):
+                    if x:
+                        for j, y in enumerate(b, t):
+                            acc[j] += x * y
+            total, *rest = reduce_mod_cyclotomic(acc, n)
+            q, r = divmod(total, D * D_psi * G.order)
+            if r or any(rest):
+                raise RepTheoryError(f"not a character: the multiplicity of "
+                                     f"irreducible {i} is not an integer")
+            mults.append(q)
+        return tuple(mults)
 
 
 def _class_matrix(G: FiniteGroup, i: int) -> list[dict[int, int]]:
@@ -504,8 +501,9 @@ def _dixon_schneider(G: FiniteGroup) -> CharacterTable:
     # lift per row of G.power_maps, a Galois orbit of classes: the vector of
     # root-of-unity multiplicities at g is the inverse DFT of the power-map
     # values mod ell, and since chi(g^a) = sigma_a(chi(g)) for a prime to
-    # m = ord(g), the class of g^a gets it permuted by u -> u * a^-1 mod m
-    value_coeffs: list[list[list[int]]] = [[None] * r for _ in chars_mod]
+    # m = ord(g), the class of g^a gets it permuted by u -> u * a^-1 mod m,
+    # made a Cyclotomic at once
+    values = [[None] * r for _ in chars_mod]
     for row in G.power_maps:
         m = len(row)
         wm_inv = modp.inv_mod(pow(omega, e // m, ell), ell)
@@ -519,14 +517,13 @@ def _dixon_schneider(G: FiniteGroup) -> CharacterTable:
             if any(c > d for c in col):
                 raise AssertionError("eigenvalue multiplicity lift out of range")
             for c, a_inv in orbit:
-                value_coeffs[i][c] = [col[(w * a_inv) % m] for w in range(m)]
+                values[i][c] = Cyclotomic(m, [col[(w * a_inv) % m] for w in range(m)])
 
     irreducibles = []
-    for i, d in enumerate(degrees):
-        values = [Cyclotomic(len(col), col) for col in value_coeffs[i]]
-        if values[0] != Cyclotomic.rational(d):
+    for d, vals in zip(degrees, values):
+        if vals[0] != Cyclotomic.rational(d):
             raise AssertionError("lifted degree mismatch")
-        irreducibles.append(ClassFunction(G, tuple(values)))
+        irreducibles.append(ClassFunction(G, tuple(vals)))
     return _checked_table(G, irreducibles, chars_mod, ell)
 
 

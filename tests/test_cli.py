@@ -658,26 +658,34 @@ class TestInputBoundary:
         assert code == 2 and out is None
         assert err == f"input error: {path}: {message}\n"
 
+    C6_GENS = [[2, 3, 4, 5, 6, 1]]
+
+    @classmethod
+    def _c6_order_three_character_at(cls, conductor):
+        """An order-3 character of C6, each zeta_3 written at `conductor`."""
+        G = parse_group({"permutation_generators": cls.C6_GENS}, "$", 100)
+        psi = next(chi for chi in character_table(G).irreducibles
+                   if all(v**3 == 1 for v in chi.values)
+                   and not all(v.is_rational for v in chi.values))
+
+        def value(v):
+            v = v.at_least_conductor()
+            if v.is_rational:
+                return v.coefficient_strs()[0]
+            coeffs = lift_coeffs(v.nums, 3, conductor)
+            return {"conductor": conductor, "coefficients": [str(x) for x in coeffs]}
+        return {"values": [value(v) for v in psi.values]}
+
     @pytest.mark.parametrize("command", ["swan", "induce", "tind", "mackey"])
     def test_a_character_past_its_least_conductor_is_accepted(self, capsys,
                                                               tmp_path, command):
         # an order-3 character of C6 with zeta_3 written at conductor 9, where
         # lcm(6, 9) = 18 is above 2|G| = 12: accepted, with the values it has
         # at conductor 3
-        gens = [[2, 3, 4, 5, 6, 1]]
-        G = parse_group({"permutation_generators": gens}, "$", 100)
-        psi = next(chi for chi in character_table(G).irreducibles
-                   if all(v**3 == 1 for v in chi.values)
-                   and not all(v.is_rational for v in chi.values))
+        gens = self.C6_GENS
 
         def at(conductor):
-            def value(v):
-                v = v.at_least_conductor()
-                if v.is_rational:
-                    return v.coefficient_strs()[0]
-                coeffs = lift_coeffs(v.nums, 3, conductor)
-                return {"conductor": conductor, "coefficients": [str(x) for x in coeffs]}
-            chi = {"values": [value(v) for v in psi.values]}
+            chi = self._c6_order_three_character_at(conductor)
             payload = {"group": {"permutation_generators": gens}}
             if command == "swan":
                 return {**payload, "breaks": ["1"], "subgroups": [list(range(6))],
@@ -699,6 +707,18 @@ class TestInputBoundary:
                       for out in (out3, out9)]
             assert values[0] == values[1]
             assert max(v.conductor for v in values[1]) == 9
+
+    def test_mackey_moves_both_sides_to_their_least_conductors(self, capsys,
+                                                               tmp_path):
+        # zeta_3 written at conductor 9 on the left and at 12 on the right:
+        # lcm(9, 12) = 36 is above 2|H| = 12, the least conductors' lcm 3 is not
+        payload = {"group": {"permutation_generators": self.C6_GENS},
+                   "subgroup": list(range(6)),
+                   "left": self._c6_order_three_character_at(9),
+                   "right": self._c6_order_three_character_at(12)}
+        code, out, err = run_cli(["mackey"], capsys, payload, tmp_path=tmp_path)
+        assert code == 0, err
+        assert out["pass"] is True
 
     @pytest.mark.parametrize("n, left, right", [(10, 4, 5), (10, 20, 20)])
     def test_mackey_conductors_within_the_bound_are_accepted(self, capsys,
@@ -862,7 +882,8 @@ class TestDriver:
         # it: the split order and the lift must not change a byte
         digest = hashlib.sha256()
         for G in abelian_groups_up_to_64() + group_zoo_up_to_100():
-            cli._write_payload(argparse.Namespace(output="-"), cli.table_report(G))
+            cli._write_payload(argparse.Namespace(output="-"),
+                               cli.table_report(G, DEFAULT_TABLE_BOUND))
             digest.update(capsys.readouterr().out.encode())
         assert digest.hexdigest() == (
             "11ff9f6dd5b4626c3a828b5f6304b1543ec3dcaf4a0750b932844e1bffe9c8c2")
@@ -875,7 +896,8 @@ class TestDriver:
         for p, a in ((29, 2), (31, 3), (47, 25)):
             G = group_from_permutations([tuple((x + 1) % p for x in range(p)),
                                         tuple(a * x % p for x in range(p))])
-            cli._write_payload(argparse.Namespace(output="-"), cli.table_report(G))
+            cli._write_payload(argparse.Namespace(output="-"),
+                               cli.table_report(G, DEFAULT_TABLE_BOUND))
             digest.update(capsys.readouterr().out.encode())
         assert digest.hexdigest() == (
             "c8ba535cfe339a02d64672210ef9cbe50b2854982f497038f3c46edf8e58dbe6")

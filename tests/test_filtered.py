@@ -299,6 +299,12 @@ class TestPredicates:
         with pytest.raises(FilteredError):
             prime_power_dim_check(chain, table.irreducibles[0], 2)
 
+    def test_reducible_character_is_refused(self):
+        Q8 = quaternion_group()
+        chain = BreakChain(Q8, (F(1, 2),), (Q8.full_subgroup(),))
+        with pytest.raises(FilteredError, match="^character must be irreducible$"):
+            prime_power_dim_check(chain, 2 * trivial_character(Q8), 2)
+
     def test_slope_zero_existence(self):
         Q8 = quaternion_group()
         table = character_table(Q8)

@@ -10,8 +10,7 @@ from slopeforge.corpus import abelian_groups_up_to_64, group_zoo_up_to_100
 from slopeforge.groups import (BASE_TABLE_MAX_ORDER, GoursatDichotomyError,
                                GroupError, Subgroup, WreathProduct,
                                _extend_closed, _greedy_generators,
-                               _greedy_generating_sequence, alternating_group,
-                               automorphism_count,
+                               alternating_group, automorphism_count,
                                classify_wreath_subgroup,
                                cyclic_group, dihedral_group,
                                direct_product, elementary_abelian_group,
@@ -616,7 +615,7 @@ class TestAutomorphisms:
 def automorphisms_by_products(G):
     """|Aut(G)| as it was counted before the Cayley-graph rows: each tuple
     of candidate images extended by products, phi(x g) = phi(x) phi(g)."""
-    gens = _greedy_generating_sequence(G)
+    gens = G.generators
     size = [len(G.conjugacy_classes[c]) for c in G.class_of]
     orders = G.element_orders
     candidates = [[x for x in range(G.order)

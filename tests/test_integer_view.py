@@ -3,6 +3,7 @@
 `invariant_dimension`, `invariant_character` and `CharacterTable.decompose`
 sum integer coefficient vectors; the oracles below are the element-wise
 `Cyclotomic` sums they replaced, kept verbatim, refusal messages included.
+`decompose` refuses with its own `RepTheoryError` where its oracle raises.
 `invariant_character` reads the class counts of the cosets gH that the
 subgroup caches (`Subgroup.coset_class_counts`); they are checked here against
 the products they replace.  A class function whose values need a conductor
@@ -26,7 +27,7 @@ from slopeforge.groups import (Subgroup, cyclic_group, generated_subgroup,
                                symmetric_group)
 from slopeforge.jsonio import parse_class_function
 from slopeforge.reptheory import (ClassFunction, character_table,
-                                  inner_product_int)
+                                  inner_product_int, trivial_character)
 
 
 def oracle_invariant_dimension(chi, H):
@@ -64,6 +65,17 @@ def outcome(fn, *args):
         return fn(*args)
     except ValueError as exc:
         return type(exc).__name__, str(exc)
+
+
+def assert_decompose_agrees(table, chi):
+    """`decompose` returns the oracle's multiplicities, and refuses chi with
+    a RepTheoryError of its own exactly when the oracle raises."""
+    got, want = outcome(table.decompose, chi), outcome(oracle_decompose, table, chi)
+    if isinstance(want[0], str):
+        assert got[0] == "RepTheoryError", got
+        assert got[1].startswith("not a character: the multiplicity of irreducible ")
+    else:
+        assert got == want
 
 
 def subgroup_sample(G, rng):
@@ -113,11 +125,10 @@ def test_integer_view_matches_the_cyclotomic_oracles(G):
         # e > 2, while the constant coefficient may be an integer
         twisted = chi * Cyclotomic.zeta(G.exponent)
         if small_view(table):
-            # a refused decomposition runs inner_product_int, the oracle
-            # itself, so large views add time and no coverage
+            # the oracle takes up to 1.4 s a decomposition on a large view,
+            # and a refusal takes the same path at every view size
             for refused in (half, twisted):
-                assert outcome(table.decompose, refused) == outcome(
-                    oracle_decompose, table, refused)
+                assert_decompose_agrees(table, refused)
         for N in subgroups:
             assert invariant_dimension(chi, N) == oracle_invariant_dimension(chi, N)
             for refused in (half, twisted):
@@ -216,8 +227,9 @@ def test_refusals_of_a_zeta_3_valued_function_on_c2():
     assert_no_view(chi, 4)
 
 
-def test_conductor_outside_the_exponent_goes_through_the_inner_product():
-    # zeta_8^2 = i is stored at conductor 8, which does not divide exponent 4
+def test_conductor_outside_the_exponent_lifts_the_irreducibles():
+    # zeta_8^2 = i is stored at conductor 8, which does not divide exponent 4,
+    # so decompose lifts the irreducibles' views from 4 to 8
     C4 = cyclic_group(4)
     table = character_table(C4)
     g = next(x for x in range(4) if C4.element_order(x) == 4)
@@ -230,9 +242,16 @@ def test_conductor_outside_the_exponent_goes_through_the_inner_product():
     mults = table.decompose(chi)
     assert mults == oracle_decompose(table, chi)
     assert sorted(mults) == [0, 0, 0, 1]
+    assert_decompose_agrees(table, chi * Fraction(1, 2))
     for H in normal_subgroups(C4):
         assert invariant_dimension(chi, H) == oracle_invariant_dimension(chi, H)
         assert invariant_character(chi, H) == oracle_invariant_character(chi, H)
+
+
+def test_decompose_refuses_a_class_function_of_another_group():
+    table = character_table(cyclic_group(4))
+    assert outcome(table.decompose, trivial_character(cyclic_group(4))) == (
+        "RepTheoryError", "class functions live on different groups")
 
 
 def test_coprime_conductors_are_refused():
