@@ -22,8 +22,8 @@ from .reptheory import (CharacterTable, ClassFunction, MatrixRep, character_tabl
                         regular_character, rep_from_generator_images, restrict,
                         tensor_induce, tensor_induced_matrix_rep,
                         tind_summand_check, trivial_character)
-from .filtered import (BreakChain, LowerChain, graded_characters,
-                       graded_pieces_disjoint, hasse_arf_check, herbrand_phi,
+from .filtered import (BreakChain, LowerChain, graded_pieces_disjoint,
+                       hasse_arf_check, herbrand_phi,
                        invariant_dimension, lower_from_upper, newton_polygon,
                        prime_power_dim_check,
                        slope_decomposition, slope_zero_existence_check,

@@ -15,6 +15,13 @@ is accepted only when it is rational (every non-constant coefficient is 0).
 An invariant character sums the view over the class counts of each coset
 gH, which the subgroup caches (`Subgroup.coset_class_counts`), so it makes
 no group product once they are built.
+The tensor and disjointness checks run on views alone and build no
+`Cyclotomic`.  `tensor_bound_check` reads the slopes of chi * psi from the
+product of the two views, one polynomial product and one reduction mod Phi_n
+per class, when they share the conductor n (as two irreducibles of one table
+do), and from the values of chi * psi otherwise.  `graded_pieces_disjoint`
+forms each graded piece as a difference of invariant views at a common
+denominator and decomposes it over the table from its view.
 The Swan conductor is the height of the resulting Newton polygon.  Lower
 chains (integer-indexed ramification data) convert to break chains through
 the Herbrand transition function phi(u) = integral of dt / [G_0 : G_t].
@@ -29,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Cyclotomic, is_prime
+from .exactnum import Cyclotomic, _poly_mul, is_prime, reduce_mod_cyclotomic
 from .groups import FiniteGroup, Subgroup
 from .newton import (NewtonPolygon, SlopeMultiset, polygon_from_slopes,
                      tensor_slope_bound)
@@ -195,22 +202,27 @@ def _summed_rows(rows, counts) -> list[int]:
     return total
 
 
-def invariant_dimension(chi: ClassFunction, H: Subgroup) -> int:
-    """dim of the H-fixed subspace: the average of chi over H, summed on the
-    integer view of chi."""
-    G = chi.group
-    if H.parent is not G:
-        raise FilteredError("subgroup must live in the character's group")
-    class_of = G.class_of
+def _invariant_dimension(view, H: Subgroup) -> int:
+    """dim V^H from an integer view (n, D, rows) of the character of V: the
+    sum of the rows over the classes of the elements of H, over D |H|."""
+    class_of = H.parent.class_of
     counts = Counter(class_of[h] for h in H.elements).items()
-    _, D, rows = chi.int_view
+    _, D, rows = view
     total, *rest = _summed_rows(rows, counts)
     dim, r = divmod(total, D * H.order)
     if r or dim < 0 or any(rest):
         raise FilteredError(
             f"not a character: invariant dimension under a subgroup of order "
             f"{H.order} is not a non-negative integer")
-    return int(dim)
+    return dim
+
+
+def invariant_dimension(chi: ClassFunction, H: Subgroup) -> int:
+    """dim of the H-fixed subspace: the average of chi over H, summed on the
+    integer view of chi."""
+    if H.parent is not chi.group:
+        raise FilteredError("subgroup must live in the character's group")
+    return _invariant_dimension(chi.int_view, H)
 
 
 def _graded(chain: BreakChain, parts: list) -> list[tuple[Fraction, object]]:
@@ -220,6 +232,19 @@ def _graded(chain: BreakChain, parts: list) -> list[tuple[Fraction, object]]:
         (b, parts[i + 1] - parts[i]) for i, b in enumerate(chain.breaks)]
 
 
+def _slopes(chain: BreakChain, dims: list[int], deg: int) -> SlopeMultiset:
+    """The slope multiset of a character of degree deg whose invariant
+    dimensions under H_1, ..., H_k are dims."""
+    pairs = _graded(chain, dims + [deg])
+    # pairs[0] is an invariant dimension, or the degree that SlopeMultiset checks
+    if any(mult < 0 for _, mult in pairs[1:]):
+        raise FilteredError("invariant dimensions must increase down the chain")
+    ms = SlopeMultiset.from_pairs(pairs)
+    if ms.total_dimension != deg:
+        raise AssertionError("graded multiplicities must sum to the degree")
+    return ms
+
+
 def slope_decomposition(chain: BreakChain, chi: ClassFunction) -> SlopeMultiset:
     """Slopes of a character under the chain, with graded multiplicities."""
     if chi.group is not chain.group:
@@ -227,15 +252,8 @@ def slope_decomposition(chain: BreakChain, chi: ClassFunction) -> SlopeMultiset:
     deg = chi.degree
     if deg.denominator != 1:
         raise FilteredError("input must be a character")
-    dims = [invariant_dimension(chi, H) for H in chain.subgroups] + [int(deg)]
-    pairs = _graded(chain, dims)
-    # pairs[0] is an invariant dimension, or the degree that SlopeMultiset checks
-    if any(mult < 0 for _, mult in pairs[1:]):
-        raise FilteredError("invariant dimensions must increase down the chain")
-    ms = SlopeMultiset.from_pairs(pairs)
-    if ms.total_dimension != int(deg):
-        raise AssertionError("graded multiplicities must sum to the degree")
-    return ms
+    return _slopes(chain, [_invariant_dimension(chi.int_view, H)
+                           for H in chain.subgroups], int(deg))
 
 
 def newton_polygon(chain: BreakChain, chi: ClassFunction) -> NewtonPolygon:
@@ -267,42 +285,67 @@ def hasse_arf_check(chain: BreakChain, chi: ClassFunction) -> bool:
 # -- graded pieces as genuine characters ----------------------------------------
 
 
-def invariant_character(chi: ClassFunction, H: Subgroup) -> ClassFunction:
-    """Character of the H-fixed subspace of a normal subgroup H:
-    g -> (1/|H|) sum over h of chi(gh), summed on the integer view of chi over
-    the class counts of each coset gH (`Subgroup.coset_class_counts`): only
-    the first call on a subgroup makes group products, at most |G| of them."""
-    G = chi.group
-    if H.parent is not G:
+def _invariant_rows(chi: ClassFunction, H: Subgroup) -> list[list[int]]:
+    """Per class representative g, the rows of chi's view (n, D, rows) summed
+    over the class counts of the coset gH (`Subgroup.coset_class_counts`):
+    D |H| times the H-invariant character of chi, over the power basis of
+    Q(zeta_n).  Only the first call on a subgroup makes group products, at
+    most |G| of them."""
+    if H.parent is not chi.group:
         raise FilteredError("subgroup must live in the character's group")
     if not H.is_normal():
         raise FilteredError("subgroup must be normal in the character's group")
-    n, D, rows = chi.int_view
-    scale = D * H.order
-    return ClassFunction(G, tuple(
-        Cyclotomic(n, _summed_rows(rows, counts), scale, _reduced=True)
-        for counts in H.coset_class_counts))
+    rows = chi.int_view[2]
+    return [_summed_rows(rows, counts) for counts in H.coset_class_counts]
 
 
-def graded_characters(chain: BreakChain,
-                      chi: ClassFunction) -> list[tuple[Fraction, ClassFunction]]:
-    """The graded pieces as (slope, character) pairs, zero pieces omitted."""
-    parts = [invariant_character(chi, H) for H in chain.subgroups] + [chi]
-    return [(s, piece) for s, piece in _graded(chain, parts)
-            if int(piece.degree)]
+def invariant_character(chi: ClassFunction, H: Subgroup) -> ClassFunction:
+    """Character of the H-fixed subspace of a normal subgroup H:
+    g -> (1/|H|) sum over h of chi(gh), from `_invariant_rows`."""
+    rows = _invariant_rows(chi, H)
+    n, D, _ = chi.int_view
+    return ClassFunction(chi.group, tuple(
+        Cyclotomic(n, row, D * H.order, _reduced=True) for row in rows))
 
 
 def graded_pieces_disjoint(chain: BreakChain, chi: ClassFunction,
                            table: CharacterTable) -> bool:
     """Distinct graded pieces share no irreducible constituent and every
     constituent of the character sits in exactly one piece (equivalently,
-    each of its irreducible constituents carries a single slope)."""
+    each of its irreducible constituents carries a single slope).
+
+    The pieces are the differences of the invariant characters under H_1,
+    ..., H_k and the trivial group, formed and decomposed as integer views
+    at the conductor n of chi's view; a piece whose degree truncates to 0 is
+    left out."""
     if table.group is not chain.group:
         raise FilteredError("table must belong to the chain's group")
-    pieces = graded_characters(chain, chi)
+    if not chain.subgroups:
+        # the one piece is chi, kept when its degree truncates to non-zero
+        kept = int(chi.degree)
+        mults = table.decompose(chi)
+        return all(m >= 0 for m in mults) if kept else not any(mults)
+    parts = [_invariant_rows(chi, H) for H in chain.subgroups]
+    n, D, rows = chi.int_view
+    parts.append(rows)
+    orders = [H.order for H in chain.subgroups] + [1]
+    # piece i is parts[i+1] / (D |H_(i+1)|) - parts[i] / (D |H_i|), over D |H_i|
+    pieces = [(D * orders[0], parts[0])] + [
+        (D * big, [[x * (big // small) - y for x, y in zip(a, b)]
+                   for a, b in zip(upper, lower)])
+        for big, small, lower, upper in zip(orders, orders[1:], parts, parts[1:])]
+    if any(any(piece[0][1:]) for _, piece in pieces):
+        # an irrational degree: the degrees as values, so that the first
+        # irrational one raises as the value route raised
+        degrees = [Cyclotomic(n, part[0], D * order, _reduced=True)
+                   for part, order in zip(parts[:-1], orders)] + [chi.values[0]]
+        for _, degree in _graded(chain, degrees):
+            degree.rational_value()
     supports = []
-    for _, piece in pieces:
-        mults = table.decompose(piece)
+    for den, piece in pieces:
+        if abs(piece[0][0]) < den:  # the degree truncates to 0
+            continue
+        mults = table._multiplicities((n, den, piece))
         if any(m < 0 for m in mults):
             return False
         supports.append({i for i, m in enumerate(mults) if m})
@@ -310,7 +353,7 @@ def graded_pieces_disjoint(chain: BreakChain, chi: ClassFunction,
         for j in range(i + 1, len(supports)):
             if supports[i] & supports[j]:
                 return False
-    total = table.decompose(chi)
+    total = table._multiplicities(chi.int_view)
     covered = set().union(*supports) if supports else set()
     return covered == {i for i, m in enumerate(total) if m}
 
@@ -323,6 +366,26 @@ def irreducible_slope(chain: BreakChain, chi: ClassFunction) -> Fraction:
     return ms.entries[0][0]
 
 
+def _product_slopes(chain: BreakChain, chi: ClassFunction,
+                    psi: ClassFunction) -> SlopeMultiset:
+    """slope_decomposition(chain, chi * psi) for chi and psi that have passed
+    slope_decomposition.  When their views share one conductor n (two
+    irreducibles of a table do, n = exponent(G)) it is read from the view of
+    the product at the denominator D_chi D_psi, one product and one
+    reduction mod Phi_n a class; else from chi * psi, which refuses what has
+    no view."""
+    # on a chain with a subgroup, slope_decomposition has read both views
+    if chain.subgroups and chi.int_view[0] == psi.int_view[0]:
+        n, D_chi, chi_rows = chi.int_view
+        _, D_psi, psi_rows = psi.int_view
+        view = (n, D_chi * D_psi, [reduce_mod_cyclotomic(_poly_mul(a, b), n)
+                                   for a, b in zip(chi_rows, psi_rows)])
+        return _slopes(chain, [_invariant_dimension(view, H)
+                               for H in chain.subgroups],
+                       int(chi.degree) * int(psi.degree))
+    return slope_decomposition(chain, chi * psi)
+
+
 def tensor_bound_check(chain: BreakChain, chi: ClassFunction,
                        psi: ClassFunction) -> bool:
     """Check the product's slopes against the tensor constraints of the factors.
@@ -333,7 +396,7 @@ def tensor_bound_check(chain: BreakChain, chi: ClassFunction,
     """
     dec_chi = slope_decomposition(chain, chi)
     dec_psi = slope_decomposition(chain, psi)
-    dec_prod = slope_decomposition(chain, chi * psi)
+    dec_prod = _product_slopes(chain, chi, psi)
     exact, bounded = tensor_slope_bound(dec_chi, dec_psi)
     remaining: dict[Fraction, int] = {s: m for s, m in dec_prod.entries}
     for s, m in exact.entries:

@@ -39,6 +39,14 @@ Python ints.  A decomposition over a character table multiplies views at
 the conductor n of the decomposed function's view, reduces once mod Phi_n
 and accepts a multiplicity only if the result is a rational integer, as an
 inner product of characters is.
+
+Views are read where a value is only read: decompositions, and the
+invariant dimensions, slope decompositions, tensor bounds and graded pieces
+of `filtered`, which decompose views with no class function around them.
+Values that are emitted or compared keep the value route: the arithmetic
+of `ClassFunction`, `induce`, `tensor_induce` and `mackey_check` builds
+`Cyclotomic` values, since a value rebuilt from a view at conductor n would
+carry n as its conductor (zeta_3 written at 6 instead of 3).
 """
 
 from __future__ import annotations
@@ -303,17 +311,22 @@ class CharacterTable:
         return tuple(int(chi.degree) for chi in self.irreducibles)
 
     def decompose(self, chi: ClassFunction) -> tuple[int, ...]:
-        """Multiplicities of chi over the irreducibles (must be integers).
+        """Multiplicities of chi over the irreducibles (must be integers),
+        read from chi's integer view."""
+        chi._check_same_group(self.irreducibles[0])
+        return self._multiplicities(chi.int_view)
+
+    def _multiplicities(self, view) -> tuple[int, ...]:
+        """The multiplicities of the class function of G with the integer
+        view (n, D, rows), n a multiple of e = exponent(G).
 
         Each <chi, psi> is sum_k |C_k| chi(C_k^-1) psi(C_k) / |G| (k -> k^-1
-        keeps |C_k|) on integer coefficient vectors at the conductor n of
-        chi's view, a multiple of e = exponent(G): psi's view, at e, is
-        lifted to n when n != e, and the sum is reduced once mod Phi_n.
+        keeps |C_k|) on integer coefficient vectors at n: psi's view, at e,
+        is lifted to n when n != e, and the sum is reduced once mod Phi_n.
         That is exact, since the power basis is an integral basis, and a
         result that is not a rational integer is refused."""
         G = self.group
-        chi._check_same_group(self.irreducibles[0])
-        n, D, rows = chi.int_view
+        n, D, rows = view
         e = G.exponent
         sized = [[len(cls) * x for x in rows[k]]
                  for cls, k in zip(G.conjugacy_classes, G.inverse_class)]

@@ -2,8 +2,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from slopeforge import filtered
+from slopeforge.corpus import abelian_chain_corpus, filtered_group_corpus
+from slopeforge.exactnum import Cyclotomic
 from slopeforge.filtered import (BreakChain, FilteredError, LowerChain,
-                                 graded_characters, graded_pieces_disjoint,
+                                 graded_pieces_disjoint,
                                  hasse_arf_check, herbrand_phi,
                                  invariant_character, invariant_dimension,
                                  lower_from_upper,
@@ -11,16 +14,28 @@ from slopeforge.filtered import (BreakChain, FilteredError, LowerChain,
                                  slope_zero_existence_check, swan_conductor,
                                  swan_lower_oracle, tensor_bound_check,
                                  upper_from_lower)
-from slopeforge.groups import (cyclic_group, generated_subgroup,
+from slopeforge.groups import (cyclic_group, elementary_abelian_group,
+                               generated_subgroup,
                                heisenberg_group, normal_subgroups,
                                quaternion_group, symmetric_group)
 from slopeforge.newton import SlopeMultiset
-from slopeforge.reptheory import (character_table, regular_character,
+from slopeforge.reptheory import (ClassFunction, RepTheoryError,
+                                  character_table, regular_character,
                                   trivial_character)
 
 
 def ms(*pairs):
     return SlopeMultiset.from_pairs([(F(s), m) for s, m in pairs])
+
+
+def graded_characters(chain, chi):
+    """The graded pieces as (slope, character) pairs, zero pieces omitted:
+    the differences of the invariant characters under H_1, ..., H_k and the
+    trivial group, on values."""
+    parts = [invariant_character(chi, H) for H in chain.subgroups] + [chi]
+    levels = [(F(0), parts[0])] + [
+        (b, parts[i + 1] - parts[i]) for i, b in enumerate(chain.breaks)]
+    return [(s, piece) for s, piece in levels if int(piece.degree)]
 
 
 @pytest.fixture(scope="module")
@@ -320,3 +335,234 @@ class TestPredicates:
         a3 = next(N for N in normal_subgroups(S3) if N.order == 3)
         chain = BreakChain(S3, (F(1, 2),), (a3,))
         assert slope_zero_existence_check(chain, table)
+
+
+# -- the view route against the value route ---------------------------------------
+
+
+def outcome(fn, *args):
+    """The value, or the type and message of the ValueError raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def value_route_disjoint(chain, chi, table):
+    """graded_pieces_disjoint on values: the pieces of `graded_characters`,
+    each decomposed by `CharacterTable.decompose`."""
+    if table.group is not chain.group:
+        raise FilteredError("table must belong to the chain's group")
+    supports = []
+    for _, piece in graded_characters(chain, chi):
+        mults = table.decompose(piece)
+        if any(m < 0 for m in mults):
+            return False
+        supports.append({i for i, m in enumerate(mults) if m})
+    for i in range(len(supports)):
+        for j in range(i + 1, len(supports)):
+            if supports[i] & supports[j]:
+                return False
+    total = table.decompose(chi)
+    covered = set().union(*supports) if supports else set()
+    return covered == {i for i, m in enumerate(total) if m}
+
+
+def value_route_product(chain, chi, psi):
+    return slope_decomposition(chain, chi * psi)
+
+
+def tensor_routes(monkeypatch, chain, pairs):
+    """tensor_bound_check's outcome and the product slopes it read on each
+    pair, first as it runs, then with the product read from chi * psi on
+    values."""
+    out = []
+    for route in (filtered._product_slopes, value_route_product):
+        read = []
+
+        def recorded(*args, route=route, read=read):
+            read.append(route(*args))
+            return read[-1]
+
+        monkeypatch.setattr(filtered, "_product_slopes", recorded)
+        out.append(([outcome(tensor_bound_check, chain, *pair) for pair in pairs],
+                    read))
+    monkeypatch.undo()
+    return out
+
+
+def disjointness_sample(table):
+    """Every irreducible and the regular sum, which `verify` checks, then a
+    difference of two irreducibles, half an irreducible, half the trivial
+    character less another irreducible (a piece of degree 1/2 is left out
+    before a negative one reads False) and, for an exponent above 2, an
+    irreducible times zeta_e: the last four are not characters, so they read
+    False or a refusal, an irrational degree among them."""
+    irr = table.irreducibles
+    e = table.group.exponent
+    sample = list(irr) + [sum(irr[1:], irr[0]), irr[-1] - irr[0],
+                          irr[-1] * F(1, 2), irr[0] * F(1, 2) - irr[-1]]
+    if e > 2:
+        sample.append(irr[-1] * Cyclotomic.zeta(e))
+    return sample
+
+
+CHAINS = ([upper_from_lower(c) for c in abelian_chain_corpus(2024)]
+          + filtered_group_corpus(15, 7177))
+
+
+@pytest.mark.parametrize("chain", CHAINS, ids=lambda c: f"{c.group.name}-{len(c.breaks)}")
+def test_views_match_the_value_route_on_the_corpora(chain, monkeypatch):
+    table = character_table(chain.group)
+    irr = table.irreducibles
+    pairs = [(chi, psi) for chi in irr for psi in irr]
+    (got, got_read), (want, want_read) = tensor_routes(monkeypatch, chain, pairs)
+    assert got == want == [True] * len(pairs)
+    assert got_read == want_read and len(got_read) == len(pairs)
+    results = set()
+    for chi in disjointness_sample(table):
+        got = outcome(graded_pieces_disjoint, chain, chi, table)
+        assert got == outcome(value_route_disjoint, chain, chi, table)
+        results.add(got if isinstance(got, bool) else got[0])
+    assert True in results and results - {True}
+
+
+def test_unequal_view_conductors_take_the_value_route(monkeypatch):
+    # i written at conductor 8 on C4 has a view at n = 8; the irreducibles'
+    # views are at e = 4, so the product is read from chi * psi
+    C4 = cyclic_group(4)
+    table = character_table(C4)
+    g = next(x for x in range(4) if C4.element_order(x) == 4)
+    values = [None] * 4
+    for t in range(4):
+        values[C4.class_of[C4.power(g, t)]] = Cyclotomic.zeta(8, 2 * t)
+    chi = ClassFunction(C4, tuple(values))
+    c2 = generated_subgroup(C4, [C4.power(g, 2)])
+    chain = BreakChain(C4, (F(1, 2), F(1)), (C4.full_subgroup(), c2))
+    assert chi.int_view[0] == 8
+    assert all(psi.int_view[0] == 4 for psi in table.irreducibles)
+    pairs = [pair for psi in table.irreducibles for pair in ((chi, psi), (psi, chi))]
+    (got, got_read), (want, want_read) = tensor_routes(monkeypatch, chain, pairs)
+    assert got == want == [True] * len(pairs) and got_read == want_read
+    assert got_read == [slope_decomposition(chain, a * b) for a, b in pairs]
+    assert outcome(graded_pieces_disjoint, chain, chi, table) == outcome(
+        value_route_disjoint, chain, chi, table) == True
+
+
+def test_views_with_a_denominator_match_the_value_route(c6_chain, monkeypatch):
+    # half the sum of the two order-3 characters is not a character, but its
+    # degree and invariant dimensions are integers; its view has D = 2, and
+    # its products with the irreducibles have integer invariant dimensions
+    # for some of them only
+    C6, chain, table, chars = c6_chain
+    half = (chars[3] + chars[3] * chars[3]) * F(1, 2)
+    assert half.int_view[1] == 2
+    pairs = [(half, half)] + [(half, chi) for chi in table.irreducibles]
+    (got, got_read), (want, want_read) = tensor_routes(monkeypatch, chain, pairs)
+    assert got == want and got_read == want_read
+    assert {type(x) for x in got} == {bool, tuple}
+    assert outcome(graded_pieces_disjoint, chain, half, table) == outcome(
+        value_route_disjoint, chain, half, table)
+
+
+def test_a_product_without_a_view_is_refused_as_before(monkeypatch):
+    # on C2 x C2, 2|G| = 8: chi = (2, zeta_3, zeta_3^2, -1) has its view at 6
+    # and psi = (2, zeta_8, -zeta_8, -2) at 8, both with no invariants under
+    # the group, but chi * psi needs the conductor 24
+    V4 = elementary_abelian_group(2, 2)
+    z3, z8 = Cyclotomic.zeta(3), Cyclotomic.zeta(8)
+    chi = ClassFunction(V4, (Cyclotomic.rational(2), z3, z3 * z3,
+                             Cyclotomic.rational(-1)))
+    psi = ClassFunction(V4, (Cyclotomic.rational(2), z8, -z8,
+                             Cyclotomic.rational(-2)))
+    chain = BreakChain(V4, (F(1),), (V4.full_subgroup(),))
+    assert (chi.int_view[0], psi.int_view[0]) == (6, 8)
+    refusal = ("RepTheoryError", "the values' least conductors and the "
+                                 "exponent have an lcm above 2|G| = 8")
+    (got, _), (want, _) = tensor_routes(monkeypatch, chain, [(chi, psi)])
+    assert got == want == [refusal]
+    table = character_table(V4)
+    product = chi * psi
+    assert outcome(graded_pieces_disjoint, chain, product, table) == refusal
+    assert outcome(value_route_disjoint, chain, product, table) == refusal
+
+
+def test_a_class_function_of_another_group_is_refused_as_before(c6_chain):
+    C6, chain, table, chars = c6_chain
+    other = trivial_character(cyclic_group(6))
+    assert outcome(tensor_bound_check, chain, other, chars[2]) == (
+        "FilteredError", "character must live on the chain's group")
+    assert outcome(tensor_bound_check, chain, chars[2], other) == (
+        "FilteredError", "character must live on the chain's group")
+    refusal = ("FilteredError", "subgroup must live in the character's group")
+    assert outcome(graded_pieces_disjoint, chain, other, table) == refusal
+    assert outcome(value_route_disjoint, chain, other, table) == refusal
+    # with no subgroup to refuse it, the decomposition does
+    empty = BreakChain(C6, (), ())
+    refusal = ("RepTheoryError", "class functions live on different groups")
+    assert outcome(graded_pieces_disjoint, empty, other, table) == refusal
+    assert outcome(value_route_disjoint, empty, other, table) == refusal
+
+
+def test_a_non_character_on_c5_is_refused_at_its_multiplicity():
+    # 3, 1, 1, 1, -1: the invariant dimension under C5 is 1, but <chi, psi>
+    # is not an integer for a non-trivial psi
+    C5 = cyclic_group(5)
+    chi = ClassFunction(C5, tuple(Cyclotomic.rational(x) for x in (3, 1, 1, 1, -1)))
+    chain = BreakChain(C5, (F(1),), (C5.full_subgroup(),))
+    table = character_table(C5)
+    refusal = ("RepTheoryError",
+               "not a character: the multiplicity of irreducible 1 is not an integer")
+    assert outcome(graded_pieces_disjoint, chain, chi, table) == refusal
+    assert outcome(value_route_disjoint, chain, chi, table) == refusal
+
+
+@pytest.mark.parametrize("at_one, at_two, conductor", [
+    (Cyclotomic.zeta(3), Cyclotomic.rational(1), 6),
+    (Cyclotomic.zeta(3), -Cyclotomic.zeta(3), 3),
+    (Cyclotomic.rational(0), Cyclotomic.zeta(3), 6)])
+def test_irrational_piece_degrees_are_refused_as_before(at_one, at_two, conductor):
+    # on C6 with the chain C6 > C2, the values at the identity and at the
+    # element of order 2, 0 elsewhere: with zeta_3 and 1, or 0 and zeta_3,
+    # the invariant character under C6 has an irrational degree, read at the
+    # view's conductor 6; with zeta_3 and -zeta_3 both invariant degrees are
+    # 0, and the last piece is chi's identity value, at its stored conductor 3
+    C6 = cyclic_group(6)
+    t = C6.power(1, 3)
+    chain = BreakChain(C6, (F(1, 2), F(1)),
+                       (C6.full_subgroup(), generated_subgroup(C6, [t])))
+    vals = [Cyclotomic.rational(0)] * 6
+    vals[0], vals[C6.class_of[t]] = at_one, at_two
+    chi = ClassFunction(C6, tuple(vals))
+    table = character_table(C6)
+    refusal = ("ValueError", f"a value of conductor {conductor} is not rational")
+    assert outcome(graded_pieces_disjoint, chain, chi, table) == refusal
+    assert outcome(value_route_disjoint, chain, chi, table) == refusal
+
+
+def test_the_checks_build_no_cyclotomic_on_warm_irreducibles(c6_chain, monkeypatch):
+    C6, chain, table, chars = c6_chain
+    irr = table.irreducibles
+    regular = sum(irr[1:], irr[0])
+    for chi in (*irr, regular):
+        assert graded_pieces_disjoint(chain, chi, table)
+    for chi in irr:
+        for psi in irr:
+            assert tensor_bound_check(chain, chi, psi)
+    count = 0
+    init = Cyclotomic.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal count
+        count += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cyclotomic, "__init__", counted)
+    for chi in (*irr, regular):
+        assert graded_pieces_disjoint(chain, chi, table)
+    for chi in irr:
+        for psi in irr:
+            assert tensor_bound_check(chain, chi, psi)
+    assert count == 0
+    slope_decomposition(chain, irr[1] * irr[2])  # the counter counts
+    assert count > 0

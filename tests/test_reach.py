@@ -12,9 +12,12 @@ the class, and a nested definition is reached only through a reference.
 
 A ``Name`` in a package module reaches the definition ``module.name`` it
 resolves to: in its own module, or bound by ``from ... import name [as
-alias]`` from its module or from a re-export of the package.  Methods and
-module attributes are not resolved, so an ``Attribute`` ``.name``, or a dotted
-part ``name`` of a string constant (``perfbench/tracing.py`` names the
+alias]`` from its module or from a re-export of the package.  A method is
+the definition ``module.Class.name``.  Inside a class, ``self.name`` and
+``cls.name`` reach the method ``name`` of that class when it has one (no
+package class overrides a method of another).  Other attributes and module
+attributes are not resolved, so any other ``Attribute`` ``.name``, or a
+dotted part ``name`` of a string constant (``perfbench/tracing.py`` names the
 functions it wraps so), reaches every definition called ``name``.
 
 The same trees show the locals that nothing reads: a name a package function
@@ -79,9 +82,23 @@ def _own_nodes(node: ast.AST):
                      if not isinstance(child, DEFINITIONS))
 
 
-def _references(nodes, imported, here) -> tuple[set[tuple[str, str]], set[str]]:
-    """(module, name) pairs reached by a Name among `nodes`, and the names
-    reached as an attribute or a string part."""
+def _definitions(node: ast.AST, owner: str | None = None, cls: str | None = None):
+    """(key, definition, class) for the definitions under node: the key is
+    ``Class.name`` for a method and ``name`` otherwise, and the class is the
+    innermost one the definition sits in, if any."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, DEFINITIONS):
+            yield (f"{owner}.{child.name}" if owner else child.name), child, cls
+            inner = child.name if isinstance(child, ast.ClassDef) else None
+            yield from _definitions(child, inner, inner or cls)
+        else:
+            yield from _definitions(child, owner, cls)
+
+
+def _references(nodes, imported, here, methods=frozenset()):
+    """(module, name) pairs reached by a Name among `nodes`, or by a
+    ``self.x``/``cls.x`` with ``x`` among the ``Class.x`` keys `methods`, and
+    the names reached as another attribute or a string part."""
     names, anywhere = set(), set()
     for node in nodes:
         if isinstance(node, ast.Name):
@@ -89,7 +106,13 @@ def _references(nodes, imported, here) -> tuple[set[tuple[str, str]], set[str]]:
             if target:
                 names.add(target)
         elif isinstance(node, ast.Attribute):
-            anywhere.add(node.attr)
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            method = next((key for key in methods
+                           if key.rpartition(".")[2] == node.attr), None)
+            if owner in ("self", "cls") and method:
+                names.add((here, method))
+            else:
+                anywhere.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if re.fullmatch(r"\w+(\.\w+)*", node.value):
                 anywhere.update(node.value.split("."))
@@ -98,7 +121,7 @@ def _references(nodes, imported, here) -> tuple[set[tuple[str, str]], set[str]]:
 
 def _unreached() -> set[str]:
     reexported = _imports(_tree(PACKAGE / "__init__.py"), {})
-    # (module, name) -> what the definitions of that name reach
+    # (module, key) -> what the definitions of that key reach
     edges: dict[tuple[str, str], tuple[set, set]] = {}
     names, anywhere = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
@@ -110,15 +133,19 @@ def _unreached() -> set[str]:
         roots = _references(_own_nodes(tree), imported, module)
         names |= roots[0]
         anywhere |= roots[1]
-        for node in ast.walk(tree):
-            if isinstance(node, DEFINITIONS):
-                key = (module, node.name)
-                found = _references(_own_nodes(node), imported, module)
-                reached = edges.setdefault(key, (set(), set()))
-                reached[0].update(found[0])
-                reached[1].update(found[1])
-                if _is_root(node.name):
-                    names.add(key)
+        definitions = list(_definitions(tree))
+        methods = {}  # class -> the Class.x keys of its methods
+        for key, _, _ in definitions:
+            if "." in key:
+                methods.setdefault(key.partition(".")[0], set()).add(key)
+        for key, node, cls in definitions:
+            found = _references(_own_nodes(node), imported, module,
+                                methods.get(cls, frozenset()))
+            reached = edges.setdefault((module, key), (set(), set()))
+            reached[0].update(found[0])
+            reached[1].update(found[1])
+            if _is_root(node.name):
+                names.add((module, key))
     for path in sorted([*(ROOT / "demos").rglob("*.py"),
                         *(ROOT / "perfbench").rglob("*.py")]):
         tree = _tree(path)
@@ -129,7 +156,7 @@ def _unreached() -> set[str]:
     seen: set[tuple[str, str]] = set()
     while True:
         frontier = {key for key in edges if key not in seen
-                    and (key in names or key[1] in anywhere)}
+                    and (key in names or key[1].rpartition(".")[2] in anywhere)}
         if not frontier:
             break
         seen |= frontier
