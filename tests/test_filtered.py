@@ -19,9 +19,8 @@ from slopeforge.groups import (cyclic_group, elementary_abelian_group,
                                heisenberg_group, normal_subgroups,
                                quaternion_group, symmetric_group)
 from slopeforge.newton import SlopeMultiset
-from slopeforge.reptheory import (ClassFunction, RepTheoryError,
-                                  character_table, regular_character,
-                                  trivial_character)
+from slopeforge.reptheory import (ClassFunction, character_table,
+                                  regular_character, trivial_character)
 
 
 def ms(*pairs):
