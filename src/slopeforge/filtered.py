@@ -13,8 +13,11 @@ view of the character (`ClassFunction.int_view`), on Python ints: the power
 basis of Q(zeta_n) is an integral basis, so the sums are exact, and a result
 is accepted only when it is rational (every non-constant coefficient is 0).
 An invariant character sums the view over the class counts of each coset
-gH, which the subgroup caches (`Subgroup.coset_class_counts`), so it makes
-no group product once they are built.
+gH, which the subgroup caches (`Subgroup.coset_class_counts`), and an
+invariant dimension over the identity row of that table, the class counts
+of H itself; neither makes a group product once the counts are built.
+Slopes are built in the chain's order 0 < b_1 < ... < b_k, so the graded
+pairs need no merge or sort.
 The tensor and disjointness checks run on views alone and build no
 `Cyclotomic`.  `tensor_bound_check` reads the slopes of chi * psi from the
 product of the two views, one polynomial product and one reduction mod Phi_n
@@ -32,7 +35,6 @@ check, never an enforced invariant, so counterexample chains are allowed.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -204,11 +206,10 @@ def _summed_rows(rows, counts) -> list[int]:
 
 def _invariant_dimension(view, H: Subgroup) -> int:
     """dim V^H from an integer view (n, D, rows) of the character of V: the
-    sum of the rows over the classes of the elements of H, over D |H|."""
-    class_of = H.parent.class_of
-    counts = Counter(class_of[h] for h in H.elements).items()
+    sum of the rows over the class counts of the coset 1H = H (the identity
+    row of `Subgroup.coset_class_counts`), over D |H|."""
     _, D, rows = view
-    total, *rest = _summed_rows(rows, counts)
+    total, *rest = _summed_rows(rows, H.coset_class_counts[0])
     dim, r = divmod(total, D * H.order)
     if r or dim < 0 or any(rest):
         raise FilteredError(
@@ -232,14 +233,15 @@ def _graded(chain: BreakChain, parts: list) -> list[tuple[Fraction, object]]:
         (b, parts[i + 1] - parts[i]) for i, b in enumerate(chain.breaks)]
 
 
-def _slopes(chain: BreakChain, dims: list[int], deg: int) -> SlopeMultiset:
-    """The slope multiset of a character of degree deg whose invariant
-    dimensions under H_1, ..., H_k are dims."""
+def _slopes(chain: BreakChain, view, deg: int) -> SlopeMultiset:
+    """The slope multiset of a character of degree deg with integer view
+    `view`, from its invariant dimensions under H_1, ..., H_k."""
+    dims = [_invariant_dimension(view, H) for H in chain.subgroups]
     pairs = _graded(chain, dims + [deg])
     # pairs[0] is an invariant dimension, or the degree that SlopeMultiset checks
     if any(mult < 0 for _, mult in pairs[1:]):
         raise FilteredError("invariant dimensions must increase down the chain")
-    ms = SlopeMultiset.from_pairs(pairs)
+    ms = SlopeMultiset(tuple((s, m) for s, m in pairs if m))
     if ms.total_dimension != deg:
         raise AssertionError("graded multiplicities must sum to the degree")
     return ms
@@ -252,8 +254,7 @@ def slope_decomposition(chain: BreakChain, chi: ClassFunction) -> SlopeMultiset:
     deg = chi.degree
     if deg.denominator != 1:
         raise FilteredError("input must be a character")
-    return _slopes(chain, [_invariant_dimension(chi.int_view, H)
-                           for H in chain.subgroups], int(deg))
+    return _slopes(chain, chi.int_view, int(deg))
 
 
 def newton_polygon(chain: BreakChain, chi: ClassFunction) -> NewtonPolygon:
@@ -380,9 +381,7 @@ def _product_slopes(chain: BreakChain, chi: ClassFunction,
         _, D_psi, psi_rows = psi.int_view
         view = (n, D_chi * D_psi, [reduce_mod_cyclotomic(_poly_mul(a, b), n)
                                    for a, b in zip(chi_rows, psi_rows)])
-        return _slopes(chain, [_invariant_dimension(view, H)
-                               for H in chain.subgroups],
-                       int(chi.degree) * int(psi.degree))
+        return _slopes(chain, view, int(chi.degree) * int(psi.degree))
     return slope_decomposition(chain, chi * psi)
 
 

@@ -575,8 +575,6 @@ def group_from_cayley_table(table, name="tablegroup") -> FiniteGroup:
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupError("order must be positive")
-    if n == 1:
-        return group_from_permutations([], name="C1")
     cycle = tuple(list(range(1, n)) + [0])
     return group_from_permutations([cycle], name=f"C{n}")
 
@@ -1053,8 +1051,6 @@ def classify_wreath_subgroup(W: WreathProduct,
 
 def automorphism_count(G: FiniteGroup) -> int:
     """|Aut(G)| by exhaustive search over generator images."""
-    if G.order == 1:
-        return 1
     gens = G.generators
     class_sizes = {i: len(G.conjugacy_classes[G.class_of[i]])
                    for i in range(G.order)}

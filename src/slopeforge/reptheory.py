@@ -589,9 +589,7 @@ def irreducible_dims_gcd(G: FiniteGroup,
     """gcd of the degrees of the non-trivial irreducibles."""
     if G.order == 1:
         raise RepTheoryError("the trivial group has no non-trivial irreducible")
-    table = character_table(G, max_order=max_order)
-    degs = [int(chi.degree) for chi in table.irreducibles[1:]]
-    return reduce(gcd, degs)
+    return reduce(gcd, character_table(G, max_order=max_order).degrees[1:])
 
 
 def tind_summand_check(chi: ClassFunction, H: Subgroup) -> bool:

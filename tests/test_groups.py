@@ -39,6 +39,13 @@ class TestConstruction:
         with pytest.raises(GroupError):
             group_from_permutations([(0, 0, 1)])
 
+    def test_negative_power_is_the_inverse_of_the_positive_power(self):
+        for G in (cyclic_group(5), symmetric_group(3)):
+            for g in range(G.order):
+                assert G.power(g, -1) == G.inv(g)
+                for k in range(1, 7):
+                    assert G.power(g, -k) == G.inv(G.power(g, k))
+
     def test_order_bound(self):
         with pytest.raises(GroupError):
             group_from_permutations([tuple(list(range(1, 11)) + [0])], max_order=5)
@@ -576,6 +583,13 @@ class TestAutomorphisms:
 
     def test_a5(self):
         assert outer_automorphism_order(alternating_group(5)) == 2
+
+    def test_trivial_group(self):
+        # no generators: the search tries the one empty tuple of images
+        C1 = cyclic_group(1)
+        assert (C1.name, C1.order, list(C1.elements), C1.generators) == (
+            "C1", 1, [(0,)], [])
+        assert automorphism_count(C1) == outer_automorphism_order(C1) == 1
 
     def test_search_bound(self):
         with pytest.raises(GroupError):

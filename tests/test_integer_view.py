@@ -18,14 +18,17 @@ from math import gcd, lcm
 
 import pytest
 
-from slopeforge.corpus import abelian_groups_up_to_64, group_zoo_up_to_100
+from slopeforge.corpus import (abelian_chain_corpus, abelian_groups_up_to_64,
+                               filtered_group_corpus, group_zoo_up_to_100)
 from slopeforge.exactnum import Cyclotomic, euler_phi, lift_coeffs
-from slopeforge.filtered import (FilteredError, invariant_character,
-                                 invariant_dimension)
+from slopeforge.filtered import (BreakChain, FilteredError,
+                                 invariant_character, invariant_dimension,
+                                 slope_decomposition, upper_from_lower)
 from slopeforge.groups import (Subgroup, cyclic_group, generated_subgroup,
                                group_from_permutations, normal_subgroups,
                                symmetric_group)
 from slopeforge.jsonio import parse_class_function
+from slopeforge.newton import SlopeMultiset
 from slopeforge.reptheory import (ClassFunction, character_table,
                                   inner_product_int, trivial_character)
 
@@ -192,6 +195,57 @@ def test_invariant_characters_make_no_products_once_the_counts_exist(monkeypatch
         assert invariant_character(chi, H) == oracle_invariant_character(chi, H)
 
 
+def test_slope_decompositions_make_no_products_once_the_counts_exist(monkeypatch):
+    S4 = symmetric_group(4)
+    irr = character_table(S4).irreducibles
+    # fresh objects: no counts cached yet; the chain checks their normality
+    chain = BreakChain(S4, (Fraction(1), Fraction(2)), tuple(
+        Subgroup(S4, next(N for N in normal_subgroups(S4) if N.order == order)
+                 .elements) for order in (12, 4)))
+    count = 0
+    mul = S4.mul
+
+    def counted(i, j):
+        nonlocal count
+        count += 1
+        return mul(i, j)
+
+    monkeypatch.setattr(S4, "mul", counted)
+    slope_decomposition(chain, irr[-1])
+    # the first read builds each subgroup's coset counts, as invariant_character
+    assert count == sum(H.order * len({id(c) for c in H.coset_class_counts})
+                        for H in chain.subgroups) <= 2 * S4.order
+    count = 0
+    for chi in irr:
+        slope_decomposition(chain, chi)
+        for H in chain.subgroups:
+            invariant_dimension(chi, H)
+    assert count == 0
+    monkeypatch.undo()
+    for chi in irr:
+        for H in chain.subgroups:
+            assert invariant_dimension(chi, H) == oracle_invariant_dimension(chi, H)
+
+
+def oracle_slopes(chain, chi):
+    """The slopes as they were built: graded pairs from the oracle's
+    invariant dimensions, merged and sorted by `SlopeMultiset.from_pairs`."""
+    dims = [oracle_invariant_dimension(chi, H) for H in chain.subgroups]
+    dims.append(int(chi.degree))
+    return SlopeMultiset.from_pairs([(Fraction(0), dims[0])] + [
+        (b, dims[i + 1] - dims[i]) for i, b in enumerate(chain.breaks)])
+
+
+def test_slope_decompositions_match_the_oracle_on_the_corpora():
+    chains = ([upper_from_lower(c) for c in abelian_chain_corpus(2024)]
+              + filtered_group_corpus(15, 7177))
+    for chain in chains:
+        irr = character_table(chain.group).irreducibles
+        # the sum of the irreducibles has one slope per distinct slope
+        for chi in irr + (sum(irr[1:], irr[0]),):
+            assert slope_decomposition(chain, chi) == oracle_slopes(chain, chi)
+
+
 def no_view(bound):
     return ("RepTheoryError", "the values' least conductors and the exponent "
             f"have an lcm above 2|G| = {bound}")
@@ -218,6 +272,16 @@ def test_no_view_invariant_character_on_a_non_abelian_group():
     A3 = next(N for N in normal_subgroups(S3) if N.order == 3)
     shared = {id(c) for c in A3.coset_class_counts}
     assert len(shared) < len(S3.class_representatives)
+
+
+def test_a_chain_without_subgroups_reads_the_view():
+    # the one slope is read at the degree, but the view is read first, so a
+    # class function that parse refuses is refused here too
+    C2 = cyclic_group(2)
+    chi = ClassFunction(C2, (Cyclotomic.rational(1), Cyclotomic.zeta(3)))
+    assert outcome(slope_decomposition, BreakChain(C2, (), ()), chi) == no_view(4)
+    assert slope_decomposition(BreakChain(C2, (), ()), trivial_character(C2)) == (
+        SlopeMultiset(((Fraction(0), 1),)))
 
 
 def test_refusals_of_a_zeta_3_valued_function_on_c2():

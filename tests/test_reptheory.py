@@ -447,6 +447,15 @@ class TestTensorInduction:
         assert tind_summand_check(restrict(character_table(S3).irreducibles[-1],
                                            S3.full_subgroup()), S3.full_subgroup())
 
+    def test_summand_check_is_false_when_the_difference_does_not_decompose(self):
+        # half of omega: Ind^2 - TInd is a quarter of a character of S3
+        S3, A3 = a3_of_s3()
+        half = nontrivial_linear(character_table(A3.as_group)) * Fraction(1, 2)
+        diff = induce(half, A3).power(2) - tensor_induce(half, A3)
+        with pytest.raises(RepTheoryError, match="is not an integer$"):
+            character_table(S3).decompose(diff)
+        assert tind_summand_check(half, A3) is False
+
     def test_case_one_tensor_induction_is_irreducible(self):
         # index-2 base pair inside the order-7200 wreath: a degree-3 factor
         # tensor-induces to a degree-9 irreducible of the whole group
