@@ -212,10 +212,11 @@ def test_slope_decompositions_make_no_products_once_the_counts_exist(monkeypatch
 
     monkeypatch.setattr(S4, "mul", counted)
     slope_decomposition(chain, irr[-1])
+    # read before the assert: pytest evaluates a bare name after the other side
+    first, count = count, 0
     # the first read builds each subgroup's coset counts, as invariant_character
-    assert count == sum(H.order * len({id(c) for c in H.coset_class_counts})
+    assert first == sum(H.order * len({id(c) for c in H.coset_class_counts})
                         for H in chain.subgroups) <= 2 * S4.order
-    count = 0
     for chi in irr:
         slope_decomposition(chain, chi)
         for H in chain.subgroups:
