@@ -21,10 +21,11 @@ from fractions import Fraction
 from math import lcm
 
 from . import jsonio
-from .exactnum import is_prime, rational_from_str, rational_to_str, shown
+from .exactnum import (euler_phi, is_prime, rational_from_str, rational_to_str,
+                       shown)
 from .filtered import herbrand_phi, slope_decomposition, upper_from_lower
 from .groups import (DEFAULT_MAX_ORDER, GroupError, classify_wreath_subgroup,
-                     is_simple, rotation, wreath_cyclic)
+                     galois_orbit, is_simple, rotation, wreath_cyclic)
 from .jsonio import InputError
 from .newton import polygon_from_slopes
 from .reptheory import (DEFAULT_TABLE_BOUND, RepTheoryError, character_table,
@@ -45,6 +46,10 @@ SVG_MAX_LATTICE_DOTS = 10_000
 
 # Bytes an "input error:" line takes at most, its newline included.
 MAX_ERROR_LINE = 300
+
+# Coefficients a `table` report may hold at most (C84 holds 93,240, C100
+# 250,200), counted from the classes and power maps before any build.
+TABLE_COEFFICIENT_BOUND = 100_000
 
 
 def _echo_error(path: str, before: str, value, after: str) -> InputError:
@@ -342,6 +347,14 @@ def cmd_classify(payload, args) -> dict:
 
 def cmd_table(payload, args) -> dict:
     G = jsonio.parse_group(payload.get("group"), "$.group", args.max_order)
+    # each of the r irreducibles has its value at the class k in
+    # Q(zeta_(o_k)), o_k the order of the class, written in phi(o_k)
+    # coefficients; a power map row's Galois orbit shares its order
+    coefficients = len(G.conjugacy_classes) * sum(
+        len(galois_orbit(row)) * euler_phi(len(row)) for row in G.power_maps)
+    if coefficients > TABLE_COEFFICIENT_BOUND:
+        raise InputError("$.group", f"a table of up to {coefficients} coefficients "
+                                    f"exceeds the bound {TABLE_COEFFICIENT_BOUND}")
     out = table_report(G, args.max_order)
     if args.gcd:
         try:

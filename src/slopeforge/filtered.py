@@ -12,10 +12,10 @@ Invariant dimensions and invariant characters are sums over H of the integer
 view of the character (`ClassFunction.int_view`), on Python ints: the power
 basis of Q(zeta_n) is an integral basis, so the sums are exact, and a result
 is accepted only when it is rational (every non-constant coefficient is 0).
-An invariant character sums the view over the class counts of each coset
-gH, which the subgroup caches (`Subgroup.coset_class_counts`), and an
-invariant dimension over the identity row of that table, the class counts
-of H itself; neither makes a group product once the counts are built.
+An invariant dimension sums the view over the class counts of H itself
+(`Subgroup.class_counts`), which need no group product, and an invariant
+character over those of each coset gH (`Subgroup.coset_class_counts`), at
+most |G| products on the first read; neither makes a product after that.
 Slopes are built in the chain's order 0 < b_1 < ... < b_k, so the graded
 pairs need no merge or sort.
 The tensor and disjointness checks run on views alone and build no
@@ -24,7 +24,8 @@ product of the two views, one polynomial product and one reduction mod Phi_n
 per class, when they share the conductor n (as two irreducibles of one table
 do), and from the values of chi * psi otherwise.  `graded_pieces_disjoint`
 forms each graded piece as a difference of invariant views at a common
-denominator and decomposes it over the table from its view.
+denominator and decomposes it over the table from its view.  The pieces sum
+to chi, so chi itself is decomposed only when a non-zero piece was left out.
 The Swan conductor is the height of the resulting Newton polygon.  Lower
 chains (integer-indexed ramification data) convert to break chains through
 the Herbrand transition function phi(u) = integral of dt / [G_0 : G_t].
@@ -206,10 +207,10 @@ def _summed_rows(rows, counts) -> list[int]:
 
 def _invariant_dimension(view, H: Subgroup) -> int:
     """dim V^H from an integer view (n, D, rows) of the character of V: the
-    sum of the rows over the class counts of the coset 1H = H (the identity
-    row of `Subgroup.coset_class_counts`), over D |H|."""
+    sum of the rows over the class counts of H (`Subgroup.class_counts`),
+    over D |H|."""
     _, D, rows = view
-    total, *rest = _summed_rows(rows, H.coset_class_counts[0])
+    total, *rest = _summed_rows(rows, H.class_counts)
     dim, r = divmod(total, D * H.order)
     if r or dim < 0 or any(rest):
         raise FilteredError(
@@ -226,10 +227,13 @@ def invariant_dimension(chi: ClassFunction, H: Subgroup) -> int:
     return _invariant_dimension(chi.int_view, H)
 
 
+_ZERO = Fraction(0)
+
+
 def _graded(chain: BreakChain, parts: list) -> list[tuple[Fraction, object]]:
     """The graded levels from the invariants `parts` under H_1, ..., H_k and
     the trivial group: (0, parts[0]), then (b_i, parts[i+1] - parts[i])."""
-    return [(Fraction(0), parts[0])] + [
+    return [(_ZERO, parts[0])] + [
         (b, parts[i + 1] - parts[i]) for i, b in enumerate(chain.breaks)]
 
 
@@ -318,7 +322,7 @@ def graded_pieces_disjoint(chain: BreakChain, chi: ClassFunction,
     The pieces are the differences of the invariant characters under H_1,
     ..., H_k and the trivial group, formed and decomposed as integer views
     at the conductor n of chi's view; a piece whose degree truncates to 0 is
-    left out."""
+    left out, and chi is decomposed only when such a piece is not zero."""
     if table.group is not chain.group:
         raise FilteredError("table must belong to the chain's group")
     if not chain.subgroups:
@@ -343,8 +347,10 @@ def graded_pieces_disjoint(chain: BreakChain, chi: ClassFunction,
         for _, degree in _graded(chain, degrees):
             degree.rational_value()
     supports = []
+    dropped = False  # a non-zero piece was left out
     for den, piece in pieces:
         if abs(piece[0][0]) < den:  # the degree truncates to 0
+            dropped = dropped or any(map(any, piece))
             continue
         mults = table._multiplicities((n, den, piece))
         if any(m < 0 for m in mults):
@@ -354,6 +360,10 @@ def graded_pieces_disjoint(chain: BreakChain, chi: ClassFunction,
         for j in range(i + 1, len(supports)):
             if supports[i] & supports[j]:
                 return False
+    if not dropped:
+        # the kept pieces sum to chi, so its multiplicities are the sums of
+        # theirs, non-negative integers with disjoint supports
+        return True
     total = table._multiplicities(chi.int_view)
     covered = set().union(*supports) if supports else set()
     return covered == {i for i, m in enumerate(total) if m}

@@ -452,13 +452,22 @@ class Subgroup:
         return tuple(class_of[Hg.elements[rep]] for rep in Hg.class_representatives)
 
     @cached_property
+    def class_counts(self) -> tuple[tuple[int, int], ...]:
+        """The (class, count) pairs of the parent classes of the elements of
+        H, in the order of first occurrence (the identity class first), read
+        from the elements with no group product."""
+        class_of = self.parent.class_of
+        return tuple(Counter(class_of[h] for h in self.elements).items())
+
+    @cached_property
     def coset_class_counts(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """For each class representative g of the parent, the (class, count)
         pairs of the elements of gH.  Representatives in one coset share one
-        tuple, so the build takes at most |G| products."""
+        tuple, and those in H share `class_counts`, so the build takes at
+        most |G| - |H| products."""
         G = self.parent
         class_of, mul = G.class_of, G.mul
-        counts_at: dict[int, tuple[tuple[int, int], ...]] = {}
+        counts_at = dict.fromkeys(self.elements, self.class_counts)
         out = []
         for g in G.class_representatives:
             counts = counts_at.get(g)

@@ -88,9 +88,9 @@ class ClassFunction:
         if len(self.values) != len(self.group.conjugacy_classes):
             raise RepTheoryError("one value per conjugacy class required")
 
-    @property
+    @cached_property
     def degree(self) -> Fraction:
-        """Value at the identity class."""
+        """Value at the identity class; an irrational one raises at each read."""
         return self.values[0].rational_value()
 
     def value_at(self, element: int) -> Cyclotomic:

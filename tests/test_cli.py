@@ -22,7 +22,7 @@ from slopeforge.groups import (DEFAULT_MAX_ORDER, alternating_group,
                                cyclic_group, dihedral_group, direct_product,
                                elementary_abelian_group, group_from_permutations,
                                heisenberg_group, quaternion_group, symmetric_group)
-from slopeforge.exactnum import lift_coeffs
+from slopeforge.exactnum import euler_phi, lift_coeffs
 from slopeforge.jsonio import InputError, parse_cyclotomic, parse_group
 from slopeforge.reptheory import DEFAULT_TABLE_BOUND, character_table
 from slopeforge.verify import run_suites
@@ -580,6 +580,9 @@ class TestInputBoundary:
          "$.group.cayley_table"),
         # raised below the parsers: the trivial group has no --gcd
         ("table --gcd", {"group": {"permutation_generators": [[1]]}}, "$.group"),
+        # C100's table holds up to 100 * 2502 coefficients, past the bound
+        ("table", {"group": {"permutation_generators": [list(range(2, 101)) + [1]]}},
+         "$.group"),
         # a value zeta_5 on S3: lcm(6, 5) = 30 is above 2|G| = 12, though the
         # chain's invariant dimensions are non-negative integers
         ("swan", {"group": {"permutation_generators": [[2, 3, 1], [2, 1, 3]]},
@@ -803,6 +806,31 @@ class TestInputBoundary:
                                  tmp_path=tmp_path)
         assert code == 2 and out is None
         assert f"input error: {path}:" in err and "bound 10" in err
+
+    def test_table_coefficients_are_bounded_before_the_build(self, capsys, tmp_path,
+                                                            monkeypatch):
+        # C84 holds up to 93,240 coefficients and C90 125,460
+        monkeypatch.setattr(cli, "table_report",
+                            lambda G, max_order: pytest.fail("the table was built"))
+        code, out, err = run_cli(["table", "--gcd"], capsys, {"group": {
+            "permutation_generators": [list(range(2, 91)) + [1]]}}, tmp_path=tmp_path)
+        assert code == 2 and out is None
+        assert err == ("input error: $.group: a table of up to 125460 coefficients "
+                       "exceeds the bound 100000\n")
+        monkeypatch.undo()
+        code, out, _ = run_cli(["table"], capsys, {"group": {
+            "permutation_generators": [list(range(2, 85)) + [1]]}}, tmp_path=tmp_path)
+        assert code == 0 and out["order"] == 84
+
+    def test_table_coefficient_bound_bounds_the_output(self):
+        # r * sum_k phi(o_k) is at least the coefficients a table report writes
+        for G in abelian_groups_up_to_64() + group_zoo_up_to_100():
+            written = sum(1 if isinstance(v, str) else len(v["coefficients"])
+                          for chi in cli.table_report(G, DEFAULT_TABLE_BOUND)[
+                              "irreducibles"] for v in chi["values"])
+            bound = len(G.conjugacy_classes) * sum(
+                euler_phi(G.element_order(cls[0])) for cls in G.conjugacy_classes)
+            assert written <= bound <= cli.TABLE_COEFFICIENT_BOUND
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_must_be_positive(self, capsys, jobs):

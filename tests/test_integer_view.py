@@ -5,8 +5,9 @@ sum integer coefficient vectors; the oracles below are the element-wise
 `Cyclotomic` sums they replaced, kept verbatim, refusal messages included.
 `decompose` refuses with its own `RepTheoryError` where its oracle raises.
 `invariant_character` reads the class counts of the cosets gH that the
-subgroup caches (`Subgroup.coset_class_counts`); they are checked here against
-the products they replace.  A class function whose values need a conductor
+subgroup caches (`Subgroup.coset_class_counts`), and `invariant_dimension`
+those of H (`Subgroup.class_counts`); they are checked here against the
+products they replace.  A class function whose values need a conductor
 above 2|G|, each value at its least conductor, has no view, and all three
 refuse it, as parsing does.
 """
@@ -162,6 +163,7 @@ def test_coset_class_counts_match_the_products(G):
     for H in subgroups:
         counts = H.coset_class_counts
         assert len(counts) == len(G.class_representatives)
+        assert counts[0] is H.class_counts  # the identity's coset is H
         for g, pairs in zip(G.class_representatives, counts):
             assert dict(pairs) == Counter(class_of[G.mul(g, h)] for h in H.elements)
             assert len(dict(pairs)) == len(pairs) and all(m > 0 for _, m in pairs)
@@ -183,9 +185,10 @@ def test_invariant_characters_make_no_products_once_the_counts_exist(monkeypatch
 
     monkeypatch.setattr(S4, "mul", counted)
     invariant_character(irr[-1], H)
-    # |H| products for each coset that holds a class representative
-    cosets = {id(c) for c in H.coset_class_counts}
-    assert count == H.order * len(cosets) <= S4.order
+    # |H| products for each coset other than H that holds a class
+    # representative; the representatives in H read `class_counts`
+    cosets = {id(c) for c in H.coset_class_counts} - {id(H.class_counts)}
+    assert count == H.order * len(cosets) <= S4.order - H.order
     count = 0
     for chi in irr:
         invariant_character(chi, H)
@@ -211,17 +214,20 @@ def test_slope_decompositions_make_no_products_once_the_counts_exist(monkeypatch
         return mul(i, j)
 
     monkeypatch.setattr(S4, "mul", counted)
-    slope_decomposition(chain, irr[-1])
-    # read before the assert: pytest evaluates a bare name after the other side
-    first, count = count, 0
-    # the first read builds each subgroup's coset counts, as invariant_character
-    assert first == sum(H.order * len({id(c) for c in H.coset_class_counts})
-                        for H in chain.subgroups) <= 2 * S4.order
+    # the first read on each subgroup reads its own class counts, which are
+    # built from its elements: no product, and no coset table
     for chi in irr:
         slope_decomposition(chain, chi)
         for H in chain.subgroups:
             invariant_dimension(chi, H)
     assert count == 0
+    assert all("coset_class_counts" not in vars(H) for H in chain.subgroups)
+    # an invariant character still builds the coset table, at most |G| products
+    for H in chain.subgroups:
+        invariant_character(irr[-1], H)
+        # read before the assert: pytest evaluates a bare name after the other side
+        built, count = count, 0
+        assert 0 < built <= S4.order
     monkeypatch.undo()
     for chi in irr:
         for H in chain.subgroups:

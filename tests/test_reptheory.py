@@ -16,7 +16,7 @@ from slopeforge.groups import (CosetAction, alternating_group, cyclic_group,
                                group_from_permutations, heisenberg_group,
                                normal_subgroups, quaternion_group,
                                symmetric_group, wreath_cyclic)
-from slopeforge.reptheory import (RepTheoryError, character_table,
+from slopeforge.reptheory import (ClassFunction, RepTheoryError, character_table,
                                   conjugate_character, induce,
                                   induced_matrix_rep, inner_product,
                                   inner_product_int, irreducible_dims_gcd,
@@ -81,6 +81,20 @@ class TestInnerProduct:
         with pytest.raises(RepTheoryError):
             inner_product(trivial_character(symmetric_group(3)),
                           trivial_character(cyclic_group(2)))
+
+
+class TestDegree:
+    def test_a_degree_is_computed_once(self):
+        regular = regular_character(symmetric_group(3))
+        assert regular.degree == 6 and regular.degree is regular.degree
+
+    def test_an_irrational_degree_raises_at_each_read(self):
+        C3 = cyclic_group(3)
+        chi = ClassFunction(C3, (Cyclotomic.zeta(3),) + (Cyclotomic.rational(1),) * 2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^a value of conductor 3 is not "
+                                                 "rational$"):
+                chi.degree
 
 
 class TestCharacterTables:
