@@ -406,6 +406,18 @@ def disjointness_sample(table):
     return sample
 
 
+def same_slope_difference(chain, table):
+    """psi_a - psi_b for the first two irreducibles of one degree and one
+    slope, or None: its piece at that slope has degree 0 but is not zero."""
+    seen = {}
+    for psi in table.irreducibles:
+        key = (psi.degree, filtered.irreducible_slope(chain, psi))
+        if key in seen:
+            return psi - seen[key]
+        seen[key] = psi
+    return None
+
+
 CHAINS = ([upper_from_lower(c) for c in abelian_chain_corpus(2024)]
           + filtered_group_corpus(15, 7177))
 
@@ -419,7 +431,11 @@ def test_views_match_the_value_route_on_the_corpora(chain, monkeypatch):
     assert got == want == [True] * len(pairs)
     assert got_read == want_read and len(got_read) == len(pairs)
     results = set()
-    for chi in disjointness_sample(table):
+    sample = disjointness_sample(table)
+    difference = same_slope_difference(chain, table)
+    if difference is not None:
+        sample.append(difference)
+    for chi in sample:
         got = outcome(graded_pieces_disjoint, chain, chi, table)
         assert got == outcome(value_route_disjoint, chain, chi, table)
         results.add(got if isinstance(got, bool) else got[0])
@@ -567,76 +583,6 @@ def test_the_checks_build_no_cyclotomic_on_warm_irreducibles(c6_chain, monkeypat
     assert count > 0
 
 
-def always_decomposing_disjoint(chain, chi, table):
-    """graded_pieces_disjoint as it was, decomposing chi itself at the end
-    whatever pieces were left out."""
-    if table.group is not chain.group:
-        raise FilteredError("table must belong to the chain's group")
-    if not chain.subgroups:
-        kept = int(chi.degree)
-        mults = table.decompose(chi)
-        return all(m >= 0 for m in mults) if kept else not any(mults)
-    parts = [filtered._invariant_rows(chi, H) for H in chain.subgroups]
-    n, D, rows = chi.int_view
-    parts.append(rows)
-    orders = [H.order for H in chain.subgroups] + [1]
-    pieces = [(D * orders[0], parts[0])] + [
-        (D * big, [[x * (big // small) - y for x, y in zip(a, b)]
-                   for a, b in zip(upper, lower)])
-        for big, small, lower, upper in zip(orders, orders[1:], parts, parts[1:])]
-    if any(any(piece[0][1:]) for _, piece in pieces):
-        degrees = [Cyclotomic(n, part[0], D * order, _reduced=True)
-                   for part, order in zip(parts[:-1], orders)] + [chi.values[0]]
-        for _, degree in filtered._graded(chain, degrees):
-            degree.rational_value()
-    supports = []
-    for den, piece in pieces:
-        if abs(piece[0][0]) < den:
-            continue
-        mults = table._multiplicities((n, den, piece))
-        if any(m < 0 for m in mults):
-            return False
-        supports.append({i for i, m in enumerate(mults) if m})
-    for i in range(len(supports)):
-        for j in range(i + 1, len(supports)):
-            if supports[i] & supports[j]:
-                return False
-    total = table._multiplicities(chi.int_view)
-    covered = set().union(*supports) if supports else set()
-    return covered == {i for i, m in enumerate(total) if m}
-
-
-def same_slope_difference(chain, table):
-    """psi_a - psi_b for the first two irreducibles of one degree and one
-    slope, or None: its piece at that slope has degree 0 but is not zero."""
-    seen = {}
-    for psi in table.irreducibles:
-        key = (psi.degree, filtered.irreducible_slope(chain, psi))
-        if key in seen:
-            return psi - seen[key]
-        seen[key] = psi
-    return None
-
-
-def test_disjointness_matches_the_always_decomposing_oracle_on_the_corpora():
-    differences = 0
-    for chain in CHAINS:
-        table = character_table(chain.group)
-        irr = table.irreducibles
-        sample = list(irr) + [sum(irr[1:], irr[0])]
-        difference = same_slope_difference(chain, table)
-        if difference is not None:
-            sample.append(difference)
-            differences += 1
-            assert graded_pieces_disjoint(chain, difference, table) is False
-        for chi in sample:
-            assert outcome(graded_pieces_disjoint, chain, chi, table) == outcome(
-                always_decomposing_disjoint, chain, chi, table)
-        for chi in sample[:len(irr) + 1]:
-            assert graded_pieces_disjoint(chain, chi, table) is True
-    assert differences > len(CHAINS) // 2
-
-
 def test_disjointness_decomposes_an_irreducible_once(monkeypatch):
     calls = 0
     multiplicities = CharacterTable._multiplicities
@@ -647,6 +593,7 @@ def test_disjointness_decomposes_an_irreducible_once(monkeypatch):
         return multiplicities(self, view)
 
     monkeypatch.setattr(CharacterTable, "_multiplicities", counted)
+    differences = 0
     for chain in CHAINS:
         table = character_table(chain.group)
         irr = table.irreducibles
@@ -663,5 +610,7 @@ def test_disjointness_decomposes_an_irreducible_once(monkeypatch):
         difference = same_slope_difference(chain, table)
         if difference is not None:
             calls = 0
-            assert not graded_pieces_disjoint(chain, difference, table)
+            assert graded_pieces_disjoint(chain, difference, table) is False
             assert calls == 1
+            differences += 1
+    assert differences > len(CHAINS) // 2
