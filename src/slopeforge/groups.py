@@ -13,7 +13,8 @@ enumerating the ambient product, only the subgroups actually built inside it.
 
 The package's closure and action routines are these four and no others:
 `_extend_closed` grows a subgroup coset by coset (group and subgroup
-generation and validation, normal closures, lattice joins, wreath tops);
+generation and validation, normal closures, lattice joins, wreath tops,
+the redundant generators that `automorphism_count` drops);
 `orbit` closes a set under any other action (conjugacy classes, joins of
 normal subgroups, a Cayley table not yet known to be a group, the roots of
 `weyl` under simple reflections); `CosetAction` is left translation on the
@@ -21,11 +22,13 @@ cosets G/H and the one place that picks their representatives, the least
 element of each coset (the wreath embedding, tensor induction, induced
 matrices, the Mackey and restriction formulas); and
 `extend_from_generators` extends a map given on generators along their
-right-multiplication rows (`FiniteGroup.right_rows`, the Cayley graph):
-homomorphisms, candidate automorphisms, and the left multiplications that
-make up the multiplication table and, composed with the rows, the
-conjugations.  Every group and subgroup keeps the generators of the closure
-that built or validated it, and readers use those, never a recount.
+right-multiplication rows (`FiniteGroup.right_rows`, the Cayley graph) and
+returns it as a list indexed by element, with None at an element not
+reached: homomorphisms, candidate automorphisms, and the left
+multiplications that make up the multiplication table and, composed with
+the rows, the conjugations.  Every group and subgroup keeps the generators
+of the closure that built or validated it, and readers use those, never a
+recount.
 Subgroups built by these closures are trusted (`Subgroup._from_closure`); a
 subgroup given from outside is validated by closing it from its own
 elements.
@@ -64,7 +67,7 @@ class GoursatDichotomyError(GroupError):
 
 def _perm_compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Function composition (a after b): (a*b)(i) = a(b(i))."""
-    return tuple(a[x] for x in b)
+    return tuple([a[x] for x in b])
 
 
 def orbit(seeds, gens, act) -> set:
@@ -119,13 +122,15 @@ def _greedy_generators(elements, identity, act, bound=None) -> tuple[list, set]:
     return gens, reached
 
 
-def extend_from_generators(rows, images, mul, one) -> dict | None:
+def extend_from_generators(rows, images, mul, one) -> list | None:
     """The map f on the elements reached from the identity 0 with f(0) = one
     and f(row[x]) = mul(f(x), image) for each right-multiplication row of a
-    generator (`FiniteGroup.right_rows`) and its image, or None at the first
-    element given two different values (the images are then not
-    multiplicative)."""
-    f = {0: one}
+    generator (`FiniteGroup.right_rows`) and its image, as a list indexed by
+    element (|G| long, read off the rows; 1 long when there are none) with
+    None at each element not reached, or None at the first element given two
+    different values (the images are then not multiplicative)."""
+    f = [None] * (len(rows[0]) if rows else 1)
+    f[0] = one
     frontier = [0]
     pairs = list(zip(rows, images))
     while frontier:
@@ -134,12 +139,12 @@ def extend_from_generators(rows, images, mul, one) -> dict | None:
         for row, img in pairs:
             y = row[x]
             fy = mul(fx, img)
-            if y in f:
-                if f[y] != fy:
-                    return None
-            else:
+            known = f[y]
+            if known is None:
                 f[y] = fy
                 frontier.append(y)
+            elif known != fy:
+                return None
     return f
 
 
@@ -200,8 +205,7 @@ class FiniteGroup:
     def _left_row(self, rows, a) -> list[int]:
         """x -> mul(a, x): it commutes with the right-multiplication rows of
         the generators, so it extends from 0 -> a along them by lookups."""
-        left = extend_from_generators(rows, rows, _row_lookup, a)
-        return [left[x] for x in range(self.order)]
+        return extend_from_generators(rows, rows, _row_lookup, a)
 
     @cached_property
     def _mul_rows(self) -> list[list[int]]:
@@ -812,23 +816,11 @@ class WreathProduct:
             raise GroupError("top permutation set must be a group") from None
         self.top_identity = ident
         self.identity = (ident, (0,) * self.n)
+        self.compose = _wreath_rule(base)
 
     @property
     def order(self) -> int:
         return len(self.top) * self.base.order**self.n
-
-    def compose(self, u, v):
-        s1, h1 = u
-        s2, h2 = v
-        if self.base.order <= BASE_TABLE_MAX_ORDER:
-            t = self.base._mul_rows
-            return (tuple([s1[x] for x in s2]),
-                    tuple([t[h1[x]][y] for x, y in zip(s2, h2)]))
-        mul = self.base.mul
-        return (
-            _perm_compose(s1, s2),
-            tuple(mul(h1[s2[i]], h2[i]) for i in range(self.n)),
-        )
 
     def base_element(self, h_indices) -> tuple:
         return (self.top_identity, tuple(h_indices))
@@ -867,6 +859,30 @@ class WreathProduct:
                                      max_order)[1]
         return FiniteGroup(members, self.compose, self.identity,
                            generators=gens, name=name)
+
+
+def _wreath_rule(base: FiniteGroup):
+    """The product (s1, h1)(s2, h2) = (s1 s2, (h1[s2[i]] h2[i])_i) of a
+    wreath product over `base`, its route chosen once: read off the base's
+    multiplication table (built on the first product) when the base has
+    order at most BASE_TABLE_MAX_ORDER, through base.mul otherwise.  A
+    closure over the base, not a bound method, so that the wreath product
+    holds no reference cycle."""
+    if base.order <= BASE_TABLE_MAX_ORDER:
+        def compose(u, v):
+            s1, h1 = u
+            s2, h2 = v
+            t = base._mul_rows
+            return (tuple([s1[x] for x in s2]),
+                    tuple([t[h1[x]][y] for x, y in zip(s2, h2)]))
+    else:
+        def compose(u, v):
+            s1, h1 = u
+            s2, h2 = v
+            mul = base.mul
+            return (tuple([s1[x] for x in s2]),
+                    tuple([mul(h1[x], y) for x, y in zip(s2, h2)]))
+    return compose
 
 
 def rotation(n: int, k: int) -> tuple[int, ...]:
@@ -1058,9 +1074,27 @@ def classify_wreath_subgroup(W: WreathProduct,
 # -- automorphisms -------------------------------------------------------------
 
 
+def _irredundant_generators(G: FiniteGroup) -> list[int]:
+    """G.generators less each one that the others kept generate: g lies in
+    <others> exactly when <others> = G, read off the element order when one
+    other is left (no product) and off a closure stopped past |G|/2."""
+    gens = list(G.generators)
+    half = G.order // 2
+    for g in G.generators:
+        others = [h for h in gens if h != g]
+        if len(others) > 1:
+            spans = len(_extend_closed({0}, others, G.mul, 0, stop=half)) > half
+        else:  # <h> = G when h has order |G|; a lone generator is kept
+            spans = bool(others) and G.element_orders[others[0]] == G.order
+        if spans:
+            gens = others
+    return gens
+
+
 def automorphism_count(G: FiniteGroup) -> int:
-    """|Aut(G)| by exhaustive search over generator images."""
-    gens = G.generators
+    """|Aut(G)| by exhaustive search over the images of an irredundant
+    generating sequence (`_irredundant_generators`)."""
+    gens = _irredundant_generators(G)
     class_sizes = {i: len(G.conjugacy_classes[G.class_of[i]])
                    for i in range(G.order)}
     orders = G.element_orders
@@ -1082,7 +1116,8 @@ def automorphism_count(G: FiniteGroup) -> int:
     for tup in iter_product(*candidate_lists):
         f = extend_from_generators(rows, [image_rows[x] for x in tup],
                                    _row_lookup, 0)
-        if f is not None and len(f) == G.order and len(set(f.values())) == G.order:
+        # every element reached, and no two sent to one image
+        if f is not None and None not in f and len(set(f)) == G.order:
             count += 1
     return count
 

@@ -674,9 +674,10 @@ def rep_from_generator_images(G: FiniteGroup, generator_indices,
                                   _mat_mul, _mat_identity(dim))
     if mats is None:
         raise RepTheoryError("generator images are not multiplicative")
-    if len(mats) != G.order:
+    # mats is one long when there are no generators
+    if len(mats) != G.order or None in mats:
         raise RepTheoryError("generators do not generate the group")
-    return MatrixRep(G, dim, tuple(mats[i] for i in range(G.order)))
+    return MatrixRep(G, dim, tuple(mats))
 
 
 def induced_matrix_rep(rep: MatrixRep, H: Subgroup) -> MatrixRep:

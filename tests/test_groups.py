@@ -20,7 +20,7 @@ from slopeforge.groups import (BASE_TABLE_MAX_ORDER, GoursatDichotomyError,
                                group_from_permutations, heisenberg_group,
                                is_simple, longest_normal_chain,
                                normal_subgroups, orbit, outer_automorphism_order,
-                               quaternion_group, subgroup_closure,
+                               quaternion_group, rotation, subgroup_closure,
                                symmetric_group, wreath_cyclic)
 from slopeforge.jsonio import parse_subgroup
 
@@ -328,7 +328,7 @@ class TestClassesFromCayleyGraph:
         G = wreath_cyclic(alternating_group(5), 2).group()
         classes, count = count_products(G, lambda: G.conjugacy_classes)
         assert len(classes) == 20 and len(G.generators) == 3
-        assert count <= G.order * len(G.generators) == 21_600
+        assert count == G.order * len(G.generators) == 21_600
 
     def test_center_is_the_singleton_classes(self):
         def commuting(G):
@@ -624,6 +624,26 @@ class TestAutomorphisms:
         A5.element_orders
         count, products = count_products(A5, lambda: automorphism_count(A5))
         assert count == 120 and products <= 5_000
+
+    @pytest.mark.parametrize("build, space", [
+        (lambda: direct_product(symmetric_group(3), symmetric_group(3)), 576),
+        (lambda: alternating_group(5), 480),
+        # the transposition (0 1) lies in <(0 1 2), (0 2)>: 3 * 2 images, not 18
+        (lambda: group_from_permutations([(1, 0, 2), (1, 2, 0), (2, 1, 0)]), 6),
+        # each rotation generates C12 alone, so the first is dropped: 4, not 16
+        (lambda: group_from_permutations([rotation(12, 1), rotation(12, 5)]), 4),
+    ], ids=["S3xS3", "A5", "S3-redundant", "C12-redundant"])
+    def test_search_space_over_irredundant_generators(self, monkeypatch,
+                                                      build, space):
+        G = build()
+        gens = list(G.generators)
+        bound = "AUTOMORPHISM_SEARCH_BOUND"
+        monkeypatch.setattr(slopeforge.groups, bound, space - 1)
+        with pytest.raises(GroupError, match=f"search space {space} exceeds"):
+            automorphism_count(G)
+        monkeypatch.setattr(slopeforge.groups, bound, space)
+        assert automorphism_count(G) == automorphisms_by_products(G)
+        assert G.generators == gens
 
 
 def automorphisms_by_products(G):

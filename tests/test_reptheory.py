@@ -551,8 +551,19 @@ class TestMatrixReps:
     def test_rejects_non_multiplicative(self):
         C3 = cyclic_group(3)
         bad = [[[Cyclotomic.rational(-1)]]]  # order-3 generator, order-2 image
-        with pytest.raises(RepTheoryError):
+        with pytest.raises(RepTheoryError, match="not multiplicative"):
             rep_from_generator_images(C3, C3.generators, bad)
+
+    @pytest.mark.parametrize("order", [3, None], ids=["3-cycle", "none"])
+    def test_rejects_generators_that_do_not_generate(self, order):
+        # the two 3-cycles reach half of S3, and with no generator the walk
+        # reaches only the identity
+        S3 = symmetric_group(3)
+        gens = [g for g in range(6) if S3.element_order(g) == order]
+        images = [[[Cyclotomic.rational(1)]]] * len(gens)
+        with pytest.raises(RepTheoryError,
+                           match="^generators do not generate the group$"):
+            rep_from_generator_images(S3, gens, images)
 
     def test_two_dimensional_multiplicative(self):
         S3 = symmetric_group(3)
