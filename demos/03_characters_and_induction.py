@@ -9,7 +9,7 @@ action and is cross-checked against an explicit matrix construction.
 
 from slopeforge import (character_table, cyclic_group,
                         generated_subgroup, induce, induced_matrix_rep,
-                        inner_product_int, mackey_check, normal_subgroups,
+                        mackey_check, normal_subgroups,
                         rep_from_generator_images, restrict, symmetric_group,
                         tensor_induce, tensor_induced_matrix_rep,
                         trivial_character)
@@ -30,7 +30,8 @@ tA3 = character_table(A3.as_group)
 omega = next(c for c in tA3.irreducibles if c != trivial_character(A3.as_group))
 ind = induce(omega, A3)
 print("induced values:", [str_of_cyclotomic(v) for v in ind.values])
-print("norm:", inner_product_int(ind, ind), "(1 means irreducible)")
+# <ind, ind> is the sum of the squared multiplicities over the irreducibles
+print("norm:", sum(m * m for m in table.decompose(ind)), "(1 means irreducible)")
 print("restriction back to A3 = omega + omega^2:",
       restrict(ind, A3) == omega + omega * omega)
 

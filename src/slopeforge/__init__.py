@@ -16,9 +16,8 @@ from .groups import (FiniteGroup, GoursatResult, GroupError, Subgroup,
                      quaternion_group, subgroup_closure, symmetric_group,
                      wreath_cyclic)
 from .reptheory import (CharacterTable, ClassFunction, MatrixRep, character_table,
-                        conjugate_character,
-                        induce, induced_matrix_rep, inner_product,
-                        inner_product_int, irreducible_dims_gcd, mackey_check,
+                        conjugate_character, induce, induced_matrix_rep,
+                        irreducible_dims_gcd, mackey_check,
                         regular_character, rep_from_generator_images, restrict,
                         tensor_induce, tensor_induced_matrix_rep,
                         tind_summand_check, trivial_character)

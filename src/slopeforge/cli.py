@@ -6,7 +6,8 @@ report and writes the report to --output PATH or stdout.  Exit codes: 0
 success, 1 a report with "pass": false (a verification failure), 2 an input
 error.  Subcommands only compute.  `main` may be called many times in one
 process: the argument parser is built once, and ``cmd_<name>`` is looked up
-in this module at each call.
+in this module at each call.  A report is written byte for byte as
+``json.dumps(report, indent=2)`` would write it, by `json_text`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import lcm
 
 from . import jsonio
@@ -111,9 +113,59 @@ def _read_payload(args) -> dict:
     return payload
 
 
+def _json_key(key) -> str:
+    """A dict key as json.dumps writes it: a scalar key becomes a string."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return f'"{json_text(key)}"'
+    raise TypeError("keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def json_text(obj, pad: str = "\n") -> str:
+    """obj as json.dumps(obj, indent=2) writes it, byte for byte, without
+    CPython's pure-Python encoder (which `indent` selects): `pad` is the
+    newline and indent of obj's own line.  A list of strs is joined in one
+    pass over C-level calls.  Reports are trees, so no cycle is looked for;
+    a value of another type raises TypeError as json.dumps does."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = [f"{_json_key(k)}: {json_text(v, inner)}" for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(body) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(type(x) is str for x in obj):
+            body = map(encode_basestring_ascii, obj)
+        else:
+            body = [json_text(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(body) + pad + "]"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj in (float("inf"), float("-inf")):
+            return "Infinity" if obj > 0 else "-Infinity"
+        return float.__repr__(obj)
+    raise TypeError(f"Object of type {obj.__class__.__name__} "
+                    "is not JSON serializable")
+
+
 def _write_payload(args, payload: dict):
     payload = {"format": jsonio.FORMAT_VERSION, **payload}
-    text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
+    text = json_text(payload) + "\n"
     target = args.output or "-"
     if target == "-":
         sys.stdout.write(text)

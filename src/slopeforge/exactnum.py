@@ -194,12 +194,6 @@ class Cyclotomic:
             raise ValueError(f"a value of conductor {self.conductor} is not rational")
         return Fraction(self.nums[0], self.den)
 
-    def integer_value(self) -> int:
-        q = self.rational_value()
-        if q.denominator != 1:
-            raise ValueError("a rational value is not an integer")
-        return q.numerator
-
     def rational_coefficients(self) -> list[Fraction]:
         """The coefficients over the power basis, as rationals."""
         return [Fraction(x, self.den) for x in self.nums]

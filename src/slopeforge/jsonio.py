@@ -7,6 +7,7 @@ precisely; emitted documents carry a top-level "format": 1 field.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -53,6 +54,25 @@ def is_int(obj) -> bool:
 def parse_rational(obj, path: str) -> Fraction:
     _expect(isinstance(obj, str) or is_int(obj), path, "expected a rational string")
     return _call_at(path, rational_from_str, str(obj))
+
+
+_INTEGER = re.compile(r"[-+]?\d+")
+
+
+def _integer_or_none(obj) -> int | None:
+    """The int that parse_rational reads from obj when obj is a plain integer
+    string or a JSON integer, without a Fraction; None for anything else,
+    which is left to parse_rational.  A string past the interpreter's digit
+    limit (read at the call, as past_digit_limit does) is left to it too, to
+    be refused there with its message."""
+    if type(obj) is str and _INTEGER.fullmatch(obj):
+        try:
+            return int(obj)
+        except ValueError:
+            return None
+    if is_int(obj) and not past_digit_limit(obj):
+        return obj
+    return None
 
 
 # -- slope multisets and polygons -------------------------------------------------
@@ -103,7 +123,8 @@ def parse_cyclotomic(obj, path: str, max_conductor: int) -> Cyclotomic:
     """A rational string or {conductor, coefficients}; a conductor above
     max_conductor is refused before Phi_n, quadratic in n, is computed."""
     if isinstance(obj, (str, int)):
-        return Cyclotomic.rational(parse_rational(obj, path))
+        q = _integer_or_none(obj)
+        return Cyclotomic.rational(parse_rational(obj, path) if q is None else q)
     _expect(isinstance(obj, dict), path, "expected a rational string or an object")
     _expect("conductor" in obj and "coefficients" in obj, path,
             "expected keys conductor, coefficients")
@@ -114,14 +135,19 @@ def parse_cyclotomic(obj, path: str, max_conductor: int) -> Cyclotomic:
             f"expected a conductor of at most {max_conductor}")
     coeffs = obj["coefficients"]
     _expect(isinstance(coeffs, list), f"{path}.coefficients", "expected a list")
+    # an integer coefficient leaves the denominators' lcm as it is, so the
+    # lcm is only taken, and its digits checked, at the others
     vals = []
     den = 1
     for i, c in enumerate(coeffs):
-        vals.append(parse_rational(c, f"{path}.coefficients[{i}]"))
-        den = lcm(den, vals[-1].denominator)
-        limit = past_digit_limit(den)
-        _expect(not limit, f"{path}.coefficients",
-                f"the denominators' lcm passes {limit} digits")
+        q = _integer_or_none(c)
+        if q is None:
+            q = parse_rational(c, f"{path}.coefficients[{i}]")
+            den = lcm(den, q.denominator)
+            limit = past_digit_limit(den)
+            _expect(not limit, f"{path}.coefficients",
+                    f"the denominators' lcm passes {limit} digits")
+        vals.append(q)
     return Cyclotomic(n, [q.numerator * (den // q.denominator) for q in vals], den)
 
 

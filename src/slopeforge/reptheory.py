@@ -185,21 +185,6 @@ def regular_character(G: FiniteGroup) -> ClassFunction:
     return ClassFunction(G, tuple(vals))
 
 
-def inner_product(chi: ClassFunction, psi: ClassFunction) -> Cyclotomic:
-    """(1/|G|) sum over g of chi(g) psi(g^-1), computed classwise."""
-    chi._check_same_group(psi)
-    G = chi.group
-    inv = G.inverse_class
-    total = Cyclotomic.rational(0)
-    for c, cls in enumerate(G.conjugacy_classes):
-        total = total + len(cls) * (chi.values[c] * psi.values[inv[c]])
-    return total * Fraction(1, G.order)
-
-
-def inner_product_int(chi: ClassFunction, psi: ClassFunction) -> int:
-    return inner_product(chi, psi).integer_value()
-
-
 def restrict(chi: ClassFunction, H: Subgroup) -> ClassFunction:
     """Transport values along the class fusion of H into its parent."""
     if H.parent is not chi.group:
@@ -515,7 +500,10 @@ def _dixon_schneider(G: FiniteGroup) -> CharacterTable:
     # root-of-unity multiplicities at g is the inverse DFT of the power-map
     # values mod ell, and since chi(g^a) = sigma_a(chi(g)) for a prime to
     # m = ord(g), the class of g^a gets it permuted by u -> u * a^-1 mod m,
-    # made a Cyclotomic at once
+    # made a Cyclotomic at once.  The power-map values fix the multiplicities,
+    # so irreducibles with the same values on a row share its lift: the
+    # largest multiplicity, checked against each degree, and the orbit's
+    # Cyclotomics, memoised for this row only
     values = [[None] * r for _ in chars_mod]
     for row in G.power_maps:
         m = len(row)
@@ -524,13 +512,20 @@ def _dixon_schneider(G: FiniteGroup) -> CharacterTable:
         powers = [pow(wm_inv, t, ell) for t in range(m)]
         dft = [[powers[(u * t) % m] for t in range(m)] for u in range(m)]
         orbit = [(c, pow(a, -1, m)) for c, a in galois_orbit(row).items()]
+        lifts = {}
         for i, d in enumerate(degrees):
-            pow_vals = [chars_mod[i][c] for c in row]
-            col = [(m_inv * sum(map(mul, f, pow_vals))) % ell for f in dft]
-            if any(c > d for c in col):
+            pow_vals = tuple(chars_mod[i][c] for c in row)
+            lift = lifts.get(pow_vals)
+            if lift is None:
+                col = [(m_inv * sum(map(mul, f, pow_vals))) % ell for f in dft]
+                lift = lifts[pow_vals] = (max(col), [
+                    (c, Cyclotomic(m, [col[(w * a_inv) % m] for w in range(m)]))
+                    for c, a_inv in orbit])
+            top, lifted = lift
+            if top > d:
                 raise AssertionError("eigenvalue multiplicity lift out of range")
-            for c, a_inv in orbit:
-                values[i][c] = Cyclotomic(m, [col[(w * a_inv) % m] for w in range(m)])
+            for c, v in lifted:
+                values[i][c] = v
 
     irreducibles = []
     for d, vals in zip(degrees, values):

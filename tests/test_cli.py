@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,8 +23,9 @@ from slopeforge.groups import (DEFAULT_MAX_ORDER, alternating_group,
                                cyclic_group, dihedral_group, direct_product,
                                elementary_abelian_group, group_from_permutations,
                                heisenberg_group, quaternion_group, symmetric_group)
-from slopeforge.exactnum import euler_phi, lift_coeffs
-from slopeforge.jsonio import InputError, parse_cyclotomic, parse_group
+from slopeforge.exactnum import Cyclotomic, euler_phi, lift_coeffs
+from slopeforge.jsonio import (InputError, parse_cyclotomic, parse_group,
+                               parse_rational)
 from slopeforge.reptheory import DEFAULT_TABLE_BOUND, character_table
 from slopeforge.verify import run_suites
 
@@ -1164,3 +1166,116 @@ def test_fuzzed_weyl_dim_keeps_the_exit_code_contract(family, rank, weight):
     if not usage:
         assert text.count("\n") <= 1 and (code == 2) == bool(text)
 
+
+
+# -- the report emitter and the integer coefficient route -----------------------
+
+class TestReportEmitter:
+    """`cli.json_text` writes what json.dumps(x, indent=2) writes, byte for
+    byte, and refuses what it refuses."""
+
+    @pytest.mark.parametrize("argv, payload", [
+        # the README's examples
+        (["np"], {"slopes": [["1/2", 2]]}),
+        (["weyl-dim", "--family", "A", "--rank", "2", "--weight", "2rho"], None),
+        (["robba"], {"p": 3, "coefficients": ["1/2", "1"]}),
+        (["np", "--svg", "polygon.svg"], {"slopes": [["1/2", 2]]}),
+        # every other subcommand; verify under --jobs has float elapsed times
+        *(([command], payload) for command, payload in VALID_REQUESTS
+          if command not in ("np", "robba")),
+        (["table", "--gcd"], {"group": {"permutation_generators": S3_GENS}}),
+        (["verify", "--jobs", "2", "--suite", "weyl-dimension",
+          "--suite", "structural-predicates"], None),
+    ], ids=lambda x: " ".join(x) if isinstance(x, list) else "")
+    def test_reports_match_json_dumps(self, capsys, tmp_path, monkeypatch,
+                                      argv, payload):
+        monkeypatch.chdir(tmp_path)
+        reports = []
+        write = cli._write_payload
+        monkeypatch.setattr(cli, "_write_payload", lambda args, report: (
+            reports.append({"format": 1, **report}), write(args, report))[1])
+        if payload is not None:
+            Path("input.json").write_text(json.dumps(payload))
+            argv = argv + ["--input", "input.json"]
+        assert main(argv) == 0
+        [report] = reports
+        if argv[0] == "verify":
+            assert {type(s["elapsed"]) for s in report["suites"]} == {float}
+        assert cli.json_text(report) + "\n" == capsys.readouterr().out
+        assert cli.json_text(report) == json.dumps(report, indent=2)
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], (), {"a": {}, "b": [], "c": [[]], "d": [{}], "e": {"f": {}}},
+        [[], {}, [[]]], "", "naïve ☃ 𝄞 ü", "quote \" back \\ slash / nl \n tab \t",
+        "\x00\x1f\x7f ", ["é", "\n", ""], True, False, None,
+        [True, False, None], {"t": True, "f": False, "n": None}, 0, -1, 10**300,
+        [1, 2**70, -3], [1, True], 1.5, -0.0, 1e300, 1e-7,
+        [0.1, float("inf"), float("-inf"), float("nan")],
+        (1, "a", (2, ())), {"t": (), "u": ("x", "y")},
+        {1: "int key", 2.5: "float key", True: "bool key", None: "null key",
+         "é": "non-ASCII key"},
+        ["mixed", 1, None, 2.0, ["x"], {"k": "v"}, ("t",)],
+    ])
+    def test_matches_json_dumps_on_edge_cases(self, obj):
+        assert cli.json_text(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("obj", [
+        Fraction(1, 2), [Fraction(1, 2)], {"a": [1, {"b": {1, 2}}]},
+        {(1, 2): "a tuple key"}, {b"k": 1}, object(), 10**5000,
+    ], ids=["fraction", "nested-fraction", "set", "tuple-key", "bytes-key",
+            "object", "past-digit-limit"])
+    def test_refuses_what_json_dumps_refuses(self, obj):
+        with pytest.raises((TypeError, ValueError)) as want:
+            json.dumps(obj, indent=2)
+        with pytest.raises(want.type) as got:
+            cli.json_text(obj)
+        assert str(got.value) == str(want.value)
+
+
+def rational_route(obj, path):
+    """The value parse_rational reads from obj, or the refusal it raises."""
+    try:
+        return parse_rational(obj, path)
+    except InputError as exc:
+        return exc.path, str(exc)
+
+
+def cyclotomic_route(obj, path, bound):
+    try:
+        return parse_cyclotomic(obj, path, bound)
+    except InputError as exc:
+        return exc.path, str(exc)
+
+
+@pytest.mark.parametrize("coefficient", [
+    "+3", "-0", "007", " 4", "4 ", "٣", "1_0", "3/1", "4/2", "1/0", "1/2",
+    "-", "", "9" * 5000, 7, -12, True, False, 1.5, None,
+], ids=lambda c: repr(c)[:12])
+def test_integer_coefficients_parse_as_the_rational_route(coefficient):
+    # a value and a coefficient read equal values, or refuse at the same path
+    # with the same message, whether or not the integer route takes them
+    if isinstance(coefficient, (str, int)):  # a value: anything else is not one
+        want = rational_route(coefficient, "$.v")
+        got = cyclotomic_route(coefficient, "$.v", 6)
+        assert got == (want if isinstance(want, tuple) else Cyclotomic.rational(want))
+    # after a coefficient that is not an integer, so that den is 2 when it is read
+    value = {"conductor": 3, "coefficients": ["1/2", coefficient]}
+    want = rational_route(coefficient, "$.v.coefficients[1]")
+    got = cyclotomic_route(value, "$.v", 6)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got == Fraction(1, 2) + want * Cyclotomic.zeta(3)
+
+
+def test_integer_coefficients_read_the_digit_limit_at_the_call():
+    text = "9" * 700
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        assert cyclotomic_route(text, "$.v", 6) == rational_route(text, "$.v")
+        assert cyclotomic_route(text, "$.v", 6)[0] == "$.v"
+        sys.set_int_max_str_digits(0)
+        assert cyclotomic_route(text, "$.v", 6) == Cyclotomic.rational(int(text))
+    finally:
+        sys.set_int_max_str_digits(limit)

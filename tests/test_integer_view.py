@@ -7,7 +7,9 @@ sum integer coefficient vectors; the oracles below are the element-wise
 `invariant_character` reads the class counts of the cosets gH that the
 subgroup caches (`Subgroup.coset_class_counts`), and `invariant_dimension`
 those of H (`Subgroup.class_counts`); they are checked here against the
-products they replace.  A class function whose values need a conductor
+products they replace.  `inner_product`, the classwise pairing that left
+the package, is the oracle of `decompose` here and in test_reptheory.py.
+A class function whose values need a conductor
 above 2|G|, each value at its least conductor, has no view, and all three
 refuse it, as parsing does.
 """
@@ -31,7 +33,25 @@ from slopeforge.groups import (Subgroup, cyclic_group, generated_subgroup,
 from slopeforge.jsonio import parse_class_function
 from slopeforge.newton import SlopeMultiset
 from slopeforge.reptheory import (ClassFunction, character_table,
-                                  inner_product_int, trivial_character)
+                                  trivial_character)
+
+
+def inner_product(chi, psi):
+    """(1/|G|) sum over g of chi(g) psi(g^-1), computed classwise."""
+    chi._check_same_group(psi)
+    G = chi.group
+    inv = G.inverse_class
+    total = Cyclotomic.rational(0)
+    for c, cls in enumerate(G.conjugacy_classes):
+        total = total + len(cls) * (chi.values[c] * psi.values[inv[c]])
+    return total * Fraction(1, G.order)
+
+
+def inner_product_int(chi, psi) -> int:
+    q = inner_product(chi, psi).rational_value()
+    if q.denominator != 1:
+        raise ValueError("a rational value is not an integer")
+    return q.numerator
 
 
 def oracle_invariant_dimension(chi, H):

@@ -11,20 +11,21 @@ from slopeforge.corpus import (abelian_groups_up_to_64, group_zoo_up_to_100,
                                mackey_pair_corpus)
 from slopeforge.exactnum import Cyclotomic
 from slopeforge.groups import (CosetAction, alternating_group, cyclic_group,
-                               dihedral_group, elementary_abelian_group,
+                               dihedral_group, direct_product,
+                               elementary_abelian_group, galois_orbit,
                                generated_subgroup, group_from_cayley_table,
                                group_from_permutations, heisenberg_group,
                                normal_subgroups, quaternion_group,
                                symmetric_group, wreath_cyclic)
 from slopeforge.reptheory import (ClassFunction, RepTheoryError, character_table,
                                   conjugate_character, induce,
-                                  induced_matrix_rep, inner_product,
-                                  inner_product_int, irreducible_dims_gcd,
+                                  induced_matrix_rep, irreducible_dims_gcd,
                                   mackey_check, regular_character,
                                   rep_from_generator_images, restrict,
                                   tensor_induce, tensor_induced_matrix_rep,
                                   tind_summand_check, trivial_character)
 from slopeforge.reptheory import _class_matrix, _dixon_schneider
+from test_integer_view import inner_product, inner_product_int
 
 
 def a3_of_s3():
@@ -249,6 +250,25 @@ class TestCharacterTables:
             assert len(calls) <= G.order - 1, G.name
             assert "_inv_list" not in vars(G), G.name
             assert values(table) == values(_dixon_schneider(G)), G.name
+
+    def test_equal_power_map_values_share_one_lift(self):
+        # Dixon-Schneider lifts a power-map row once per distinct tuple of the
+        # irreducibles' values on it, so those irreducibles share the row's
+        # Cyclotomics, and the trivial character holds one; a lift per
+        # irreducible held r^2 - r + 1 values (21 on S4, 553 on S3 x C8)
+        def key(v):
+            return v.conductor, v.nums, v.den
+
+        for G, shared in ((symmetric_group(4), 18),
+                          (direct_product(symmetric_group(3), cyclic_group(8)), 239)):
+            table = _dixon_schneider(G)
+            distinct = 1 + sum(
+                len(galois_orbit(row))
+                * len({tuple(key(chi.values[c]) for c in row)
+                       for chi in table.irreducibles[1:]})
+                for row in G.power_maps)
+            ids = {id(v) for chi in table.irreducibles for v in chi.values}
+            assert len(ids) == distinct == shared, G.name
 
     def test_galois_conjugate_classes(self):
         # chi(g^a) = sigma_a(chi(g)) for a prime to m = ord(g): the stored
