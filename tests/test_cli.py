@@ -1268,6 +1268,8 @@ def test_integer_coefficients_parse_as_the_rational_route(coefficient):
         assert got == Fraction(1, 2) + want * Cyclotomic.zeta(3)
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no digit limit before Python 3.10.7")
 def test_integer_coefficients_read_the_digit_limit_at_the_call():
     text = "9" * 700
     limit = sys.get_int_max_str_digits()

@@ -9,9 +9,8 @@ subgroup caches (`Subgroup.coset_class_counts`), and `invariant_dimension`
 those of H (`Subgroup.class_counts`); they are checked here against the
 products they replace.  `inner_product`, the classwise pairing that left
 the package, is the oracle of `decompose` here and in test_reptheory.py.
-A class function whose values need a conductor
-above 2|G|, each value at its least conductor, has no view, and all three
-refuse it, as parsing does.
+A class function whose values need a conductor above 2|G|, each value at
+its least conductor, has no view, and all three refuse it, as parsing does.
 """
 
 import random
