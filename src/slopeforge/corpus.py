@@ -195,80 +195,57 @@ def tensor_induction_corpus() -> list[tuple[gp.Subgroup, MatrixRep]]:
     two-dimensional ones from standard generator images.
     """
     out = []
-    one = Cyclotomic.rational(1)
 
-    def add_linear(H, *values_for_gens):
+    def add(H, image):
+        """H with the representation that sends each generator g of
+        Hg = H.as_group to the matrix image(Hg, g)."""
         Hg = H.as_group
-        mats = [[[Cyclotomic.coerce(v)]] for v in values_for_gens]
+        mats = [image(Hg, g) for g in Hg.generators]
         out.append((H, rep_from_generator_images(Hg, Hg.generators, mats)))
 
+    def linear(value):
+        return lambda Hg, g: [[value]]
+
     C4 = gp.cyclic_group(4)
-    add_linear(_subgroup_by_order(C4, 2), Cyclotomic.rational(-1))
-    add_linear(C4.full_subgroup(), Cyclotomic.zeta(4))
+    add(_subgroup_by_order(C4, 2), linear(Cyclotomic.rational(-1)))
+    add(C4.full_subgroup(), linear(Cyclotomic.zeta(4)))
     C6 = gp.cyclic_group(6)
-    add_linear(_subgroup_by_order(C6, 3), Cyclotomic.zeta(3))
-    add_linear(_subgroup_by_order(C6, 2), Cyclotomic.rational(-1))
+    add(_subgroup_by_order(C6, 3), linear(Cyclotomic.zeta(3)))
+    add(_subgroup_by_order(C6, 2), linear(Cyclotomic.rational(-1)))
     C8 = gp.cyclic_group(8)
-    add_linear(_subgroup_by_order(C8, 4), Cyclotomic.zeta(4))
+    add(_subgroup_by_order(C8, 4), linear(Cyclotomic.zeta(4)))
     C9 = gp.cyclic_group(9)
-    add_linear(_subgroup_by_order(C9, 3), Cyclotomic.zeta(3))
+    add(_subgroup_by_order(C9, 3), linear(Cyclotomic.zeta(3)))
     S3 = gp.symmetric_group(3)
-    A3 = _subgroup_by_order(S3, 3)
-    add_linear(A3, Cyclotomic.zeta(3))
+    add(_subgroup_by_order(S3, 3), linear(Cyclotomic.zeta(3)))
     C12 = gp.cyclic_group(12)
-    add_linear(_subgroup_by_order(C12, 4), Cyclotomic.zeta(4))
+    add(_subgroup_by_order(C12, 4), linear(Cyclotomic.zeta(4)))
     V4 = gp.elementary_abelian_group(2, 2)
-    add_linear(gp.generated_subgroup(V4, [V4.index[(1, 0)]]),
-               Cyclotomic.rational(-1))
+    add(gp.generated_subgroup(V4, [V4.index[(1, 0)]]),
+        linear(Cyclotomic.rational(-1)))
 
-    # two-dimensional: dihedral rotation/flip images inside C2 x D4
-    i4 = Cyclotomic.zeta(4)
-    zero = Cyclotomic.rational(0)
-    mone = Cyclotomic.rational(-1)
-    D4 = gp.dihedral_group(4)
-    G16 = gp.direct_product(gp.cyclic_group(2), D4)
-    d4_inside = gp.generated_subgroup(
-        G16, [G16.index[(0, g)] for g in D4.generators]
-    )
-    Hg = d4_inside.as_group
-    # rotation -> [[i,0],[0,-i]], flip -> [[0,1],[1,0]]
-    imgs = []
-    for gidx in Hg.generators:
-        if Hg.element_order(gidx) == 4:
-            imgs.append(((i4, zero), (zero, -i4)))
-        else:
-            imgs.append(((zero, one), (one, zero)))
-    out.append((d4_inside, rep_from_generator_images(Hg, Hg.generators, imgs)))
+    # two-dimensional, each generator's image chosen by its order
+    i4, w = Cyclotomic.zeta(4), Cyclotomic.zeta(3)
+    rotation, flip = ((i4, 0), (0, -i4)), ((0, 1), (1, 0))
 
-    # quaternion 2-dim inside C2 x Q8
+    def by_order(images):
+        return lambda Hg, g: images[Hg.element_order(g)]
+
+    def inside_c2_times(K):
+        """K as the subgroup 1 x K of C2 x K."""
+        G = gp.direct_product(gp.cyclic_group(2), K)
+        return gp.generated_subgroup(G, [G.index[(0, g)] for g in K.generators])
+
+    # dihedral rotation/flip inside C2 x D4
+    add(inside_c2_times(gp.dihedral_group(4)), by_order({4: rotation, 2: flip}))
+    # quaternion x, y inside C2 x Q8, both of order 4, told apart in Q8
     Q8 = gp.quaternion_group()
-    G16q = gp.direct_product(gp.cyclic_group(2), Q8)
-    q_inside = gp.generated_subgroup(
-        G16q, [G16q.index[(0, g)] for g in Q8.generators]
-    )
-    Hq = q_inside.as_group
-    imgs = []
-    for gidx in Hq.generators:
-        _, q_idx = G16q.elements[Hq.elements[gidx]]
-        if Q8.elements[q_idx] == (1, 0):    # x: order 4
-            imgs.append(((i4, zero), (zero, -i4)))
-        elif Q8.elements[q_idx] == (0, 1):  # y
-            imgs.append(((zero, one), (mone, zero)))
-        else:
-            raise AssertionError("unexpected generator")
-    out.append((q_inside, rep_from_generator_images(Hq, Hq.generators, imgs)))
-
+    q_inside = inside_c2_times(Q8)
+    q_images = {Q8.index[(1, 0)]: rotation, Q8.index[(0, 1)]: ((0, 1), (-1, 0))}
+    add(q_inside, lambda Hg, g:
+        q_images[q_inside.parent.elements[Hg.elements[g]][1]])
     # H = G edge case: S3 as subgroup of itself with the 2-dim irreducible
-    w = Cyclotomic.zeta(3)
-    s3_full = S3.full_subgroup()
-    Hs = s3_full.as_group
-    imgs = []
-    for gidx in Hs.generators:
-        if Hs.element_order(gidx) == 3:
-            imgs.append(((w, zero), (zero, w * w)))
-        else:
-            imgs.append(((zero, one), (one, zero)))
-    out.append((s3_full, rep_from_generator_images(Hs, Hs.generators, imgs)))
+    add(S3.full_subgroup(), by_order({3: ((w, 0), (0, w * w)), 2: flip}))
     return out
 
 

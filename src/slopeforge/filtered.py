@@ -385,8 +385,7 @@ def _product_slopes(chain: BreakChain, chi: ClassFunction,
     the product at the denominator D_chi D_psi, one product and one
     reduction mod Phi_n a class; else from chi * psi, which refuses what has
     no view."""
-    # on a chain with a subgroup, slope_decomposition has read both views
-    if chain.subgroups and chi.int_view[0] == psi.int_view[0]:
+    if chi.int_view[0] == psi.int_view[0]:
         n, D_chi, chi_rows = chi.int_view
         _, D_psi, psi_rows = psi.int_view
         view = (n, D_chi * D_psi, [reduce_mod_cyclotomic(_poly_mul(a, b), n)

@@ -13,8 +13,7 @@ enumerating the ambient product, only the subgroups actually built inside it.
 
 The package's closure and action routines are these four and no others:
 `_extend_closed` grows a subgroup coset by coset (group and subgroup
-generation and validation, normal closures, lattice joins, wreath tops,
-the redundant generators that `automorphism_count` drops);
+generation and validation, normal closures, lattice joins, wreath tops);
 `orbit` closes a set under any other action (conjugacy classes, joins of
 normal subgroups, a Cayley table not yet known to be a group, the roots of
 `weyl` under simple reflections); `CosetAction` is left translation on the
@@ -27,8 +26,9 @@ returns it as a list indexed by element, with None at an element not
 reached: homomorphisms, candidate automorphisms, and the left
 multiplications that make up the multiplication table and, composed with
 the rows, the conjugations.  Every group and subgroup keeps the generators
-of the closure that built or validated it, and readers use those, never a
-recount.
+of the closure that built or validated it (`_greedy_generators`: each given
+element that the ones before it do not generate), and readers use those,
+never a recount.
 Subgroups built by these closures are trusted (`Subgroup._from_closure`); a
 subgroup given from outside is validated by closing it from its own
 elements.
@@ -168,9 +168,11 @@ class FiniteGroup:
     group is its product: inverses are read off the cyclic subgroups, and
     inverse classes off the power maps.  The identity always has index 0 and
     elements are kept in a deterministic order, so derived data (classes,
-    subgroups) is reproducible.  `generators` (raw values) is required: each
-    constructor passes the generating set that its closure or validation
-    found, or that the construction gives.
+    subgroups) is reproducible.  `generators` (raw values) is required: a
+    constructor that closes a given list passes the greedy generators its
+    closure found (`_greedy_generators`), and any other passes the
+    generators that the construction gives.  They are stored as sorted
+    indices, without the identity, and `automorphism_count` searches them.
     """
 
     def __init__(self, elements, compose, identity, generators, name="group"):
@@ -537,7 +539,8 @@ def group_from_permutations(generators, name="permgroup",
         if sorted(g) != list(range(degree)):
             raise GroupError(f"{g} is not a permutation of 0..{degree - 1}")
     identity = tuple(range(degree))
-    members = _greedy_generators(gens, identity, _perm_compose, max_order)[1]
+    gens, members = _greedy_generators(gens, identity, _perm_compose,
+                                       max_order)
     return FiniteGroup(members, _perm_compose, identity,
                        generators=gens, name=name)
 
@@ -855,8 +858,8 @@ class WreathProduct:
                           max_order=DEFAULT_MAX_ORDER) -> FiniteGroup:
         """Closure of raw wreath elements as a standalone FiniteGroup."""
         gens = [tuple(r) for r in raws]
-        members = _greedy_generators(gens, self.identity, self.compose,
-                                     max_order)[1]
+        gens, members = _greedy_generators(gens, self.identity, self.compose,
+                                           max_order)
         return FiniteGroup(members, self.compose, self.identity,
                            generators=gens, name=name)
 
@@ -1074,27 +1077,9 @@ def classify_wreath_subgroup(W: WreathProduct,
 # -- automorphisms -------------------------------------------------------------
 
 
-def _irredundant_generators(G: FiniteGroup) -> list[int]:
-    """G.generators less each one that the others kept generate: g lies in
-    <others> exactly when <others> = G, read off the element order when one
-    other is left (no product) and off a closure stopped past |G|/2."""
-    gens = list(G.generators)
-    half = G.order // 2
-    for g in G.generators:
-        others = [h for h in gens if h != g]
-        if len(others) > 1:
-            spans = len(_extend_closed({0}, others, G.mul, 0, stop=half)) > half
-        else:  # <h> = G when h has order |G|; a lone generator is kept
-            spans = bool(others) and G.element_orders[others[0]] == G.order
-        if spans:
-            gens = others
-    return gens
-
-
 def automorphism_count(G: FiniteGroup) -> int:
-    """|Aut(G)| by exhaustive search over the images of an irredundant
-    generating sequence (`_irredundant_generators`)."""
-    gens = _irredundant_generators(G)
+    """|Aut(G)| by exhaustive search over the images of G.generators."""
+    gens = G.generators
     class_sizes = {i: len(G.conjugacy_classes[G.class_of[i]])
                    for i in range(G.order)}
     orders = G.element_orders

@@ -485,6 +485,28 @@ C3_BASE = {"permutation_generators": [[2, 3, 1]]}
 C12_GEN = list(range(2, 13)) + [1]
 
 
+class TestRedundantGenerators:
+    @pytest.mark.parametrize("command, plain, redundant", [
+        # (1 3) lies in <(1 2), (1 2 3)>, and (1 2) is given twice
+        ("table", {"group": {"permutation_generators": S3_GENS}},
+         {"group": {"permutation_generators": S3_GENS + [[3, 2, 1], [2, 1, 3]]}}),
+        ("wreath", {"base": {"permutation_generators": S3_GENS}, "ell": 2},
+         {"base": {"permutation_generators": S3_GENS + [[3, 2, 1]]}, "ell": 2}),
+        # S3 inside C3 wr C2 from the swap and a base element it inverts;
+        # their product, given third, is generated by them
+        ("classify", {"wreath": {"base": C3_BASE, "ell": 2},
+                      "generators": [[1, [0, 0]], [0, [1, 2]]]},
+         {"wreath": {"base": C3_BASE, "ell": 2},
+          "generators": [[1, [0, 0]], [0, [1, 2]], [1, [1, 2]]]}),
+    ])
+    def test_s3_reports_the_same_with_a_redundant_generator(
+            self, capsys, tmp_path, command, plain, redundant):
+        reports = [run_cli([command], capsys, payload, tmp_path=tmp_path)
+                   for payload in (plain, redundant)]
+        assert reports[0] == reports[1] and reports[0][0] == 0
+        assert command != "classify" or reports[0][1]["subgroup_order"] == 6
+
+
 class TestInputBoundary:
     """Malformed payloads exit 2 with an error naming the JSON path, never a
     traceback; JSON true/false are not integers."""

@@ -442,6 +442,19 @@ def test_views_match_the_value_route_on_the_corpora(chain, monkeypatch):
     assert True in results and results - {True}
 
 
+def test_a_chain_without_subgroups_matches_the_value_route(c6_chain, monkeypatch):
+    # slope_decomposition reads both views on a chain with no subgroup too,
+    # so the product is read from the views there as well
+    C6, _, table, chars = c6_chain
+    empty = BreakChain(C6, (), ())
+    half = (chars[3] + chars[3] * chars[3]) * F(1, 2)
+    factors = list(table.irreducibles) + [half]
+    pairs = [(chi, psi) for chi in factors for psi in factors]
+    (got, got_read), (want, want_read) = tensor_routes(monkeypatch, empty, pairs)
+    assert got == want == [True] * len(pairs)
+    assert got_read == want_read and len(got_read) == len(pairs)
+
+
 def test_unequal_view_conductors_take_the_value_route(monkeypatch):
     # i written at conductor 8 on C4 has a view at n = 8; the irreducibles'
     # views are at e = 4, so the product is read from chi * psi

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import slopeforge.groups
+from slopeforge import corpus
 from slopeforge.corpus import abelian_groups_up_to_64, group_zoo_up_to_100
 from slopeforge.groups import (BASE_TABLE_MAX_ORDER, GoursatDichotomyError,
                                GroupError, Subgroup, WreathProduct,
@@ -23,6 +24,91 @@ from slopeforge.groups import (BASE_TABLE_MAX_ORDER, GoursatDichotomyError,
                                quaternion_group, rotation, subgroup_closure,
                                symmetric_group, wreath_cyclic)
 from slopeforge.jsonio import parse_subgroup
+from slopeforge.verify import run_suites
+
+
+# S4 from (1 3), (1 3 2) and (0 3 2): the first is generated by the later two
+S4_LATER_SPANS_EARLIER = [(0, 3, 2, 1), (0, 3, 1, 2), (3, 1, 0, 2)]
+# in C3 wr C2: the swap of the coordinates, a base element it inverts, and
+# their product, which the first two generate; <swap, d> is S3
+SWAP, D = ((1, 0), (0, 0)), ((0, 1), (1, 2))
+SWAP_D = ((1, 0), (1, 2))
+
+
+def generator_values(G):
+    return [G.elements[g] for g in G.generators]
+
+
+class TestClosureGenerators:
+    """group_from_permutations and WreathProduct.subgroup_from_raw keep the
+    greedy generators of the list they are given: each element that the
+    ones before it do not generate."""
+
+    @pytest.mark.parametrize("perms, kept", [
+        ([(1, 2, 0), (1, 2, 0), (1, 0, 2)], [(1, 2, 0), (1, 0, 2)]),
+        ([(0, 1, 2), (1, 2, 0)], [(1, 2, 0)]),
+        ([(1, 0, 2), (1, 2, 0), (2, 1, 0)], [(1, 0, 2), (1, 2, 0)]),
+        ([rotation(12, 1), rotation(12, 5)], [rotation(12, 1)]),
+        ([rotation(12, 5), rotation(12, 1)], [rotation(12, 5)]),
+        (S4_LATER_SPANS_EARLIER, S4_LATER_SPANS_EARLIER),
+    ], ids=["repeated", "identity", "S3-generated-by-earlier",
+            "C12-generated-by-earlier", "C12-reversed", "S4-later-spans-earlier"])
+    def test_group_from_permutations(self, perms, kept):
+        G = group_from_permutations(perms)
+        assert generator_values(G) == sorted(kept)
+
+    def test_s2_keeps_one_of_its_coinciding_swap_and_cycle(self):
+        # both are (1, 0); the given list was kept whole, as [1, 1], before
+        S2 = symmetric_group(2)
+        assert (S2.order, S2.generators, generator_values(S2)) == (
+            2, [1], [(1, 0)])
+        assert automorphism_count(S2) == 1
+
+    @pytest.mark.parametrize("raws, kept", [
+        ([SWAP, D, SWAP], [SWAP, D]),
+        ([((0, 1), (0, 0)), SWAP, D], [SWAP, D]),
+        ([SWAP, D, SWAP_D], [SWAP, D]),
+        ([SWAP_D, SWAP, D], [SWAP_D, SWAP]),
+    ], ids=["repeated", "identity", "generated-by-earlier", "reordered"])
+    def test_subgroup_from_raw(self, raws, kept):
+        W = wreath_cyclic(cyclic_group(3), 2)
+        assert W.compose(SWAP, D) == SWAP_D
+        H = W.subgroup_from_raw(raws)
+        assert H.order == 6 and generator_values(H) == sorted(kept)
+
+
+    def test_the_corpora_and_suites_close_no_redundant_list(self, monkeypatch):
+        # every list that the zoo, the corpora and the verify suites close is
+        # kept whole, so their groups keep the generators they are given
+        closed = []
+        build = slopeforge.groups.group_from_permutations
+        close = WreathProduct.subgroup_from_raw
+
+        def recording_build(gens, *args, **kwargs):
+            closed.append((list(gens), build(gens, *args, **kwargs)))
+            return closed[-1][1]
+
+        def recording_close(W, raws, *args, **kwargs):
+            closed.append((list(raws), close(W, raws, *args, **kwargs)))
+            return closed[-1][1]
+
+        monkeypatch.setattr(slopeforge.groups, "group_from_permutations",
+                            recording_build)
+        monkeypatch.setattr(WreathProduct, "subgroup_from_raw", recording_close)
+        for cached in (abelian_groups_up_to_64, group_zoo_up_to_100,
+                       corpus._filtered_group_catalog):
+            cached.__wrapped__()
+        corpus.abelian_chain_corpus(2024)
+        corpus.filtered_group_corpus()
+        corpus.mackey_pair_corpus()
+        corpus.tensor_induction_corpus()
+        corpus.prime_power_chain_corpus()
+        corpus.fractional_break_chain_corpus()
+        assert all(r.passed for r in run_suites())
+        assert len(closed) > 100
+        for gens, G in closed:
+            given = sorted(tuple(g) for g in gens if tuple(g) != G.elements[0])
+            assert generator_values(G) == given, G.name
 
 
 class TestConstruction:
@@ -628,11 +714,16 @@ class TestAutomorphisms:
     @pytest.mark.parametrize("build, space", [
         (lambda: direct_product(symmetric_group(3), symmetric_group(3)), 576),
         (lambda: alternating_group(5), 480),
-        # the transposition (0 1) lies in <(0 1 2), (0 2)>: 3 * 2 images, not 18
+        # (0 2) lies in <(0 1), (0 1 2)>, so it is not kept: 3 * 2 images, not 18
         (lambda: group_from_permutations([(1, 0, 2), (1, 2, 0), (2, 1, 0)]), 6),
-        # each rotation generates C12 alone, so the first is dropped: 4, not 16
+        # the rotation by 1 generates C12, so the one by 5 is not kept: 4, not 16
         (lambda: group_from_permutations([rotation(12, 1), rotation(12, 5)]), 4),
-    ], ids=["S3xS3", "A5", "S3-redundant", "C12-redundant"])
+        # no generator lies in the span of the ones before it, so all three
+        # are kept, though the first lies in that of the later two:
+        # 6 * 8 * 8 images (48 when that first one was dropped)
+        (lambda: group_from_permutations(S4_LATER_SPANS_EARLIER), 384),
+    ], ids=["S3xS3", "A5", "S3-redundant", "C12-redundant",
+            "S4-later-spans-earlier"])
     def test_search_space_over_irredundant_generators(self, monkeypatch,
                                                       build, space):
         G = build()
