@@ -412,16 +412,16 @@ def tensor_bound_check(chain: BreakChain, chi: ClassFunction,
             return False
         remaining[s] -= m
     # Hall condition on a totally ordered set: for every threshold, the mass
-    # above it must be coverable by bounds above it
-    rem_sorted = sorted(remaining.items(), reverse=True)
-    bound_sorted = sorted(bounded, reverse=True)
-    thresholds = {s for s, m in rem_sorted if m} | {b for b, _ in bound_sorted}
-    for t in thresholds:
-        need = sum(m for s, m in rem_sorted if s >= t)
-        have = sum(m for b, m in bound_sorted if b >= t)
+    # at or above it must be coverable by bounds at or above it, checked in
+    # one sweep down the slopes
+    bound_at = dict(bounded)
+    need = have = 0
+    for t in sorted(remaining.keys() | bound_at.keys(), reverse=True):
+        need += remaining.get(t, 0)
+        have += bound_at.get(t, 0)
         if need > have:
             return False
-    return sum(m for _, m in rem_sorted) == sum(m for _, m in bound_sorted)
+    return need == have
 
 
 # -- predicates from the structural theory ---------------------------------------

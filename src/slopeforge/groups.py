@@ -4,12 +4,14 @@ Groups are stored as an ordered element list (identity first) plus a
 composition rule on the raw element values; everything else (inverses,
 conjugacy classes, one power map per Galois orbit of classes and the element
 orders read off it, subgroup closures) is derived and cached on the group
-object.  A subgroup likewise caches what it derives (its normality, itself as
-a standalone group, its class fusion and the class counts of its cosets), so
-that data is freed with the subgroup.  Raw values are hashable, so closures
-are dict-driven, and groups up to the configured order bound (default 10000)
-can be enumerated in full.  Wreath products compose lazily and never require
-enumerating the ambient product, only the subgroups actually built inside it.
+object.  Powers, orders, inverses and power maps are read off one walk of
+each cyclic subgroup, `FiniteGroup.powers`.  A subgroup likewise caches what
+it derives (its normality, itself as a standalone group, its class fusion and
+the class counts of its cosets), so that data is freed with the subgroup.  Raw
+values are hashable, so closures are dict-driven, and groups up to the
+configured order bound (default 10000) can be enumerated in full.  Wreath
+products compose lazily and never require enumerating the ambient product,
+only the subgroups actually built inside it.
 
 The package's closure and action routines are these four and no others:
 `_extend_closed` grows a subgroup coset by coset (group and subgroup
@@ -165,13 +167,14 @@ class FiniteGroup:
     """A finite group over an ordered list of raw element values.
 
     compose operates on raw values; public mul/inv operate on indices.  The
-    group is its product: inverses are read off the cyclic subgroups, and
-    inverse classes off the power maps.  The identity always has index 0 and
-    elements are kept in a deterministic order, so derived data (classes,
-    subgroups) is reproducible.  `generators` (raw values) is required: a
-    constructor that closes a given list passes the greedy generators its
-    closure found (`_greedy_generators`), and any other passes the
-    generators that the construction gives.  They are stored as sorted
+    group is its product: powers, element orders and inverses are read off
+    the walk of each cyclic subgroup (`powers`), and inverse classes off the
+    power maps.  The identity always has index 0 and elements are kept in a
+    deterministic order, so derived data (classes, subgroups) is
+    reproducible.  `generators` (raw values) is required: a constructor
+    that closes a given list passes the greedy generators its closure found
+    (`_greedy_generators`), and any other passes the generators that the
+    construction gives.  They are stored as sorted
     indices, without the identity, and `automorphism_count` searches them.
     """
 
@@ -218,45 +221,42 @@ class FiniteGroup:
         rows = self.right_rows(self.generators)
         return [self._left_row(rows, a) for a in range(self.order)]
 
+    def powers(self, i: int) -> list[int]:
+        """[i^0, i^1, ..., i^(m-1)] for i of order m, walked by m - 1
+        products: the one walk of <i>, which orders, powers, inverses and
+        power maps read.  `reptheory._abelian_table` keeps its own walk, which
+        stops at the first power in the subgroup built so far: its build is
+        pinned at |G| - 1 products, and full walks would go past that."""
+        walk = [0]
+        x = i
+        while x != 0:
+            walk.append(x)
+            x = self.mul(x, i)
+        return walk
+
     @cached_property
     def _inv_list(self) -> list[int]:
         """inv[g^k] = g^(m-k) on each cyclic subgroup <g> of order m, walked
         from the first element whose inverse is not yet known: the phi(m)
         generators of <g> are all new then, so a walk costs at most
         m / phi(m) products per element it settles."""
-        inv = [0] + [None] * (self.order - 1)
-        for g in range(1, self.order):
+        inv = [None] * self.order
+        for g in range(self.order):
             if inv[g] is None:
-                powers = [0, g]
-                while powers[-1] != 0:
-                    powers.append(self.mul(powers[-1], g))
-                m = len(powers) - 1
-                for k in range(1, m):
-                    inv[powers[k]] = powers[m - k]
+                walk = self.powers(g)
+                for k, x in enumerate(walk):
+                    inv[x] = walk[-k]
         return inv
 
     def inv(self, i: int) -> int:
         return self._inv_list[i]
 
     def power(self, i: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(i), -k)
-        out = 0
-        base = i
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
+        walk = self.powers(i)
+        return walk[k % len(walk)]
 
     def element_order(self, i: int) -> int:
-        n = 1
-        x = i
-        while x != 0:
-            x = self.mul(x, i)
-            n += 1
-        return n
+        return len(self.powers(i))
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
@@ -322,15 +322,13 @@ class FiniteGroup:
         row[t] is the class of g^t, t = 0..m-1.  The orbit is the classes
         row[a] with a prime to m (`galois_orbit`); the identity's row is
         (0,) and comes first."""
+        class_of = self.class_of
         covered = set()
         rows = []
         for ci, g in enumerate(self.class_representatives):
             if ci not in covered:
-                row, x = [0], g
-                while x != 0:
-                    row.append(self.class_of[x])
-                    x = self.mul(x, g)
-                rows.append(tuple(row))
+                row = tuple([class_of[x] for x in self.powers(g)])
+                rows.append(row)
                 covered.update(galois_orbit(row))
         return tuple(rows)
 
@@ -427,8 +425,9 @@ class Subgroup:
     def _normal(self) -> bool:
         G = self.parent
         for g in G.generators:
-            # g^-1 = g^(m-1): a walk of <g>, not G's whole inverse list
-            ginv = G.power(g, G.element_order(g) - 1)
+            # g^-1 = g^(m-1), the last power: a walk of <g>, not G's whole
+            # inverse list
+            ginv = G.powers(g)[-1]
             for x in self.generators:
                 if G.mul(ginv, G.mul(x, g)) not in self.element_set:
                     return False
@@ -489,8 +488,8 @@ class Subgroup:
 
 
 def generated_subgroup(G: FiniteGroup, generators) -> Subgroup:
-    gens = tuple(sorted(set(g for g in generators if g != 0)))
-    return Subgroup._from_closure(G, subgroup_closure(G, gens), gens)
+    gens, members = _greedy_generators(generators, 0, G.mul)
+    return Subgroup._from_closure(G, tuple(sorted(members)), tuple(gens))
 
 
 class CosetAction:

@@ -158,10 +158,7 @@ class ClassFunction:
     __rmul__ = __mul__
 
     def power(self, n: int) -> ClassFunction:
-        out = trivial_character(self.group)
-        for _ in range(n):
-            out = out * self
-        return out
+        return ClassFunction(self.group, tuple(v ** n for v in self.values))
 
     def __eq__(self, other):
         return (isinstance(other, ClassFunction) and self.group is other.group

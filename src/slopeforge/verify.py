@@ -364,12 +364,10 @@ def _all_subspaces(q: int, ell: int) -> list[frozenset]:
 
 
 def _goursat_brute_force_agrees(H: gp.FiniteGroup, q: int, ell: int) -> bool:
-    def to_index_tuple(vec):
-        # vector entries are powers of the generator; element k = gen^k
-        return tuple(H.power(H.generators[0], a) for a in vec)
-
+    # vector entries are powers of the generator: entry a is gen^a
+    walk = H.powers(H.generators[0])
     for S in _all_subspaces(q, ell):
-        tuples = [to_index_tuple(v) for v in S]
+        tuples = [tuple([walk[a] for a in v]) for v in S]
         tset = set(tuples)
         shifted = {t[1:] + t[:1] for t in tset}
         if shifted != tset:

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +20,7 @@ from slopeforge.groups import (cyclic_group, elementary_abelian_group,
                                generated_subgroup,
                                heisenberg_group, normal_subgroups,
                                quaternion_group, symmetric_group)
-from slopeforge.newton import SlopeMultiset
+from slopeforge.newton import SlopeMultiset, tensor_slope_bound
 from slopeforge.reptheory import (CharacterTable, ClassFunction, character_table,
                                   regular_character, trivial_character)
 
@@ -260,7 +262,63 @@ class TestInvariantCharacterRefusals:
             invariant_character(chi, generated_subgroup(S3, [transp]))
 
 
+def hall_by_thresholds(exact, bounded, product):
+    """tensor_bound_check on given slopes as it was checked before the
+    descending sweep, two sums per threshold, with the branch that decided:
+    "exact", "threshold", "total" or "holds"."""
+    remaining = dict(product.entries)
+    for s, m in exact.entries:
+        if remaining.get(s, 0) < m:
+            return False, "exact"
+        remaining[s] -= m
+    rem_sorted = sorted(remaining.items(), reverse=True)
+    bound_sorted = sorted(bounded, reverse=True)
+    thresholds = {s for s, m in rem_sorted if m} | {b for b, _ in bound_sorted}
+    for t in thresholds:
+        need = sum(m for s, m in rem_sorted if s >= t)
+        have = sum(m for b, m in bound_sorted if b >= t)
+        if need > have:
+            return False, "threshold"
+    if sum(m for _, m in rem_sorted) != sum(m for _, m in bound_sorted):
+        return False, "total"
+    return True, "holds"
+
+
 class TestTensorBound:
+    def test_hall_sweep_matches_the_threshold_loop(self, c6_chain, monkeypatch):
+        # the regular character squared on the C6 chain has exact and bounded
+        # parts at several slopes; crafted product slopes reach every branch
+        C6, chain, _, _ = c6_chain
+        reg = regular_character(C6)
+        exact, bounded = tensor_slope_bound(slope_decomposition(chain, reg),
+                                            slope_decomposition(chain, reg))
+        assert len(exact.entries) == 2 and len(bounded) == 3
+        slopes = [F(k, 4) for k in range(7)]
+        rng = random.Random(2029)
+        products = []
+        for _ in range(400):
+            # the bounded mass moved a few steps along `slopes`, and now and
+            # then a unit added at, or dropped from, a random slope
+            mass = Counter(dict(exact.entries))
+            for b, m in bounded:
+                for _ in range(m):
+                    k = slopes.index(b) + rng.choice([-2, -1, 0, 0, 0, 1])
+                    mass[slopes[min(max(k, 0), 6)]] += 1
+            change = rng.choice([-1, 0, 0, 1])
+            if change:
+                mass[rng.choice(sorted(mass) if change < 0 else slopes)] += change
+            products.append(SlopeMultiset.from_pairs(mass.items()))
+        products.append(SlopeMultiset.from_pairs([*exact.entries, *bounded]))
+        products.append(SlopeMultiset(bounded))
+        seen = set()
+        for product in products:
+            monkeypatch.setattr(filtered, "_product_slopes",
+                                lambda *args, product=product: product)
+            want, branch = hall_by_thresholds(exact, bounded, product)
+            assert tensor_bound_check(chain, reg, reg) is want, product
+            seen.add(branch)
+        assert seen == {"exact", "threshold", "total", "holds"}
+
     def test_distinct_slopes_exact(self, c6_chain):
         C6, chain, table, chars = c6_chain
         assert tensor_bound_check(chain, chars[2], chars[3])

@@ -76,6 +76,18 @@ class TestClosureGenerators:
         H = W.subgroup_from_raw(raws)
         assert H.order == 6 and generator_values(H) == sorted(kept)
 
+    @pytest.mark.parametrize("perms, kept", [
+        ([(2, 1, 0), (1, 2, 0), (2, 1, 0)], [(2, 1, 0), (1, 2, 0)]),
+        ([(2, 1, 0), (0, 1, 2), (1, 2, 0)], [(2, 1, 0), (1, 2, 0)]),
+        ([rotation(4, 1), rotation(4, 2), rotation(4, 3)], [rotation(4, 1)]),
+    ], ids=["repeated", "identity", "C4-generated-by-earlier"])
+    def test_generated_subgroup(self, perms, kept):
+        # kept in the given order, where the sorted list was kept whole
+        G = symmetric_group(len(perms[0]))
+        H = generated_subgroup(G, [G.index[p] for p in perms])
+        assert H.generators == tuple(G.index[p] for p in kept)
+        checked = Subgroup(G, H.elements, H.generators)
+        assert checked == H and checked.generators == H.generators
 
     def test_the_corpora_and_suites_close_no_redundant_list(self, monkeypatch):
         # every list that the zoo, the corpora and the verify suites close is
@@ -837,6 +849,22 @@ class TestElementOrders:
         assert G.element_orders == orders
         assert G.exponent == lcm(*orders)
 
+    def test_powers_walk_each_cyclic_subgroup(self):
+        for G in abelian_groups_up_to_64() + group_zoo_up_to_100():
+            check_powers(G)
+        for name in sorted(LATTICE_GROUPS):
+            check_powers(LATTICE_GROUPS[name]())
+
+
+def check_powers(G):
+    """powers(g) starts at the identity and steps by mul(., g) back to it,
+    one product a step, and has the length of g's order."""
+    for g in range(G.order):
+        walk, count = count_products(G, lambda: G.powers(g))
+        assert walk[0] == 0 and len(walk) == G.element_orders[g], (G.name, g)
+        assert [G.mul(x, g) for x in walk] == walk[1:] + [0], (G.name, g)
+        assert count == len(walk) - 1, (G.name, g)
+
 
 def check_inverses(G):
     """inv(x) is the y with x y = 1 (unique in a group), found in at most
@@ -919,3 +947,14 @@ class TestNormalityMemo:
                       if len(cls) == 6 and S4.element_order(cls[0]) == 2)
         assert V4.is_normal() and not S4.subgroup([0, transp]).is_normal()
         assert "_inv_list" not in vars(S4)
+
+    def test_v4_in_s4_walks_each_generator_once(self):
+        # ord(g) - 1 products to reach g^-1 for each generator g of S4, and
+        # 2 per pair of generators: 12, where the binary power made 18
+        S4 = symmetric_group(4)
+        V4 = S4.subgroup([0, *next(cls for cls in S4.conjugacy_classes
+                                   if len(cls) == 3)])
+        normal, count = count_products(S4, V4.is_normal)
+        walks = sum(S4.element_order(g) - 1 for g in S4.generators)
+        assert normal and count == 12
+        assert count == walks + 2 * len(V4.generators) * len(S4.generators)
