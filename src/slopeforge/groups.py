@@ -94,7 +94,8 @@ def _extend_closed(closed, gens, act, identity, bound=None, stop=None) -> set:
     A coset is added whole for each r . g outside the union, with r running
     over the coset representatives found so far; GroupError is raised before
     a coset would take the union past `bound` elements, and the union is
-    returned unfinished as soon as it has more than `stop` elements.
+    returned unfinished at the first added coset (a list) for which the
+    predicate `stop` holds.
     """
     coset = list(closed)
     members = set(coset)
@@ -105,8 +106,9 @@ def _extend_closed(closed, gens, act, identity, bound=None, stop=None) -> set:
             if y not in members:
                 if bound is not None and len(members) + len(coset) > bound:
                     raise GroupError(f"closure exceeds order bound {bound}")
-                members.update([act(h, y) for h in coset])
-                if stop is not None and len(members) > stop:
+                added = [act(h, y) for h in coset]
+                members.update(added)
+                if stop is not None and stop(added):
                     return members
                 reps.append(y)
     return members
@@ -701,15 +703,34 @@ def extraspecial_exponent_p2_group(p: int) -> FiniteGroup:
 def _class_closure(G: FiniteGroup, cls, N: Subgroup, M: Subgroup) -> Subgroup:
     """<cls> for a class lying in the normal subgroup M and outside the
     normal subgroup N <= <cls>: grown from N by whole cosets N.y, and M as
-    soon as it has more than half of M's elements."""
-    half = M.order // 2
+    soon as the classes it holds (N's, cls and the class of each element
+    reached) cover more than |M|/q elements, q the least prime dividing
+    [M : N], the least index in M of a proper subgroup containing N; so at
+    once, before any product, when [M : N] is prime."""
+    index = M.order // N.order
+    limit = M.order // next(q for q in range(2, index + 1) if index % q == 0)
+    covered = N.order + len(cls)
+    if covered > limit:
+        return M
+    class_of, classes = G.class_of, G.conjugacy_classes
+    met = {class_of[cls[0]]}
+
+    def enough(coset) -> bool:
+        nonlocal covered
+        for x in coset:
+            c = class_of[x]
+            if c not in met:
+                met.add(c)
+                covered += len(classes[c])
+        return covered > limit
+
     members = N.element_set
     gens = []
     for x in cls:
         if x not in members:
             gens.append(x)
-            members = _extend_closed(members, gens, G.mul, 0, stop=half)
-            if len(members) > half:
+            members = _extend_closed(members, gens, G.mul, 0, stop=enough)
+            if covered > limit:
                 return M
     return Subgroup._from_closure(G, tuple(sorted(members)),
                                   tuple(sorted({*N.generators, *gens})))
@@ -728,8 +749,9 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     - N, the largest closure of a class of g^p (p a prime dividing m), lies
       in <C>, so <C> = N when g is in N;
     - M, the smallest closure found so far that contains g (or G), contains
-      <C>, so <C> = M when [M : N] is prime, and a closure grown from N is M
-      once it has more than |M|/2 elements.
+      <C>, so <C> = M as soon as the classes known to lie in <C> cover more
+      than |M|/q elements, q the least prime dividing [M : N] (at once when
+      [M : N] is prime; `_class_closure`).
     """
     classes = G.conjugacy_classes
     # built here, not cached on G like full_subgroup(), so that it lives
@@ -748,8 +770,7 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
         else:
             M = min((S for S in base if g in S), key=lambda S: S.order,
                     default=top)
-            C = M if is_prime(M.order // N.order) else _class_closure(
-                G, classes[row[1]], N, M)
+            C = _class_closure(G, classes[row[1]], N, M)
         if C not in base:
             base.append(C)
         for c in galois_orbit(row):

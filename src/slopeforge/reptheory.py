@@ -498,9 +498,11 @@ def _dixon_schneider(G: FiniteGroup) -> CharacterTable:
     # values mod ell, and since chi(g^a) = sigma_a(chi(g)) for a prime to
     # m = ord(g), the class of g^a gets it permuted by u -> u * a^-1 mod m,
     # made a Cyclotomic at once.  The power-map values fix the multiplicities,
-    # so irreducibles with the same values on a row share its lift: the
-    # largest multiplicity, checked against each degree, and the orbit's
-    # Cyclotomics, memoised for this row only
+    # so irreducibles with the same values on a row share the largest
+    # multiplicity, checked against each degree.  Those with the same value
+    # at the orbit's first class share the orbit's Cyclotomics, its Galois
+    # conjugates, even where their values at other powers g^t differ (the
+    # degree at t = 0, say).  Both are memoised for this row only
     values = [[None] * r for _ in chars_mod]
     for row in G.power_maps:
         m = len(row)
@@ -508,16 +510,20 @@ def _dixon_schneider(G: FiniteGroup) -> CharacterTable:
         m_inv = modp.inv_mod(m, ell)
         powers = [pow(wm_inv, t, ell) for t in range(m)]
         dft = [[powers[(u * t) % m] for t in range(m)] for u in range(m)]
-        orbit = [(c, pow(a, -1, m)) for c, a in galois_orbit(row).items()]
-        lifts = {}
+        (c0, a0), *orbit = [(c, pow(a, -1, m)) for c, a in galois_orbit(row).items()]
+        lifts, by_value = {}, {}
         for i, d in enumerate(degrees):
             pow_vals = tuple(chars_mod[i][c] for c in row)
             lift = lifts.get(pow_vals)
             if lift is None:
                 col = [(m_inv * sum(map(mul, f, pow_vals))) % ell for f in dft]
-                lift = lifts[pow_vals] = (max(col), [
-                    (c, Cyclotomic(m, [col[(w * a_inv) % m] for w in range(m)]))
-                    for c, a_inv in orbit])
+                first = Cyclotomic(m, [col[(w * a0) % m] for w in range(m)])
+                key = first.conductor, first.nums
+                if key not in by_value:
+                    by_value[key] = [(c0, first)] + [
+                        (c, Cyclotomic(m, [col[(w * a_inv) % m] for w in range(m)]))
+                        for c, a_inv in orbit]
+                lift = lifts[pow_vals] = (max(col), by_value[key])
             top, lifted = lift
             if top > d:
                 raise AssertionError("eigenvalue multiplicity lift out of range")

@@ -10,10 +10,11 @@ from slopeforge import corpus
 from slopeforge.corpus import abelian_groups_up_to_64, group_zoo_up_to_100
 from slopeforge.groups import (BASE_TABLE_MAX_ORDER, GoursatDichotomyError,
                                GroupError, Subgroup, WreathProduct,
-                               _extend_closed, _greedy_generators,
+                               _class_closure, _extend_closed,
+                               _greedy_generators,
                                alternating_group, automorphism_count,
                                classify_wreath_subgroup,
-                               cyclic_group, dihedral_group,
+                               cyclic_group, cyclic_rotations, dihedral_group,
                                direct_product, elementary_abelian_group,
                                embed_in_wreath, galois_orbit,
                                generated_subgroup,
@@ -325,10 +326,30 @@ def psl27():
                                    name="PSL27")
 
 
-# the groups of the wreath-lattice benchmark, and small wreath products,
-# powers and products where many classes share a closure
+def diagonal_with_rotation(H, ell):
+    """The diagonal copy of H in C_ell wr H with the rotation of the
+    coordinates: H x C_ell, as the wreath classification meets it."""
+    W = wreath_cyclic(H, ell)
+    raws = [W.top_element(cyclic_rotations(ell)[1])]
+    raws += [W.base_element((g,) * ell) for g in H.generators]
+    return W.subgroup_from_raw(raws)
+
+
+def hyperoctahedral(n):
+    """C2 wr S_n as signed permutations of 2n points, order 2^n n!."""
+    swap = (1, 0, *range(2, 2 * n))
+    shift = tuple((i + 2) % (2 * n) for i in range(2 * n))
+    transp = (2, 3, 0, 1, *range(4, 2 * n))
+    return group_from_permutations([swap, shift, transp], name=f"B{n}")
+
+
+# the groups of the wreath-lattice benchmark, B4 of the cli-requests
+# benchmark, and small wreath products, powers and products where many
+# classes share a closure
 LATTICE_GROUPS = {
     "A5wrC2": lambda: wreath_cyclic(alternating_group(5), 2).group(),
+    "A5diagC3": lambda: diagonal_with_rotation(alternating_group(5), 3),
+    "B4": lambda: hyperoctahedral(4),
     "A4wrC2": lambda: wreath_cyclic(alternating_group(4), 2).group(),
     "S4wrC2": lambda: wreath_cyclic(symmetric_group(4), 2).group(),
     "S3wrC3": lambda: wreath_cyclic(symmetric_group(3), 3).group(),
@@ -361,12 +382,61 @@ class TestNormalSubgroupsAgainstEveryClassClosure:
                 == [S.elements for S in normal_subgroups_closing_every_class(G)])
 
     def test_a5_wr_c2_products(self):
-        # 92,385 products when every one of the 19 classes was closed
+        # 92,385 products when every one of the 19 classes was closed, and
+        # 20,669 when a closure stopped only past |M|/2 elements; most of
+        # what is left builds the base A5 x A5, exactly |G|/2
         G = wreath_cyclic(alternating_group(5), 2).group()
-        G.conjugacy_classes
+        G.conjugacy_classes, G.power_maps
         normals, count = count_products(G, lambda: normal_subgroups(G))
         assert [S.order for S in normals] == [1, 3600, 7200]
-        assert count <= 40_000
+        assert count <= 5_072
+
+    @pytest.mark.parametrize("name, products", [
+        ("A6", 98),  # 1,075 when a closure stopped only past |M|/2
+        ("PSL27", 62),  # 361
+        ("S6", 618),  # 2,185
+        ("A5diagC3", 650),  # 825
+        ("B4", 5_473),  # 6,108
+    ])
+    def test_products_with_classes_known(self, name, products):
+        G = LATTICE_GROUPS[name]()
+        G.conjugacy_classes, G.power_maps
+        _, count = count_products(G, lambda: normal_subgroups(G))
+        assert count <= products
+
+    def test_prime_index_closure_makes_no_product(self):
+        # [M : N] prime: |N| + |C| > |M|/[M : N] = |N| before any product
+        G = cyclic_group(101)
+        G.conjugacy_classes, G.power_maps
+        top = G.subgroup(range(101))
+        C, count = count_products(G, lambda: _class_closure(
+            G, G.conjugacy_classes[1], G.trivial_subgroup(), top))
+        assert C is top and count == 0
+        normals, count = count_products(G, lambda: normal_subgroups(G))
+        assert [S.order for S in normals] == [1, 101] and count == 0
+
+
+class TestExtendClosed:
+    def test_stop_returns_the_union_at_the_first_coset_it_holds_for(self):
+        # <4> in C12 grown by 1: the predicate sees each whole coset r + <4>
+        seen = []
+
+        def stop(coset):
+            seen.append(sorted(coset))
+            return len(seen) == 2
+
+        members = _extend_closed({0, 4, 8}, [1], lambda x, y: (x + y) % 12, 0,
+                                 stop=stop)
+        assert seen == [[1, 5, 9], [2, 6, 10]]
+        assert members == {0, 4, 8, 1, 5, 9, 2, 6, 10}
+
+    def test_stop_is_not_called_when_no_coset_is_added(self):
+        def stop(coset):
+            raise AssertionError("called on " + repr(coset))
+
+        members = _extend_closed({0, 4, 8}, [4, 8], lambda x, y: (x + y) % 12, 0,
+                                 stop=stop)
+        assert members == {0, 4, 8}
 
 
 def classes_by_conjugating_products(G):

@@ -12,7 +12,7 @@ from slopeforge.corpus import (abelian_groups_up_to_64, group_zoo_up_to_100,
 from slopeforge.exactnum import Cyclotomic
 from slopeforge.groups import (CosetAction, alternating_group, cyclic_group,
                                dihedral_group, direct_product,
-                               elementary_abelian_group, galois_orbit,
+                               elementary_abelian_group,
                                generated_subgroup, group_from_cayley_table,
                                group_from_permutations, heisenberg_group,
                                normal_subgroups, quaternion_group,
@@ -252,21 +252,20 @@ class TestCharacterTables:
             assert values(table) == values(_dixon_schneider(G)), G.name
 
     def test_equal_power_map_values_share_one_lift(self):
-        # Dixon-Schneider lifts a power-map row once per distinct tuple of the
-        # irreducibles' values on it, so those irreducibles share the row's
-        # Cyclotomics, and the trivial character holds one; a lift per
-        # irreducible held r^2 - r + 1 values (21 on S4, 553 on S3 x C8)
+        # Dixon-Schneider shares one Cyclotomic per (class, value) among the
+        # irreducibles, and the trivial character holds one: 16 on S4 and
+        # 183 on S3 x C8, where a lift per tuple of power-map values, the
+        # degree included, held 18 and 239, and a lift per irreducible
+        # r^2 - r + 1 (21 and 553)
         def key(v):
             return v.conductor, v.nums, v.den
 
-        for G, shared in ((symmetric_group(4), 18),
-                          (direct_product(symmetric_group(3), cyclic_group(8)), 239)):
+        for G, shared in ((symmetric_group(4), 16),
+                          (direct_product(symmetric_group(3), cyclic_group(8)), 183)):
             table = _dixon_schneider(G)
             distinct = 1 + sum(
-                len(galois_orbit(row))
-                * len({tuple(key(chi.values[c]) for c in row)
-                       for chi in table.irreducibles[1:]})
-                for row in G.power_maps)
+                len({key(chi.values[c]) for chi in table.irreducibles[1:]})
+                for c in range(len(G.conjugacy_classes)))
             ids = {id(v) for chi in table.irreducibles for v in chi.values}
             assert len(ids) == distinct == shared, G.name
 
